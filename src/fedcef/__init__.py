@@ -2,10 +2,8 @@
 learning with error feedback and control-variate drift correction."""
 
 from .algorithms import (
-    ClientState,
     HyperParams,
     RunResult,
-    ServerState,
     run_centralized_pgd,
     run_fedcef,
     run_prox_fedavg,
@@ -37,7 +35,6 @@ from .problems import (
 from .regularizers import Regularizer
 
 __all__ = [
-    "ClientState",
     "CompressorSpec",
     "FULL",
     "FederatedProblem",
@@ -50,7 +47,6 @@ __all__ = [
     "RngStream",
     "RunConfig",
     "RunResult",
-    "ServerState",
     "SparsePayload",
     "StepConditionReport",
     "check_step_conditions",

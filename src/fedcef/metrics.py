@@ -113,6 +113,7 @@ def lyapunov_diagnostic(
     z_prev: np.ndarray | None,
     client_vs: Sequence[np.ndarray],
     client_cs: Sequence[np.ndarray],
+    F: float | None = None,
 ) -> float:
     """Single-trajectory Lyapunov potential at the current round.
 
@@ -121,9 +122,11 @@ def lyapunov_diagnostic(
             + (17 beta / (1-q)) * avg_i ||v_i - c_i||^2
 
     with expectations replaced by realized values. z_prev = None marks the
-    initial round, where only F(z) is available.
+    initial round, where only F(z) is available. F, when given, is F(z)
+    already evaluated by the caller.
     """
-    F = objective_value(prob, reg, z)
+    if F is None:
+        F = objective_value(prob, reg, z)
     if z_prev is None:
         return F
     N = prob.n_clients

@@ -103,6 +103,11 @@ class FederatedProblem:
     def n_clients(self) -> int:
         return len(self.features)
 
+    @property
+    def closed_form(self) -> bool:
+        """True when the gradient oracle reads no sample rows."""
+        return self.loss.variant == HETERO_QUADRATIC
+
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
@@ -164,23 +169,24 @@ def per_sample_gradients(prob: FederatedProblem, client: int, x: np.ndarray) -> 
 
 
 def stochastic_gradient(
-    prob: FederatedProblem, client: int, x: np.ndarray, B: int | str, rng: RngStream | None
+    prob: FederatedProblem, client: int, x: np.ndarray, B: int | str, rng: RngStream | np.ndarray | None
 ) -> np.ndarray:
     """Mini-batch gradient estimate, B i.i.d. samples drawn with replacement.
 
     B = FULL returns the exact gradient. hetero_quadratic is deterministic,
-    so any B returns the exact gradient there too.
+    so any B returns the exact gradient there too. `rng` is the stream to
+    draw the B sample indices from, or those indices already drawn.
     """
     if not 0 <= client < prob.n_clients:
         raise ValueError(f"client index {client} out of range")
-    if prob.loss.variant == HETERO_QUADRATIC or B == FULL:
+    if prob.closed_form or B == FULL:
         return client_gradient(prob, client, x)
     if not isinstance(B, int) or B < 1:
         raise ValueError("batch size must be a positive integer or FULL")
     if rng is None:
         raise ValueError("mini-batch sampling requires an rng stream")
     a = prob.features[client]
-    idx = rng.gen.integers(0, a.shape[0], size=B)
+    idx = rng if isinstance(rng, np.ndarray) else rng.gen.integers(0, a.shape[0], size=B)
     rows = a[idx]
     w = _per_sample_grad_weights(prob.loss, rows, prob.labels[client][idx], x)
     return (rows.T @ w) / B

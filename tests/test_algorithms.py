@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fedcef.algorithms import (
-    ClientState,
     HyperParams,
-    ServerState,
+    RoundState,
     StepConditionWarning,
     client_downlink,
     client_uplink,
@@ -50,36 +49,37 @@ def test_local_update_single_gradient_step():
     prob = lasso_problem(p=6, samples=30)
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=1, eta=1.0, B=FULL, T=1)
     z = np.linspace(-1, 1, 6)
-    cs = ClientState.initial(z)
-    new, rec = local_update(cs, z, np.zeros(6), prob, 0, Regularizer.zero(), hp, None)
+    st = RoundState.initial(z, 1)
+    gradients = local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
     g = client_gradient(prob, 0, z)
-    assert np.allclose(new.x_hat, z - 0.05 * g)
-    assert np.array_equal(rec.gradients[0], g)
+    assert np.allclose(st.x_hat[0], z - 0.05 * g)
+    assert np.array_equal(gradients[0], g)
     # first gradient is evaluated exactly at z: x^{t,0} = z
-    assert np.array_equal(rec.x_hat_start, z)
+    assert np.array_equal(st.z_prev[0], z)
 
 
 def test_local_update_constant_correction_telescopes():
     prob = zero_gradient_problem()
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=7, eta=1.0, B=FULL, T=1)
     z = np.array([1.0, -1.0, 2.0, 0.0])
-    cs = ClientState.initial(z)
-    cs.c_local = np.array([0.5, 0.0, -0.5, 1.0])
+    st = RoundState.initial(z, 1)
+    st.c_local[0] = [0.5, 0.0, -0.5, 1.0]
     c_global = np.array([1.0, 1.0, 1.0, 1.0])
-    new, _ = local_update(cs, z, c_global, prob, 0, Regularizer.zero(), hp, None)
-    expected = z - 7 * 0.1 * (c_global - cs.c_local)
-    assert np.allclose(new.x_hat, expected, atol=1e-14)
-    assert np.allclose(new.x, expected, atol=1e-14)
+    st.c_known[0] = c_global
+    local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
+    expected = z - 7 * 0.1 * (c_global - st.c_local[0])
+    assert np.allclose(st.x_hat[0], expected, atol=1e-14)
+    assert np.allclose(st.x[0], expected, atol=1e-14)
 
 
 def test_local_update_rejects_nonfinite_state():
     prob = lasso_problem(p=4, samples=20)
     hp = HyperParams(alpha=1e300, eta_g=1.0, K=3, eta=1.0, B=FULL, T=1)
     z = np.ones(4)
-    cs = ClientState.initial(z)
+    st = RoundState.initial(z, 1)
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError, match="local step"):
-            local_update(cs, z, np.zeros(4), prob, 0, Regularizer.zero(), hp, None)
+            local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
 
 
 def test_accumulator_identity_on_random_runs():
@@ -101,18 +101,18 @@ def test_accumulator_identity_on_random_runs():
 
 def test_uplink_momentum_and_error_feedback():
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=2, eta=0.25, B=FULL, T=1)
-    cs = ClientState.initial(np.zeros(3))
-    cs.x_hat_start = np.array([1.0, 1.0, 1.0])
-    cs.x_hat = np.array([0.8, 1.2, 0.6])
-    cs.v = np.array([1.0, -1.0, 0.0])
-    cs.c_local = np.array([0.1, 0.2, 0.3])
-    cs.c_known = np.array([0.0, 0.1, 0.0])
-    drift = (cs.x_hat_start - cs.x_hat) / 0.2 + cs.c_local - cs.c_known
-    v_expected = 0.75 * cs.v + 0.25 * drift
-    payload, new = client_uplink(cs, hp, CompressorSpec("identity"), None)
-    assert np.allclose(new.v, v_expected)
+    st = RoundState.initial(np.zeros(3), 1)
+    st.z_prev[0] = [1.0, 1.0, 1.0]  # xhat^{t,0}
+    st.x_hat[0] = [0.8, 1.2, 0.6]
+    st.v[0] = [1.0, -1.0, 0.0]
+    st.c_local[0] = [0.1, 0.2, 0.3]
+    st.c_known[0] = [0.0, 0.1, 0.0]
+    drift = (st.z_prev[0] - st.x_hat[0]) / 0.2 + st.c_local[0] - st.c_known[0]
+    v_expected = 0.75 * st.v[0] + 0.25 * drift
+    (payload,) = client_uplink(st, hp, CompressorSpec("identity"), seed=0, t=0)
+    assert np.allclose(st.v[0], v_expected)
     # identity compression: c catches v up to float rounding
-    assert np.allclose(new.c_local, v_expected, atol=1e-12)
+    assert np.allclose(st.c_local[0], v_expected, atol=1e-12)
     assert payload.dense
 
 
@@ -132,18 +132,19 @@ def test_server_aggregate_cases():
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=1, eta=1.0, B=FULL, T=1)
     z = np.array([1.0, 2.0])
     c = np.array([0.5, -0.5])
-    ss = ServerState(z=z.copy(), c_global=c.copy(), round=0, n_clients=2)
+    st = RoundState.initial(z, 2)
+    st.c_global = c.copy()
     zero_payloads = [dense_payload(np.zeros(2)) for _ in range(2)]
-    z_tilde, ss2 = server_aggregate(ss, zero_payloads, hp)
+    z_tilde = server_aggregate(st, zero_payloads, hp)
     assert np.allclose(z_tilde, z - hp.beta * c)
-    assert np.allclose(ss2.c_global, c)
+    assert np.allclose(st.c_global, c)
     with pytest.raises(ValueError, match="payloads"):
-        server_aggregate(ss, zero_payloads[:1], hp)
+        server_aggregate(st, zero_payloads[:1], hp)
     # N = 1 identity: control jumps to the transmitted v
-    ss1 = ServerState(z=z.copy(), c_global=np.zeros(2), round=0, n_clients=1)
+    st1 = RoundState.initial(z, 1)
     v = np.array([3.0, -1.0])
-    _, ss1b = server_aggregate(ss1, [dense_payload(v)], hp)
-    assert np.array_equal(ss1b.c_global, v)
+    server_aggregate(st1, [dense_payload(v)], hp)
+    assert np.array_equal(st1.c_global, v)
 
 
 def test_client_downlink_reconstruction():
@@ -154,18 +155,18 @@ def test_client_downlink_reconstruction():
         z_prev = rng.standard_normal(6)
         c_true = rng.standard_normal(6)
         z_tilde = z_prev - hp.beta * c_true
-        cs = ClientState.initial(z_prev)
-        new, c_rec = client_downlink(cs, z_tilde, reg, hp)
+        st = RoundState.initial(z_prev, 1)
+        c_rec = client_downlink(st, z_tilde, reg, hp)[0]
         tol = 1e-10 * (1.0 + np.max(np.abs(c_true)))
         assert np.max(np.abs(c_rec - c_true)) <= tol
-        assert np.array_equal(new.z_prev, reg.prox(hp.beta, z_tilde))
+        assert np.array_equal(st.z_prev[0], reg.prox(hp.beta, z_tilde))
     # h = 0: new global model is the broadcast itself
-    cs = ClientState.initial(np.ones(3))
-    new, c_rec = client_downlink(cs, np.full(3, 0.5), Regularizer.zero(), hp)
-    assert np.array_equal(new.z_prev, np.full(3, 0.5))
+    st = RoundState.initial(np.ones(3), 1)
+    c_rec = client_downlink(st, np.full(3, 0.5), Regularizer.zero(), hp)[0]
+    assert np.array_equal(st.z_prev[0], np.full(3, 0.5))
     # unchanged broadcast reconstructs a zero control
-    cs = ClientState.initial(np.ones(3))
-    _, c_rec = client_downlink(cs, np.ones(3), Regularizer.zero(), hp)
+    st = RoundState.initial(np.ones(3), 1)
+    c_rec = client_downlink(st, np.ones(3), Regularizer.zero(), hp)[0]
     assert np.array_equal(c_rec, np.zeros(3))
 
 

@@ -88,6 +88,16 @@ def test_hetero_gradient_and_stationary_point():
     assert np.max(np.abs(full_global_gradient(prob, xstar))) <= 1e-12
 
 
+def test_predrawn_indices_match_drawing_from_the_stream():
+    prob = small_problem("logistic")
+    x = np.linspace(-1, 1, prob.dim)
+    n = prob.features[1].shape[0]
+    drawn = derive_stream(4, "s").gen.integers(0, n, size=(3, 5))
+    rng = derive_stream(4, "s")
+    for row in drawn:
+        assert np.array_equal(stochastic_gradient(prob, 1, x, 5, row), stochastic_gradient(prob, 1, x, 5, rng))
+
+
 def test_hetero_smoothness_is_max_diagonal():
     H = np.array([[1.0, 2.0], [3.0, 1.0]])
     m = np.zeros((2, 2))
