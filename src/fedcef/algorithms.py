@@ -57,14 +57,8 @@ from .compressors import (
     payload_bytes,
 )
 from .core import NonFiniteError, derive_stream, inf_norm
-from .metrics import (
-    MetricsRow,
-    MetricsSeries,
-    check_step_conditions,
-    lyapunov_diagnostic,
-    prox_gradient_mapping,
-)
-from .problems import FULL, FederatedProblem, full_global_gradient, objective_value, stochastic_gradient
+from .metrics import MetricsRow, MetricsSeries, check_step_conditions, lyapunov_diagnostic, measure_row
+from .problems import FULL, FederatedProblem, full_global_gradient, stochastic_gradient
 from .regularizers import Regularizer
 
 
@@ -296,12 +290,10 @@ def _run(
     downlink_cum = DENSE_ENTRY_BYTES * prob.dim  # bootstrap broadcast of z^0
 
     def measure(t: int, z_prev: np.ndarray | None) -> MetricsRow:
-        z = st.z
-        G = prox_gradient_mapping(prob, reg, z, hp.beta)
-        F = objective_value(prob, reg, z)
-        lyap = lyapunov_diagnostic(prob, reg, hp, q, z, z_prev, st.v, st.c_local, F) if lyapunov else None
-        nnz = int(np.count_nonzero(z))
-        return MetricsRow(t, F, float(np.sum(G * G)), uplink_cum, downlink_cum, nnz, lyap, condition_ok)
+        row = measure_row(prob, reg, hp.beta, t, st.z, uplink_cum, downlink_cum, condition_ok)
+        if lyapunov:
+            row.lyapunov = lyapunov_diagnostic(prob, reg, hp, q, st.z, z_prev, st.v, st.c_local, row.F)
+        return row
 
     rows = [measure(0, None)]
     z_hist = [st.z.copy()]

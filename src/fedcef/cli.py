@@ -6,7 +6,8 @@ import argparse
 import os
 import sys
 
-from .harness import ConfigError, compare_runs, read_sections, resolve_config, run_experiment
+from .core import NonFiniteError
+from .harness import ConfigError, compare_runs, read_sections, resolve_config, run_experiment, set_key
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,7 +36,7 @@ def _cmd_run(args) -> int:
     with open(args.config) as fh:
         sections = read_sections(fh.read())
     if args.seed is not None:
-        sections.setdefault("run", {})["seed"] = str(args.seed)
+        set_key(sections, "run.seed", str(args.seed))
     cfg = resolve_config(sections)
     run_experiment(cfg, args.out)
     print(f"wrote {args.out}")
@@ -45,16 +46,14 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         base_text = fh.read()
-    section, _, key = args.key.partition(".")
-    if not key:
-        raise ConfigError(f"sweep key must be section.key, got {args.key!r}")
-    os.makedirs(args.out_dir, exist_ok=True)
+    runs = []  # every config is resolved before the first run, so a bad one writes nothing
     for raw in args.values.split(","):
         raw = raw.strip()
         sections = read_sections(base_text)
-        sections.setdefault(section, {})[key] = raw
-        cfg = resolve_config(sections)
-        out = os.path.join(args.out_dir, f"{args.key}={raw}.csv")
+        key = set_key(sections, args.key, raw)
+        runs.append((os.path.join(args.out_dir, f"{key}={raw}.csv"), resolve_config(sections)))
+    os.makedirs(args.out_dir, exist_ok=True)
+    for out, cfg in runs:
         run_experiment(cfg, out)
         print(f"wrote {out}")
     return 0
@@ -74,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_compare(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, NonFiniteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
-"""Dense float64 vector math and deterministic, labelled random streams.
+"""Finiteness checks for float64 vectors and deterministic, labelled random streams.
 
 Every other module builds on these two pieces: parameter vectors are plain
-1-d numpy arrays validated through the helpers here, and all randomness is
-drawn from counter-based generators keyed by (seed, label) so that any
-client/round/step stream can be re-derived independently of execution order.
+1-d numpy arrays whose finiteness is checked by the helpers here, and all
+randomness is drawn from counter-based generators keyed by (seed, label) so
+that any client/round/step stream can be re-derived independently of
+execution order.
 """
 
 from __future__ import annotations
@@ -14,22 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class DimensionMismatchError(ValueError):
-    """Raised when two vectors of different lengths meet in an operation."""
-
-
 class NonFiniteError(FloatingPointError):
     """Raised when an operation produces or receives NaN/Inf entries."""
-
-
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-d float64 array, copying the input."""
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name}: expected a 1-d vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name}: contains non-finite entries")
-    return arr
 
 
 def ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -37,52 +24,6 @@ def ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite result produced by {op}")
     return arr
-
-
-def _same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"{op}: dimension mismatch {a.shape} vs {b.shape}")
-
-
-def _finite_scalar(s: float, op: str) -> float:
-    s = float(s)
-    if not np.isfinite(s):
-        raise NonFiniteError(f"{op}: non-finite scalar")
-    return s
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dim(a, b, "add")
-    return ensure_finite(a + b, "add")
-
-
-def subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dim(a, b, "subtract")
-    return ensure_finite(a - b, "subtract")
-
-
-def scale(a: np.ndarray, s: float) -> np.ndarray:
-    s = _finite_scalar(s, "scale")
-    return ensure_finite(a * s, "scale")
-
-
-def axpy(a: np.ndarray, s: float, b: np.ndarray) -> np.ndarray:
-    """a + s*b."""
-    _same_dim(a, b, "axpy")
-    s = _finite_scalar(s, "axpy")
-    return ensure_finite(a + s * b, "axpy")
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    _same_dim(a, b, "dot")
-    out = float(np.dot(a, b))
-    if not np.isfinite(out):
-        raise NonFiniteError("non-finite result produced by dot")
-    return out
-
-
-def sq_norm(a: np.ndarray) -> float:
-    return dot(a, a)
 
 
 def inf_norm(a: np.ndarray) -> float:

@@ -18,11 +18,13 @@ Config files are INI-style key/value documents with six sections::
     retain = 0.1                   [run]
                                    seed = 0
                                    lyapunov = false
-                                   transcripts = false
 
-Every key is optional (defaults below); unknown sections or keys are hard
-errors. `retain` is a ratio when written with a decimal point and a count
-when written as an integer.
+`FIELDS` is the one list of keys: reading, resolving, echoing and
+overriding a key (`fedcef run --seed`, `fedcef sweep --key`) all go through
+it. Every key is optional (defaults below); unknown sections or keys are
+hard errors. Domain rules live in the HyperParams, CompressorSpec,
+Regularizer and PartitionSpec constructors. `retain` is a ratio when written
+with a decimal point and a count when written as an integer.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
@@ -36,23 +38,16 @@ from __future__ import annotations
 import configparser
 import io
 import logging
+import math
 from dataclasses import dataclass
+from typing import Callable
 
-import numpy as np
-
+from . import compressors, regularizers
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
-from .compressors import CompressorSpec
+from .compressors import IDENTITY, TOPK, CompressorSpec
 from .core import derive_stream
-from .metrics import MetricsRow, MetricsSeries, check_step_conditions, prox_gradient_mapping
-from .problems import (
-    DIRICHLET,
-    FULL,
-    IID,
-    LOSS_VARIANTS,
-    PartitionSpec,
-    generate_synthetic,
-    objective_value,
-)
+from .metrics import MetricsRow, MetricsSeries, check_step_conditions, measure_row
+from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
 from .regularizers import Regularizer
 
 logger = logging.getLogger(__name__)
@@ -95,7 +90,6 @@ class RunConfig:
     comp_retain: int | float | None = 0.1
     seed: int = 0
     lyapunov: bool = False
-    transcripts: bool = False
 
     def hyper(self) -> HyperParams:
         return HyperParams(alpha=self.alpha, eta_g=self.eta_g, K=self.K, eta=self.eta, B=self.B, T=self.T)
@@ -104,96 +98,132 @@ class RunConfig:
         return Regularizer(self.reg_kind, self.reg_lambda)
 
     def compressor(self) -> CompressorSpec:
-        if self.comp_kind == "identity":
-            return CompressorSpec("identity")
-        return CompressorSpec(self.comp_kind, self.comp_retain)
+        return CompressorSpec(self.comp_kind, None if self.comp_kind == IDENTITY else self.comp_retain)
 
     def partition_spec(self) -> PartitionSpec:
         return PartitionSpec(self.partition, self.alpha_d)
 
     def echo(self) -> dict[str, str]:
-        """Flat section.key = value view, sufficient to re-run identically."""
-        out = {
-            "problem.loss": self.loss,
-            "problem.p": str(self.p),
-            "problem.samples": str(self.samples),
-            "problem.clients": str(self.clients),
-            "problem.partition": self.partition,
-            "problem.alpha_d": _fmt(self.alpha_d),
-            "algorithm.name": self.algorithm,
-            "hyper.alpha": _fmt(self.alpha),
-            "hyper.eta_g": _fmt(self.eta_g),
-            "hyper.K": str(self.K),
-            "hyper.eta": _fmt(self.eta),
-            "hyper.B": str(self.B),
-            "hyper.T": str(self.T),
-            "regularizer.kind": self.reg_kind,
-            "regularizer.lambda": _fmt(self.reg_lambda),
-            "compressor.kind": self.comp_kind,
-            "run.seed": str(self.seed),
-            "run.lyapunov": str(self.lyapunov).lower(),
-            "run.transcripts": str(self.transcripts).lower(),
+        """Flat section.key = value view in FIELDS order, sufficient to re-run
+        identically. A None value (retain under identity) is left out."""
+        return {
+            f"{f.section}.{f.key}": f.show(value)
+            for f in FIELDS
+            if (value := getattr(self, f.attr)) is not None
         }
-        if self.comp_retain is not None:
-            out["compressor.retain"] = str(self.comp_retain)
-        return out
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-_KNOWN_KEYS = {
-    "problem": {"loss", "p", "samples", "clients", "partition", "alpha_d"},
-    "algorithm": {"name"},
-    "hyper": {"preset", "alpha", "eta_g", "K", "eta", "B", "T"},
-    "regularizer": {"kind", "lambda"},
-    "compressor": {"kind", "retain"},
-    "run": {"seed", "lyapunov", "transcripts"},
-}
+# Text readers: each returns the value or raises ValueError; the caller names
+# the section and key.
 
 
-def _parse_int(section: str, key: str, raw: str, minimum: int | None = None) -> int:
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: expected an integer") from None
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: must be >= {minimum}")
+def _count(raw: str) -> int:
+    val = int(raw)
+    if val < 1:
+        raise ValueError("must be >= 1")
     return val
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: expected a number") from None
-    if not np.isfinite(val):
-        raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
+def _float(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError("must be finite")
     return val
 
 
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r}: expected a boolean")
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("expected a boolean") from None
 
 
-def _parse_retain(raw: str) -> int | float:
-    raw = raw.strip()
-    if any(ch in raw for ch in ".eE"):
-        val = _parse_float("compressor", "retain", raw)
-        if not 0.0 < val <= 1.0:
-            raise ConfigError(f"[compressor] retain = {raw!r}: ratio must lie in (0, 1]")
-        return val
-    return _parse_int("compressor", "retain", raw, minimum=1)
+def _batch(raw: str) -> int | str:
+    return FULL if raw.strip().lower() == FULL else int(raw)
+
+
+def _retain(raw: str) -> int | float:
+    # Checked as a sparse kind would use it, so a bad retain is an error even
+    # under identity, which then drops it.
+    value = _float(raw) if any(ch in raw for ch in ".eE") else int(raw)
+    return CompressorSpec(TOPK, value).retain
+
+
+def _choice(options) -> Callable[[str], str]:
+    def read(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return raw
+
+    return read
+
+
+@dataclass(frozen=True, eq=False)
+class Field:
+    """One config key: its section and name, the RunConfig attribute it sets,
+    how its text is read and how its value is echoed."""
+
+    section: str
+    key: str
+    attr: str
+    read: Callable[[str], object]
+    show: Callable[[object], str] = str
+
+
+# Every key a config may set, in echo order. retain is echoed last, after the
+# run section, as CSVs have always had it.
+FIELDS = (
+    Field("problem", "loss", "loss", _choice(LOSS_VARIANTS)),
+    Field("problem", "p", "p", _count),
+    Field("problem", "samples", "samples", _count),
+    Field("problem", "clients", "clients", _count),
+    Field("problem", "partition", "partition", str),
+    Field("problem", "alpha_d", "alpha_d", _float, _fmt),
+    Field("algorithm", "name", "algorithm", _choice(ALGORITHMS)),
+    Field("hyper", "alpha", "alpha", _float, _fmt),
+    Field("hyper", "eta_g", "eta_g", _float, _fmt),
+    Field("hyper", "K", "K", int),
+    Field("hyper", "eta", "eta", _float, _fmt),
+    Field("hyper", "B", "B", _batch),
+    Field("hyper", "T", "T", int),
+    Field("regularizer", "kind", "reg_kind", _choice(regularizers.KINDS)),
+    Field("regularizer", "lambda", "reg_lambda", _float, _fmt),
+    Field("compressor", "kind", "comp_kind", _choice(compressors.KINDS)),
+    Field("run", "seed", "seed", int),
+    Field("run", "lyapunov", "lyapunov", _bool, lambda b: str(b).lower()),
+    Field("compressor", "retain", "comp_retain", _retain),
+)
+
+# hyper.preset sets several attributes at once, under the explicit keys, and
+# is not echoed: the echo carries the values it set.
+PRESET = Field("hyper", "preset", "", _choice(tuple(HYPER_PRESETS)))
+
+
+# Built once, so a lookup is one dict hit; configparser lowercases keys.
+_LOOKUP = {(f.section, f.key.lower()): f for f in FIELDS + (PRESET,)}
+_SECTIONS = frozenset(f.section for f in FIELDS)
+
+
+def _check_section(section: str) -> None:
+    if section not in _SECTIONS:
+        raise ConfigError(f"unknown section [{section}]")
+
+
+def _field(section: str, key: str) -> Field:
+    f = _LOOKUP.get((section, key.lower()))
+    if f is None:
+        _check_section(section)
+        raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    return f
 
 
 def read_sections(text: str) -> dict[str, dict[str, str]]:
-    """First parse stage: raw section/key strings, with unknown keys rejected."""
+    """First parse stage: raw section/key strings, keys canonical, unknown
+    sections and keys rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
@@ -201,113 +231,53 @@ def read_sections(text: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"malformed config: {exc}") from None
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        sections[section] = {}
-        for key, value in parser.items(section):
-            canonical = _canonical_key(section, key)
-            if canonical is None:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            sections[section][canonical] = value
+        _check_section(section)
+        sections[section] = {_field(section, key).key: value for key, value in parser.items(section)}
     return sections
 
 
-def _canonical_key(section: str, key: str) -> str | None:
-    # configparser lowercases keys; K/B/T are declared uppercase
-    for known in _KNOWN_KEYS[section]:
-        if known.lower() == key.lower():
-            return known
-    return None
+def set_key(sections: dict[str, dict[str, str]], dotted: str, raw: str) -> str:
+    """Set `section.key` in raw sections as a config line would; returns the
+    canonical dotted key (hyper.k -> hyper.K)."""
+    section, _, key = dotted.partition(".")
+    f = _field(section, key)
+    sections.setdefault(section, {})[f.key] = raw
+    return f"{section}.{f.key}"
 
 
 def resolve_config(sections: dict[str, dict[str, str]]) -> RunConfig:
-    """Second parse stage: validate domains and apply defaults/presets."""
+    """Second parse stage: read every value through its field, apply the
+    preset and then the explicit keys over the defaults, and check domains."""
+    values: dict[Field, object] = {}
+    for section, entries in sections.items():
+        _check_section(section)
+        for key, raw in entries.items():
+            f = _field(section, key)
+            try:
+                values[f] = f.read(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {f.key} = {raw!r}: {exc}") from None
     cfg = RunConfig()
-    prob = sections.get("problem", {})
-    if "loss" in prob:
-        if prob["loss"] not in LOSS_VARIANTS:
-            raise ConfigError(f"[problem] loss = {prob['loss']!r}: unknown variant")
-        cfg.loss = prob["loss"]
-    if "p" in prob:
-        cfg.p = _parse_int("problem", "p", prob["p"], minimum=1)
-    if "samples" in prob:
-        cfg.samples = _parse_int("problem", "samples", prob["samples"], minimum=1)
-    if "clients" in prob:
-        cfg.clients = _parse_int("problem", "clients", prob["clients"], minimum=1)
-    if "partition" in prob:
-        if prob["partition"] not in (IID, DIRICHLET):
-            raise ConfigError(f"[problem] partition = {prob['partition']!r}: unknown mode")
-        cfg.partition = prob["partition"]
-    if "alpha_d" in prob:
-        cfg.alpha_d = _parse_float("problem", "alpha_d", prob["alpha_d"])
-        if not cfg.alpha_d > 0:
-            raise ConfigError("[problem] alpha_d must be positive")
-
-    alg = sections.get("algorithm", {})
-    if "name" in alg:
-        if alg["name"] not in ALGORITHMS:
-            raise ConfigError(f"[algorithm] name = {alg['name']!r}: unknown algorithm")
-        cfg.algorithm = alg["name"]
-
-    hyper = dict(sections.get("hyper", {}))
-    preset = hyper.pop("preset", None)
+    preset = values.pop(PRESET, None)
     if preset is not None:
-        if preset not in HYPER_PRESETS:
-            raise ConfigError(f"[hyper] preset = {preset!r}: unknown preset")
-        for key, value in HYPER_PRESETS[preset].items():
-            setattr(cfg, key, value)
-    if "alpha" in hyper:
-        cfg.alpha = _parse_float("hyper", "alpha", hyper["alpha"])
-        if not cfg.alpha > 0:
-            raise ConfigError("[hyper] alpha must be positive")
-    if "eta_g" in hyper:
-        cfg.eta_g = _parse_float("hyper", "eta_g", hyper["eta_g"])
-        if not cfg.eta_g > 0:
-            raise ConfigError("[hyper] eta_g must be positive")
-    if "K" in hyper:
-        cfg.K = _parse_int("hyper", "K", hyper["K"], minimum=1)
-    if "eta" in hyper:
-        cfg.eta = _parse_float("hyper", "eta", hyper["eta"])
-        if not 0.0 < cfg.eta <= 1.0:
-            raise ConfigError("[hyper] eta must lie in (0, 1]")
-    if "B" in hyper:
-        raw = hyper["B"].strip().lower()
-        cfg.B = FULL if raw == FULL else _parse_int("hyper", "B", hyper["B"], minimum=1)
-    if "T" in hyper:
-        cfg.T = _parse_int("hyper", "T", hyper["T"], minimum=1)
-
-    reg = sections.get("regularizer", {})
-    if "kind" in reg:
-        if reg["kind"] not in ("zero", "l1"):
-            raise ConfigError(f"[regularizer] kind = {reg['kind']!r}: unknown kind")
-        cfg.reg_kind = reg["kind"]
-    if "lambda" in reg:
-        cfg.reg_lambda = _parse_float("regularizer", "lambda", reg["lambda"])
-        if cfg.reg_lambda < 0:
-            raise ConfigError("[regularizer] lambda must be nonnegative")
-
-    comp = sections.get("compressor", {})
-    if "kind" in comp:
-        if comp["kind"] not in ("identity", "topk", "randk"):
-            raise ConfigError(f"[compressor] kind = {comp['kind']!r}: unknown kind")
-        cfg.comp_kind = comp["kind"]
-    if "retain" in comp:
-        cfg.comp_retain = _parse_retain(comp["retain"])
-    if cfg.comp_kind == "identity":
+        for attr, value in HYPER_PRESETS[preset].items():
+            setattr(cfg, attr, value)
+    for f, value in values.items():
+        setattr(cfg, f.attr, value)
+    if cfg.comp_kind == IDENTITY:
         cfg.comp_retain = None
-
-    run = sections.get("run", {})
-    if "seed" in run:
-        cfg.seed = _parse_int("run", "seed", run["seed"])
-    if "lyapunov" in run:
-        cfg.lyapunov = _parse_bool("run", "lyapunov", run["lyapunov"])
-    if "transcripts" in run:
-        cfg.transcripts = _parse_bool("run", "transcripts", run["transcripts"])
-
-    if cfg.samples < cfg.clients and cfg.loss != "hetero_quadratic":
+    if cfg.samples < cfg.clients and cfg.loss != HETERO_QUADRATIC:
         raise ConfigError("[problem] samples must be >= clients")
-    cfg.compressor()  # re-validates retain against the kind
-    cfg.hyper()
+    for section, build in (
+        ("problem", cfg.partition_spec),
+        ("hyper", cfg.hyper),
+        ("regularizer", cfg.regularizer),
+        ("compressor", cfg.compressor),
+    ):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     return cfg
 
 
@@ -328,16 +298,7 @@ def run_experiment(cfg: RunConfig, out_path: str) -> MetricsSeries:
     reg = cfg.regularizer()
     hp = cfg.hyper()
     if cfg.algorithm == "fedcef":
-        result = run_fedcef(
-            prob,
-            reg,
-            hp,
-            cfg.compressor(),
-            cfg.seed,
-            record_transcripts=cfg.transcripts,
-            lyapunov=cfg.lyapunov,
-        )
-        series = result.series
+        series = run_fedcef(prob, reg, hp, cfg.compressor(), cfg.seed, lyapunov=cfg.lyapunov).series
     elif cfg.algorithm == "prox_fedavg":
         series = run_prox_fedavg(prob, reg, hp, cfg.seed).series
     else:  # pgd
@@ -350,21 +311,7 @@ def run_experiment(cfg: RunConfig, out_path: str) -> MetricsSeries:
 def _pgd_series(prob, reg, hp: HyperParams, seed: int) -> MetricsSeries:
     traj = run_centralized_pgd(prob, reg, hp.beta, hp.T)
     report = check_step_conditions(hp, prob.smoothness, 0.0)
-    rows = []
-    for t, z in enumerate(traj):
-        G = prox_gradient_mapping(prob, reg, z, hp.beta)
-        rows.append(
-            MetricsRow(
-                t=t,
-                F=objective_value(prob, reg, z),
-                prox_grad_sq=float(np.sum(G * G)),
-                uplink_bytes_cum=0,
-                downlink_bytes_cum=0,
-                nnz=int(np.count_nonzero(z)),
-                lyapunov=None,
-                condition_ok=report.all_ok,
-            )
-        )
+    rows = [measure_row(prob, reg, hp.beta, t, z, 0, 0, report.all_ok) for t, z in enumerate(traj)]
     return MetricsSeries("pgd", seed, prob.smoothness, 0.0, hp.beta, report, rows)
 
 
@@ -408,11 +355,10 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
             line = line.rstrip("\n")
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("cfg "):
-                    key, _, value = body[4:].partition(" = ")
-                    meta[key.strip()] = value.strip()
+                if body.startswith("conditions:"):
+                    meta.update(item.split("=", 1) for item in body[len("conditions:") :].split())
                 else:
-                    key, _, value = body.partition(" = ")
+                    key, _, value = body.removeprefix("cfg ").partition(" = ")
                     meta[key.strip()] = value.strip()
                 continue
             if not header_seen:
@@ -503,6 +449,10 @@ def _summarize(path: str, rows: list[MetricsRow], threshold: float | None) -> Ru
 def compare_runs(path_a: str, path_b: str, threshold: float | None = None) -> ComparisonSummary:
     _, rows_a = read_metrics_csv(path_a)
     _, rows_b = read_metrics_csv(path_b)
+    if [r.t for r in rows_a] != [r.t for r in rows_b]:
+        raise ConfigError(
+            f"{path_a} ({len(rows_a)} rows) and {path_b} ({len(rows_b)} rows) measure different rounds t"
+        )
     aligned = []
     for ra, rb in zip(rows_a, rows_b):
         aligned.append(

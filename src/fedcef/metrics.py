@@ -4,8 +4,8 @@ Stationarity is measured by the proximal gradient mapping
 G_beta(z) = (z - prox_{beta h}(z - beta grad f(z))) / beta, which vanishes
 exactly at stationary points of the composite objective. This module also
 evaluates the step-size conditions and residual bound of the convergence
-theorem, the Lyapunov potential used as a descent diagnostic, and the
-uplink/downlink byte accounting.
+theorem and the Lyapunov potential used as a descent diagnostic, and builds
+the measured row every algorithm emits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .compressors import DENSE_ENTRY_BYTES, payload_bytes
 from .problems import (
     FULL,
     HETERO_QUADRATIC,
@@ -28,7 +27,7 @@ from .problems import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .algorithms import HyperParams, RoundTranscript
+    from .algorithms import HyperParams
 
 
 @dataclass
@@ -80,6 +79,16 @@ def prox_gradient_mapping(
         raise ValueError("beta must be positive")
     g = full_global_gradient(prob, z)
     return (z - reg.prox(beta, z - beta * g)) / beta
+
+
+def measure_row(
+    prob: FederatedProblem, reg, beta: float, t: int, z: np.ndarray, up: int, down: int, condition_ok: bool
+) -> MetricsRow:
+    """The row of model z after round t: F, ||G_beta(z)||^2, the cumulative
+    byte counters and nnz. The Lyapunov column is left to the caller."""
+    G = prox_gradient_mapping(prob, reg, z, beta)
+    F = objective_value(prob, reg, z)
+    return MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
 
 
 def check_step_conditions(hp: "HyperParams", L: float, q: float) -> StepConditionReport:
@@ -186,23 +195,3 @@ def estimate_gradient_variance(prob: FederatedProblem, z: np.ndarray) -> float:
         dev = per_sample_gradients(prob, i, z) - client_gradient(prob, i, z)[None, :]
         worst = max(worst, float(np.mean(np.sum(dev * dev, axis=1))))
     return worst
-
-
-def comm_accounting(
-    transcripts: Sequence["RoundTranscript"], dim: int, include_bootstrap: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative (uplink, downlink) byte series over the recorded rounds.
-
-    Uplink sums the per-client payload costs; downlink is one dense broadcast
-    of the model per round, plus the out-of-band round-0 bootstrap broadcast.
-    """
-    uplink = np.zeros(len(transcripts), dtype=np.int64)
-    downlink = np.zeros(len(transcripts), dtype=np.int64)
-    up_cum = 0
-    down_cum = DENSE_ENTRY_BYTES * dim if include_bootstrap else 0
-    for t, tr in enumerate(transcripts):
-        up_cum += sum(payload_bytes(pl) for pl in tr.uplink_payloads)
-        down_cum += payload_bytes(tr.downlink_payload)
-        uplink[t] = up_cum
-        downlink[t] = down_cum
-    return uplink, downlink

@@ -55,8 +55,8 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.mode not in (IID, DIRICHLET):
             raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.mode == DIRICHLET and not self.alpha_d > 0:
-            raise ValueError("dirichlet concentration must be positive")
+        if not self.alpha_d > 0:
+            raise ValueError("dirichlet concentration alpha_d must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,9 @@ def _power_iteration_sq_norm(a: np.ndarray) -> float:
 
 
 def estimate_smoothness(prob: FederatedProblem) -> float:
-    """Upper bound L such that every f_i is L-smooth; max over clients."""
+    """Estimate of L such that every f_i is L-smooth; max over clients. Power
+    iteration converges from below, so this is no upper bound: 1.8% low on
+    the p = 2000, 20000-sample benchmark problem (2.7574 vs eigvalsh 2.8079)."""
     if prob.loss.variant == HETERO_QUADRATIC:
         return float(np.max(prob.loss.curvatures))
     factor = _CURVATURE_FACTOR[prob.loss.variant]

@@ -15,7 +15,6 @@ from fedcef.compressors import CompressorSpec, compress, contraction_factor
 from fedcef.core import derive_stream
 from fedcef.harness import compare_runs, write_metrics_csv
 from fedcef.metrics import (
-    comm_accounting,
     lyapunov_diagnostic,
     prox_gradient_mapping,
     theorem_residual_bound,
@@ -28,6 +27,7 @@ from fedcef.problems import (
     generate_synthetic,
 )
 from fedcef.regularizers import Regularizer
+from tests.test_metrics import comm_accounting
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fedcef import compressors, regularizers
 from fedcef.cli import main as cli_main
 from fedcef.harness import (
+    ALGORITHMS,
     ConfigError,
     RunConfig,
     compare_runs,
@@ -11,7 +15,10 @@ from fedcef.harness import (
     read_sections,
     resolve_config,
     run_experiment,
+    write_metrics_csv,
 )
+from fedcef.metrics import MetricsRow, MetricsSeries, StepConditionReport
+from fedcef.problems import DIRICHLET, IID, LOSS_VARIANTS
 
 BASE_CONFIG = """
 [problem]
@@ -123,6 +130,10 @@ def test_csv_roundtrip_lossless(tmp_path):
         assert got.lyapunov == want.lyapunov
         assert got.condition_ok == want.condition_ok
     assert meta["problem.loss"] == "logistic"
+    rep = series.conditions
+    for name in ("beta", "eta_g", "alpha"):
+        assert meta[f"{name}_ok"] == str(int(getattr(rep, f"{name}_ok")))
+        assert float(meta[f"{name}_bound"]) == getattr(rep, f"{name}_bound")
 
 
 def test_config_echo_reruns_identically(tmp_path):
@@ -306,3 +317,133 @@ def test_compare_rejects_foreign_csv(tmp_path):
     run_experiment(cfg, str(good))
     with pytest.raises(ConfigError, match="schema"):
         compare_runs(str(good), str(bad))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[compressor]\nkind = topk\nretain = 1.5\n",
+        "[compressor]\nkind = identity\nretain = 1.5\n",
+        "[compressor]\nkind = randk\nretain = 0\n",
+        "[compressor]\nkind = sign\n",
+        "[hyper]\nK = 0\n",
+        "[hyper]\nT = 0\n",
+        "[hyper]\neta = 0\n",
+        "[hyper]\neta = 1.5\n",
+        "[hyper]\nalpha = 0\n",
+        "[hyper]\nalpha = inf\n",
+        "[hyper]\neta_g = -1\n",
+        "[hyper]\nB = 0\n",
+        "[hyper]\nB = abc\n",
+        "[hyper]\npreset = imagenet-like\n",
+        "[regularizer]\nlambda = -1\n",
+        "[regularizer]\nkind = l2\n",
+        "[problem]\npartition = iid\nalpha_d = 0\n",
+        "[problem]\npartition = shards\n",
+        "[problem]\nsamples = 2\nclients = 5\n",
+        "[problem]\np = 0\n",
+        "[problem]\nloss = hinge\n",
+        "[algorithm]\nname = sgd\n",
+        "[run]\nseed = x\n",
+        "[run]\nlyapunov = maybe\n",
+    ],
+)
+def test_rejected_configs_stay_rejected(text):
+    with pytest.raises(ConfigError):
+        parse_config(text)
+
+
+def sections_from(flat):
+    """The section/key dict of a flat `section.key -> value` echo; keys
+    without a dot (derived header facts) are not config."""
+    sections: dict[str, dict[str, str]] = {}
+    for dotted, value in flat.items():
+        if "." in dotted:
+            section, _, key = dotted.partition(".")
+            sections.setdefault(section, {})[key] = value
+    return sections
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    clients = draw(st.integers(1, 50))
+    comp_kind = draw(st.sampled_from(compressors.KINDS))
+    retain = draw(st.integers(1, 10**6) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return RunConfig(
+        loss=draw(st.sampled_from(LOSS_VARIANTS)),
+        p=draw(st.integers(1, 10**6)),
+        samples=draw(st.integers(clients, 10**7)),
+        clients=clients,
+        partition=draw(st.sampled_from((IID, DIRICHLET))),
+        alpha_d=draw(_positive),
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        alpha=draw(_positive),
+        eta_g=draw(_positive),
+        K=draw(st.integers(1, 10**4)),
+        eta=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        B=draw(st.just("full") | st.integers(1, 10**4)),
+        T=draw(st.integers(1, 10**5)),
+        reg_kind=draw(st.sampled_from(regularizers.KINDS)),
+        reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        comp_kind=comp_kind,
+        comp_retain=None if comp_kind == compressors.IDENTITY else retain,
+        seed=draw(st.integers(-(2**70), 2**70)),
+        lyapunov=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=run_configs())
+def test_echo_round_trips_through_the_table_and_the_csv(cfg, tmp_path):
+    assert resolve_config(sections_from(cfg.echo())) == cfg
+    rep = StepConditionReport(1e-4, False, 49.5, True, 0.016, True)
+    row = MetricsRow(0, 1.0, 0.5, 0, 80, 3, None, False)
+    path = tmp_path / "echo.csv"
+    write_metrics_csv(str(path), MetricsSeries("fedcef", 0, 1.0, 0.0, 1.0, rep, [row]), cfg.echo())
+    meta, rows = read_metrics_csv(str(path))
+    assert resolve_config(sections_from(meta)) == cfg
+    assert rows == [row]
+
+
+def test_sweep_key_goes_through_the_table(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BASE_CONFIG)
+    out_dir = tmp_path / "sweep"
+    args = ["sweep", "--config", str(cfg_path), "--values", "2,3", "--out-dir"]
+    assert cli_main(args + [str(out_dir), "--key", "hyper.k"]) == 0
+    two, three = out_dir / "hyper.K=2.csv", out_dir / "hyper.K=3.csv"
+    assert "# cfg hyper.K = 2\n" in two.read_text()
+    assert two.read_bytes() != three.read_bytes()
+    for key in ("problem.pp", "bogus.x", "hyper"):
+        bad_dir = tmp_path / key
+        assert cli_main(args + [str(bad_dir), "--key", key]) == 1
+        assert not bad_dir.exists()
+    assert "unknown" in capsys.readouterr().err
+
+
+def test_compare_rejects_runs_of_different_rounds(tmp_path):
+    sections = read_sections(BASE_CONFIG)
+    long_csv, short_csv = tmp_path / "long.csv", tmp_path / "short.csv"
+    run_experiment(resolve_config(sections), str(long_csv))
+    sections["hyper"]["T"] = "3"
+    run_experiment(resolve_config(sections), str(short_csv))
+    with pytest.raises(ConfigError, match="long.csv.*short.csv"):
+        compare_runs(str(long_csv), str(short_csv))
+
+
+def test_cli_reports_a_diverging_run(tmp_path, capsys):
+    cfg_path = tmp_path / "diverge.ini"
+    cfg_path.write_text(
+        "[problem]\nloss = squared_error\np = 20\nsamples = 200\nclients = 2\npartition = iid\n"
+        "[hyper]\nalpha = 5\nK = 10\nB = full\nT = 40\n"
+        "[compressor]\nkind = identity\n"
+    )
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: client ") and "non-finite state at round" in err
+    assert not out.exists()

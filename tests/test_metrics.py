@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from fedcef.algorithms import HyperParams, RoundTranscript
-from fedcef.compressors import CompressorSpec, compress, dense_payload
+from fedcef.compressors import DENSE_ENTRY_BYTES, CompressorSpec, compress, dense_payload, payload_bytes
 from fedcef.core import derive_stream
 from fedcef.metrics import (
     StepConditionReport,
     check_step_conditions,
-    comm_accounting,
     estimate_gradient_variance,
     lyapunov_diagnostic,
     prox_gradient_mapping,
@@ -179,6 +178,24 @@ def test_gradient_variance_estimate():
         "hetero_quadratic", 4, 3, 3, PartitionSpec("iid"), derive_stream(1, "problem")
     )
     assert estimate_gradient_variance(hetero, z[:4]) == 0.0
+
+
+def comm_accounting(transcripts, dim, include_bootstrap=True):
+    """Byte-accounting oracle: cumulative (uplink, downlink) byte series over
+    recorded round transcripts, re-derived from the payloads the round loop
+    sent. Uplink sums the per-client payload costs; downlink is one dense
+    broadcast of the model per round, plus the out-of-band round-0 bootstrap
+    broadcast."""
+    uplink = np.zeros(len(transcripts), dtype=np.int64)
+    downlink = np.zeros(len(transcripts), dtype=np.int64)
+    up_cum = 0
+    down_cum = DENSE_ENTRY_BYTES * dim if include_bootstrap else 0
+    for t, tr in enumerate(transcripts):
+        up_cum += sum(payload_bytes(pl) for pl in tr.uplink_payloads)
+        down_cum += payload_bytes(tr.downlink_payload)
+        uplink[t] = up_cum
+        downlink[t] = down_cum
+    return uplink, downlink
 
 
 def _transcript(round_idx, payloads, dim):
