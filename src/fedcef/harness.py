@@ -21,10 +21,11 @@ Config files are INI-style key/value documents with six sections::
 
 `FIELDS` is the one list of keys: reading, resolving, echoing and
 overriding a key (`fedcef run --seed`, `fedcef sweep --key`) all go through
-it. Every key is optional (defaults below); unknown sections or keys are
-hard errors. Domain rules live in the HyperParams, CompressorSpec,
-Regularizer and PartitionSpec constructors. `retain` is a ratio when written
-with a decimal point and a count when written as an integer.
+it. Every key is optional (defaults below); unknown sections or keys, and
+any key under [DEFAULT], are hard errors. Domain rules live in the
+HyperParams, CompressorSpec, Regularizer and PartitionSpec constructors.
+`retain` is a ratio when written with a decimal point and a count when
+written as an integer.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
@@ -229,6 +230,9 @@ def read_sections(text: str) -> dict[str, dict[str, str]]:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    # configparser would merge these into every section
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] keys are not supported: {', '.join(parser.defaults())}")
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         _check_section(section)

@@ -21,6 +21,7 @@ from .problems import (
     HETERO_QUADRATIC,
     FederatedProblem,
     client_gradient,
+    client_margins,
     full_global_gradient,
     objective_value,
     per_sample_gradients,
@@ -72,12 +73,13 @@ class StepConditionReport:
 
 
 def prox_gradient_mapping(
-    prob: FederatedProblem, reg, z: np.ndarray, beta: float
+    prob: FederatedProblem, reg, z: np.ndarray, beta: float, margins: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """G_beta(z), computed with the exact full global gradient."""
+    """G_beta(z), computed with the exact full global gradient; `margins` holds
+    client_margins(prob, i, z) per client when already computed."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    g = full_global_gradient(prob, z)
+    g = full_global_gradient(prob, z, margins)
     return (z - reg.prox(beta, z - beta * g)) / beta
 
 
@@ -85,9 +87,11 @@ def measure_row(
     prob: FederatedProblem, reg, beta: float, t: int, z: np.ndarray, up: int, down: int, condition_ok: bool
 ) -> MetricsRow:
     """The row of model z after round t: F, ||G_beta(z)||^2, the cumulative
-    byte counters and nnz. The Lyapunov column is left to the caller."""
-    G = prox_gradient_mapping(prob, reg, z, beta)
-    F = objective_value(prob, reg, z)
+    byte counters and nnz. The Lyapunov column is left to the caller. F and
+    the gradient share one margin pass over the shards."""
+    margins = [client_margins(prob, i, z) for i in range(prob.n_clients)]
+    G = prox_gradient_mapping(prob, reg, z, beta, margins)
+    F = objective_value(prob, reg, z, margins)
     return MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
 
 

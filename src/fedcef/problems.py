@@ -14,6 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class FederatedProblem:
 
     loss: LossKind
     dim: int
-    features: list[np.ndarray]  # per client, shape (n_i, p)
+    features: list[np.ndarray]  # per client, shape (n_i, p); may be row views of one matrix
     labels: list[np.ndarray]  # per client, shape (n_i,)
     smoothness: float = 0.0  # cached L estimate; computed here when left unset
     ground_truth: np.ndarray | None = None  # planted model, when labels came from one
@@ -110,16 +111,14 @@ class FederatedProblem:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    # exp only ever sees -|u| <= 0, so it cannot overflow; for u < 0 this is
+    # exp(u) / (1 + exp(u)), the same bits as a branch per sign
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
-def _per_sample_losses(loss: LossKind, a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    z = a @ x
+def _per_sample_losses(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample losses from the margins z = a @ x."""
     if loss.variant == SQUARED_ERROR:
         return 0.5 * (z - y) ** 2
     if loss.variant == LOGISTIC:
@@ -129,9 +128,8 @@ def _per_sample_losses(loss: LossKind, a: np.ndarray, y: np.ndarray, x: np.ndarr
     raise ValueError(loss.variant)
 
 
-def _per_sample_grad_weights(loss: LossKind, a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-sample gradient is w_s * a_s; returns the weights w."""
-    z = a @ x
+def _per_sample_grad_weights(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample gradient is w_s * a_s; returns the weights w from the margins z = a @ x."""
     if loss.variant == SQUARED_ERROR:
         return z - y
     if loss.variant == LOGISTIC:
@@ -142,20 +140,38 @@ def _per_sample_grad_weights(loss: LossKind, a: np.ndarray, y: np.ndarray, x: np
     raise ValueError(loss.variant)
 
 
-def client_objective(prob: FederatedProblem, client: int, x: np.ndarray) -> float:
+def client_margins(prob: FederatedProblem, client: int, x: np.ndarray) -> np.ndarray:
+    """The one read of client i's data that f_i(x) and grad f_i(x) share:
+    the margins a_i @ x, or the offset x - m_i for hetero_quadratic."""
     if prob.loss.variant == HETERO_QUADRATIC:
-        d = x - prob.loss.centers[client]
-        return float(0.5 * np.sum(prob.loss.curvatures[client] * d * d))
-    losses = _per_sample_losses(prob.loss, prob.features[client], prob.labels[client], x)
-    return float(np.mean(losses))
+        return x - prob.loss.centers[client]
+    return prob.features[client] @ x
 
 
-def client_gradient(prob: FederatedProblem, client: int, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of f_i at x."""
+def client_objective(
+    prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None
+) -> float:
+    """f_i(x); `margins` is client_margins(prob, client, x) when already computed."""
+    if margins is None:
+        margins = client_margins(prob, client, x)
     if prob.loss.variant == HETERO_QUADRATIC:
-        return prob.loss.curvatures[client] * (x - prob.loss.centers[client])
+        return float(0.5 * np.sum(prob.loss.curvatures[client] * margins * margins))
+    return float(np.mean(_per_sample_losses(prob.loss, margins, prob.labels[client])))
+
+
+def client_gradient(
+    prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact gradient of f_i at x; `margins` is client_margins(prob, client, x)
+    when already computed."""
+    if prob.loss.variant == HETERO_QUADRATIC:
+        # inline, not through client_margins: this is the per-step oracle
+        d = x - prob.loss.centers[client] if margins is None else margins
+        return prob.loss.curvatures[client] * d
     a = prob.features[client]
-    w = _per_sample_grad_weights(prob.loss, a, prob.labels[client], x)
+    if margins is None:
+        margins = a @ x
+    w = _per_sample_grad_weights(prob.loss, margins, prob.labels[client])
     return (a.T @ w) / a.shape[0]
 
 
@@ -164,7 +180,7 @@ def per_sample_gradients(prob: FederatedProblem, client: int, x: np.ndarray) -> 
     if prob.loss.variant == HETERO_QUADRATIC:
         return client_gradient(prob, client, x)[None, :]
     a = prob.features[client]
-    w = _per_sample_grad_weights(prob.loss, a, prob.labels[client], x)
+    w = _per_sample_grad_weights(prob.loss, a @ x, prob.labels[client])
     return a * w[:, None]
 
 
@@ -188,22 +204,28 @@ def stochastic_gradient(
     a = prob.features[client]
     idx = rng if isinstance(rng, np.ndarray) else rng.gen.integers(0, a.shape[0], size=B)
     rows = a[idx]
-    w = _per_sample_grad_weights(prob.loss, rows, prob.labels[client][idx], x)
+    w = _per_sample_grad_weights(prob.loss, rows @ x, prob.labels[client][idx])
     return (rows.T @ w) / B
 
 
-def full_global_gradient(prob: FederatedProblem, x: np.ndarray) -> np.ndarray:
-    """(1/N) sum_i grad f_i(x), accumulated in ascending client order."""
+def full_global_gradient(
+    prob: FederatedProblem, x: np.ndarray, margins: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
+    """(1/N) sum_i grad f_i(x), accumulated in ascending client order;
+    `margins` holds client_margins(prob, i, x) per client when already computed."""
     total = np.zeros(prob.dim)
     for i in range(prob.n_clients):
-        total += client_gradient(prob, i, x)
+        total += client_gradient(prob, i, x, None if margins is None else margins[i])
     return ensure_finite(total / prob.n_clients, "full_global_gradient")
 
 
-def objective_value(prob: FederatedProblem, reg, x: np.ndarray) -> float:
+def objective_value(
+    prob: FederatedProblem, reg, x: np.ndarray, margins: Sequence[np.ndarray] | None = None
+) -> float:
+    """F(x) = (1/N) sum_i f_i(x) + h(x); `margins` as for full_global_gradient."""
     total = 0.0
     for i in range(prob.n_clients):
-        total += client_objective(prob, i, x)
+        total += client_objective(prob, i, x, None if margins is None else margins[i])
     return total / prob.n_clients + reg.evaluate(x)
 
 
@@ -344,9 +366,33 @@ def generate_synthetic(
     else:
         assign = _iid_partition(samples, N, rng.child("partition"))
 
-    feats = [a[assign == i] for i in range(N)]
-    labs = [y[assign == i] for i in range(N)]
+    # One matrix, client-major: a stable sort keeps each client's rows in
+    # drawn order, so shard i is bitwise a[assign == i], here a row view.
+    order = np.argsort(assign, kind="stable")
+    _permute_rows(a, order)
+    y = y[order]
+    ends = np.cumsum(np.bincount(assign, minlength=N))[:-1]
+    feats, labs = np.split(a, ends), np.split(y, ends)
     return FederatedProblem(LossKind(variant), p, feats, labs, ground_truth=x_true)
+
+
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """a[:] = a[order] without a second copy of a: follows each cycle of the
+    permutation, holding one spare row."""
+    order = order.tolist()
+    done = [False] * len(order)
+    spare = np.empty_like(a[0])
+    for start in range(len(order)):
+        if done[start] or order[start] == start:
+            continue
+        spare[...] = a[start]
+        j = start
+        while order[j] != start:
+            done[j] = True
+            a[j] = a[order[j]]
+            j = order[j]
+        done[j] = True
+        a[j] = spare
 
 
 def dump_dataset_csv(prob: FederatedProblem, path: str) -> None:

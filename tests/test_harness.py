@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +22,8 @@ from fedcef.harness import (
 )
 from fedcef.metrics import MetricsRow, MetricsSeries, StepConditionReport
 from fedcef.problems import DIRICHLET, IID, LOSS_VARIANTS
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 BASE_CONFIG = """
 [problem]
@@ -78,6 +83,14 @@ def test_unknown_keys_are_hard_errors():
         parse_config("[network]\nlatency = 5\n")
 
 
+@pytest.mark.parametrize("other", ["[problem]\nloss = logistic\n", "[run]\nlyapunov = true\n"])
+def test_default_section_keys_are_rejected(other):
+    # configparser merges [DEFAULT] into every section: with [problem] the key
+    # would be misreported as unknown there, with [run] alone silently applied
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\] keys are not supported: seed"):
+        parse_config("[DEFAULT]\nseed = 1\n" + other)
+
+
 def test_domain_errors():
     with pytest.raises(ConfigError):
         parse_config("[compressor]\nkind = topk\nretain = 1.5\n")
@@ -97,6 +110,19 @@ def test_retain_count_vs_ratio():
     assert parse_config("[compressor]\nkind = topk\nretain = 4\n").comp_retain == 4
     assert parse_config("[compressor]\nkind = topk\nretain = 0.5\n").comp_retain == 0.5
     assert parse_config("[compressor]\nkind = identity\n").comp_retain is None
+
+
+# With the demo and hetero_randk goldens of tests/test_engine.py these cover
+# all four loss families and both partition modes.
+@pytest.mark.parametrize("algorithm", ["fedcef", "prox_fedavg"])
+@pytest.mark.parametrize("name", ["squared_iid", "sigmoid_dirichlet_b8"])
+def test_loss_family_csv_matches_golden_bytes(name, algorithm, tmp_path):
+    with open(os.path.join(GOLDEN, f"{name}.ini")) as fh:
+        cfg = dataclasses.replace(parse_config(fh.read()), algorithm=algorithm)
+    out = tmp_path / "run.csv"
+    run_experiment(cfg, str(out))
+    with open(os.path.join(GOLDEN, f"{name}-{algorithm}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_run_experiment_deterministic_csv(tmp_path):

@@ -11,15 +11,19 @@ from fedcef.metrics import (
     check_step_conditions,
     estimate_gradient_variance,
     lyapunov_diagnostic,
+    measure_row,
     prox_gradient_mapping,
     theorem_residual_bound,
 )
 from fedcef.problems import (
+    DIRICHLET,
+    LOSS_VARIANTS,
     FederatedProblem,
     LossKind,
     PartitionSpec,
     full_global_gradient,
     generate_synthetic,
+    objective_value,
 )
 from fedcef.regularizers import Regularizer
 from tests.test_regularizers import grid_prox_l1
@@ -89,6 +93,40 @@ def test_mapping_invariant_to_objective_shift():
     Ga = prox_gradient_mapping(base, reg, z, 0.3)
     Gb = prox_gradient_mapping(shifted, reg, z, 0.3)
     assert np.max(np.abs(Ga - Gb)) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_measure_row_matches_the_three_pass_reference(variant):
+    # measure_row shares one margin pass between F and G; without margins,
+    # objective_value and prox_gradient_mapping each read the shards anew
+    prob = generate_synthetic(variant, 9, 120, 4, PartitionSpec(DIRICHLET, 0.5), derive_stream(11, "problem"))
+    reg = Regularizer.l1(0.05)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        z = rng.standard_normal(prob.dim) * (rng.random(prob.dim) < 0.6)
+        row = measure_row(prob, reg, 0.3, 4, z, 10, 20, True)
+        G = prox_gradient_mapping(prob, reg, z, 0.3)
+        assert row.F == objective_value(prob, reg, z)
+        assert row.prox_grad_sq == float(np.sum(G * G))
+        assert (row.t, row.uplink_bytes_cum, row.downlink_bytes_cum) == (4, 10, 20)
+        assert row.nnz == np.count_nonzero(z)
+
+
+def test_measure_row_reads_each_shard_twice():
+    # once by the model (the margins) and once by the weights (a.T @ w);
+    # objective_value without the shared margins would be a third pass
+    passes = []
+
+    class Shard(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                passes.append(self.shape)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    prob = logistic_problem(N=4)
+    prob.features = [a.view(Shard) for a in prob.features]
+    measure_row(prob, Regularizer.l1(0.01), 0.5, 1, np.linspace(-1.0, 1.0, prob.dim), 0, 0, True)
+    assert len(passes) == 2 * prob.n_clients
 
 
 def test_step_condition_bounds():

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedcef.algorithms import run_centralized_pgd
 from fedcef.core import derive_stream
@@ -12,6 +17,9 @@ from fedcef.problems import (
     LossKind,
     PartitionError,
     PartitionSpec,
+    _iid_partition,
+    _permute_rows,
+    _sigmoid,
     client_gradient,
     client_objective,
     dirichlet_partition,
@@ -276,3 +284,90 @@ def test_generate_preconditions():
         generate_synthetic("logistic", 4, 2, 3, PartitionSpec(IID), derive_stream(0, "x"))
     with pytest.raises(ValueError):
         stochastic_gradient(small_problem("logistic"), 99, np.zeros(8), FULL, None)
+
+
+def masked_sigmoid(u):
+    """The per-sign masked formula `_sigmoid` replaced, kept as its oracle."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_nan=False)))
+def test_sigmoid_is_bitwise_the_masked_formula(u):
+    assert np.array_equal(_sigmoid(u).view(np.uint64), masked_sigmoid(u).view(np.uint64))
+
+
+def test_sigmoid_edge_values_are_bitwise_the_masked_formula():
+    tiny = np.nextafter(0.0, 1.0)
+    u = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, tiny, -tiny, 36.7, -36.7, 745.2, -745.2])
+    assert np.array_equal(_sigmoid(u).view(np.uint64), masked_sigmoid(u).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_permute_rows_in_place_equals_fancy_indexing(n):
+    rng = np.random.default_rng(n)
+    for order in (np.arange(n), rng.permutation(n), np.roll(np.arange(n), 1)):
+        a = rng.standard_normal((n, 3))
+        want = a[order]
+        _permute_rows(a, order)
+        assert np.array_equal(a, want)
+
+
+SHARD_CASES = [
+    ("squared_error", PartitionSpec(IID)),
+    ("logistic", PartitionSpec(DIRICHLET, 0.4)),
+    ("sigmoid_nonconvex", PartitionSpec(DIRICHLET, 0.8)),
+]
+
+
+@pytest.mark.parametrize("variant, part", SHARD_CASES)
+def test_shards_are_consecutive_row_views_of_one_matrix(variant, part):
+    prob = generate_synthetic(variant, 7, 150, 5, part, derive_stream(2, "problem"))
+    for shards in (prob.features, prob.labels):
+        base = shards[0].base
+        assert base is not None and base.shape[0] == 150
+        offset = 0
+        for s in shards:
+            assert s.flags.c_contiguous and np.shares_memory(s, base)
+            assert s.__array_interface__["data"][0] == base.ctypes.data + offset * s.strides[0]
+            offset += s.shape[0]
+        assert offset == 150
+
+
+@pytest.mark.parametrize("variant, part", SHARD_CASES)
+def test_shards_equal_the_masked_rows_of_the_drawn_data(variant, part):
+    # recomputed from the streams generate_synthetic draws from
+    rng = derive_stream(4, "problem")
+    p, samples, N = 7, 150, 5
+    prob = generate_synthetic(variant, p, samples, N, part, rng)
+    a = rng.child("features").gen.standard_normal((samples, p))
+    noise = rng.child("labels").gen.standard_normal(samples)
+    if variant == "squared_error":
+        y, classes = noise, np.where(noise >= 0, 1.0, -1.0)
+    else:
+        y = classes = np.where(a @ prob.ground_truth + 0.1 * noise >= 0, 1.0, -1.0)
+    if part.mode == DIRICHLET:
+        assign = dirichlet_partition(classes, N, part.alpha_d, rng.child("partition"))
+    else:
+        assign = _iid_partition(samples, N, rng.child("partition"))
+    for i in range(N):
+        assert np.array_equal(prob.features[i], a[assign == i])
+        assert np.array_equal(prob.labels[i], y[assign == i])
+
+
+def test_generation_holds_one_copy_of_the_features():
+    # the drawn 16 MB matrix is the only full copy: no per-client copies of
+    # its rows exist next to it, not even for a moment
+    p, samples = 500, 4000
+    tracemalloc.start()
+    try:
+        generate_synthetic("logistic", p, samples, 10, PartitionSpec(DIRICHLET, 0.6), derive_stream(0, "problem"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * samples * p * 8
