@@ -41,7 +41,8 @@ correction is evaluated as (g + c) - c_i.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,7 +57,7 @@ from .compressors import (
     dense_payload,
     payload_bytes,
 )
-from .core import NonFiniteError, derive_stream, inf_norm
+from .core import NonFiniteError, derive_stream
 from .metrics import MetricsRow, MetricsSeries, check_step_conditions, lyapunov_diagnostic, measure_row
 from .problems import FULL, FederatedProblem, full_global_gradient, stochastic_gradient
 from .regularizers import Regularizer
@@ -123,33 +124,17 @@ class RoundState:
 
 
 @dataclass
-class LocalUpdateRecord:
-    """Raw material for replaying one client's local pass in tests."""
-
-    gradients: list[np.ndarray]
-    x_hat_start: np.ndarray
-    x_hat_end: np.ndarray
-    c_local_before: np.ndarray
-    c_known_used: np.ndarray
-
-
-@dataclass
-class ClientRoundDetail:
-    local: LocalUpdateRecord
-    v_after: np.ndarray
-    c_local_after: np.ndarray
-    c_reconstructed: np.ndarray | None = None
-
-
-@dataclass
 class RoundTranscript:
+    """One fedcef round for replay in tests: the K gradients of every client,
+    copies of the state after the local passes (before the uplink) and after
+    the downlink, and the payloads sent."""
+
     round: int
+    gradients: np.ndarray  # (N, K, p)
+    local: RoundState
+    end: RoundState
     uplink_payloads: list[SparsePayload]
     downlink_payload: SparsePayload
-    uplink_bytes: int
-    downlink_bytes: int
-    clients: list[ClientRoundDetail] = field(default_factory=list)
-    server_c_after: np.ndarray | None = None
 
 
 @dataclass
@@ -157,7 +142,6 @@ class RunResult:
     series: MetricsSeries
     z_history: list[np.ndarray]
     transcripts: list[RoundTranscript] | None
-    state: RoundState
 
 
 def decoupled_step(
@@ -274,11 +258,10 @@ def _run(
     q: float,
     condition_ok: bool,
     lyapunov: bool,
-) -> tuple[list[MetricsRow], list[np.ndarray], RoundState]:
+) -> tuple[list[MetricsRow], list[np.ndarray]]:
     """The round loop both federated algorithms share: each client's local
     pass, the algorithm's aggregation rule (which returns the round's uplink
-    and downlink bytes), measurement. Returns rows 0..T, z^0..z^T and the
-    state.
+    and downlink bytes), measurement. Returns rows 0..T and z^0..z^T.
 
     Clients run one at a time, each one's K steps in a row: interleaving
     clients step by step streams every shard through the cache once per step,
@@ -306,7 +289,7 @@ def _run(
         downlink_cum += down
         rows.append(measure(t + 1, z_round))
         z_hist.append(st.z.copy())
-    return rows, z_hist, st
+    return rows, z_hist
 
 
 def run_fedcef(
@@ -318,7 +301,6 @@ def run_fedcef(
     z0: np.ndarray | None = None,
     record_transcripts: bool = False,
     lyapunov: bool = False,
-    debug_checks: bool = False,
 ) -> RunResult:
     """Run T rounds; fully deterministic per seed.
 
@@ -338,45 +320,28 @@ def run_fedcef(
             stacklevel=2,
         )
     transcripts: list[RoundTranscript] = []
-    records: list[LocalUpdateRecord] = []
+    gradients = np.empty((prob.n_clients, hp.K, p)) if record_transcripts else None
 
     def local(st: RoundState, i: int, t: int) -> None:
-        gradients = local_update(st, i, prob, reg, hp, seed, t)
+        g = local_update(st, i, prob, reg, hp, seed, t)
         if record_transcripts:
-            records.append(
-                LocalUpdateRecord(
-                    gradients, st.z_prev[i].copy(), st.x_hat[i].copy(), st.c_local[i].copy(), st.c_known[i].copy()
-                )
-            )
+            gradients[i] = g
 
     def aggregate(st: RoundState, t: int) -> tuple[int, int]:
+        before = deepcopy(st) if record_transcripts else None
         payloads = client_uplink(st, hp, spec, seed, t)
         z_tilde = server_aggregate(st, payloads, hp)
-        c_rec = client_downlink(st, z_tilde, reg, hp)
+        client_downlink(st, z_tilde, reg, hp)
         server_finalize(st, z_tilde, reg, hp)
-        if debug_checks:
-            gap = inf_norm(st.c_global - st.c_local.mean(axis=0))
-            if gap > 1e-10:
-                raise AssertionError(f"round {t}: server control drifted from client mean by {gap:.3e}")
-            rec_gap = inf_norm(st.c_known - st.c_global)
-            if rec_gap > 1e-10 * (1.0 + inf_norm(st.c_global)):
-                raise AssertionError(f"round {t}: control reconstruction off by {rec_gap:.3e}")
-        up = sum(payload_bytes(pl) for pl in payloads)
         if record_transcripts:
-            details = [
-                ClientRoundDetail(rec, st.v[i].copy(), st.c_local[i].copy(), c_rec[i].copy())
-                for i, rec in enumerate(records)
-            ]
-            down = dense_payload(z_tilde)
             transcripts.append(
-                RoundTranscript(t, payloads, down, up, payload_bytes(down), details, st.c_global.copy())
+                RoundTranscript(t, gradients.copy(), before, deepcopy(st), payloads, dense_payload(z_tilde))
             )
-            records.clear()
-        return up, DENSE_ENTRY_BYTES * p
+        return sum(payload_bytes(pl) for pl in payloads), DENSE_ENTRY_BYTES * p
 
-    rows, z_hist, st = _run(prob, reg, hp, z0, local, aggregate, q, report.all_ok, lyapunov)
+    rows, z_hist = _run(prob, reg, hp, z0, local, aggregate, q, report.all_ok, lyapunov)
     series = MetricsSeries("fedcef", seed, prob.smoothness, q * q, hp.beta, report, rows)
-    return RunResult(series, z_hist, transcripts if record_transcripts else None, st)
+    return RunResult(series, z_hist, transcripts if record_transcripts else None)
 
 
 def run_prox_fedavg(
@@ -402,9 +367,9 @@ def run_prox_fedavg(
         st.z_prev[:] = st.z
         return st.n_clients * DENSE_ENTRY_BYTES * p, DENSE_ENTRY_BYTES * p
 
-    rows, z_hist, st = _run(prob, reg, hp, z0, local, average, 0.0, report.all_ok, False)
+    rows, z_hist = _run(prob, reg, hp, z0, local, average, 0.0, report.all_ok, False)
     series = MetricsSeries("prox_fedavg", seed, prob.smoothness, 0.0, hp.beta, report, rows)
-    return RunResult(series, z_hist, None, st)
+    return RunResult(series, z_hist, None)
 
 
 def run_centralized_pgd(

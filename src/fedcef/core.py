@@ -26,15 +26,6 @@ def ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def inf_norm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    out = float(np.max(np.abs(a)))
-    if not np.isfinite(out):
-        raise NonFiniteError("non-finite result produced by inf_norm")
-    return out
-
-
 def _label_words(label: str) -> tuple[int, ...]:
     # Stable 128-bit hash of the label, split into four uint32 words for the
     # SeedSequence spawn key. hashlib is platform independent, unlike hash().

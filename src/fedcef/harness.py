@@ -405,8 +405,6 @@ class ComparisonSummary:
     a: RunSummary
     b: RunSummary
     threshold: float | None
-    aligned: list[tuple[int, int, float, float, int, float, float]]
-    # rows of (t, bytes_a, F_a, pg_a, bytes_b, F_b, pg_b) at shared rounds
 
     @property
     def uplink_savings_pct(self) -> float:
@@ -457,22 +455,8 @@ def compare_runs(path_a: str, path_b: str, threshold: float | None = None) -> Co
         raise ConfigError(
             f"{path_a} ({len(rows_a)} rows) and {path_b} ({len(rows_b)} rows) measure different rounds t"
         )
-    aligned = []
-    for ra, rb in zip(rows_a, rows_b):
-        aligned.append(
-            (
-                ra.t,
-                ra.uplink_bytes_cum + ra.downlink_bytes_cum,
-                ra.F,
-                ra.prox_grad_sq,
-                rb.uplink_bytes_cum + rb.downlink_bytes_cum,
-                rb.F,
-                rb.prox_grad_sq,
-            )
-        )
     return ComparisonSummary(
         a=_summarize(path_a, rows_a, threshold),
         b=_summarize(path_b, rows_b, threshold),
         threshold=threshold,
-        aligned=aligned,
     )

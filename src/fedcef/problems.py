@@ -10,7 +10,6 @@ large and measurable while keeping the optimum in closed form.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -393,37 +392,3 @@ def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
             j = order[j]
         done[j] = True
         a[j] = spare
-
-
-def dump_dataset_csv(prob: FederatedProblem, path: str) -> None:
-    """One row per sample: client index, label, p feature values."""
-    if prob.loss.variant == HETERO_QUADRATIC:
-        raise ValueError("hetero_quadratic has no sample data to dump")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client", "label"] + [f"f{j}" for j in range(prob.dim)])
-        for i in range(prob.n_clients):
-            for row, lab in zip(prob.features[i], prob.labels[i]):
-                writer.writerow([i, f"{lab:.17g}"] + [f"{v:.17g}" for v in row])
-
-
-def load_dataset_csv(path: str, variant: str) -> FederatedProblem:
-    if variant == HETERO_QUADRATIC:
-        raise ValueError("hetero_quadratic cannot be loaded from a sample dump")
-    by_client: dict[int, list[tuple[float, list[float]]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        p = len(header) - 2
-        for row in reader:
-            client = int(row[0])
-            by_client.setdefault(client, []).append((float(row[1]), [float(v) for v in row[2:]]))
-    n = max(by_client) + 1
-    feats, labs = [], []
-    for i in range(n):
-        rows = by_client.get(i)
-        if not rows:
-            raise ValueError(f"client {i} has no samples in {path}")
-        labs.append(np.array([r[0] for r in rows]))
-        feats.append(np.array([r[1] for r in rows]))
-    return FederatedProblem(LossKind(variant), p, feats, labs)

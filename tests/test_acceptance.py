@@ -115,19 +115,19 @@ def test_criterion_2_accumulator_and_reconstruction_identities():
             prob, Regularizer.l1(1e-4), hp, spec, seed=cfg_idx, record_transcripts=True
         )
         for tr in res.transcripts:
+            local, end = tr.local, tr.end
             c_sum = np.zeros(prob.dim)
-            for detail in tr.clients:
-                rec = detail.local
-                lhs = (rec.x_hat_start - rec.x_hat_end) / (hp.alpha * hp.K)
-                lhs = lhs + rec.c_local_before - rec.c_known_used
-                rhs = np.mean(rec.gradients, axis=0)
+            for i in range(N):
+                lhs = (local.z_prev[i] - local.x_hat[i]) / (hp.alpha * hp.K)
+                lhs = lhs + local.c_local[i] - local.c_known[i]
+                rhs = np.mean(tr.gradients[i], axis=0)
                 worst_acc = max(worst_acc, float(np.max(np.abs(lhs - rhs))))
-                scale = 1e-10 * (1.0 + float(np.max(np.abs(tr.server_c_after))))
-                gap = float(np.max(np.abs(detail.c_reconstructed - tr.server_c_after)))
+                scale = 1e-10 * (1.0 + float(np.max(np.abs(end.c_global))))
+                gap = float(np.max(np.abs(end.c_known[i] - end.c_global)))
                 worst_rec = max(worst_rec, gap / scale * 1e-10)
                 assert gap <= scale
-                c_sum += detail.c_local_after
-            mean_gap = float(np.max(np.abs(tr.server_c_after - c_sum / len(tr.clients))))
+                c_sum += end.c_local[i]
+            mean_gap = float(np.max(np.abs(end.c_global - c_sum / N)))
             worst_mean = max(worst_mean, mean_gap)
     elapsed = time.time() - t0
     ok = worst_acc <= 1e-10 and worst_mean <= 1e-10 and elapsed < 10.0
@@ -312,7 +312,7 @@ def test_criterion_8_vanishing_transmitted_signal(hetero_bundle):
     prob, reg, hp, _, _ = hetero_bundle
     res = run_fedcef(prob, reg, hp, CompressorSpec("topk", 0.5), seed=1, record_transcripts=True)
     signal = [
-        max(float(np.linalg.norm(d.v_after - d.c_local_after)) for d in tr.clients)
+        max(float(np.linalg.norm(v - c)) for v, c in zip(tr.end.v, tr.end.c_local))
         for tr in res.transcripts
     ]
     ratio = signal[-1] / signal[0]

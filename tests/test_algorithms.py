@@ -91,11 +91,11 @@ def test_accumulator_identity_on_random_runs():
         prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.2), seed=5, record_transcripts=True
     )
     for tr in res.transcripts:
-        for detail in tr.clients:
-            rec = detail.local
-            lhs = (rec.x_hat_start - rec.x_hat_end) / (hp.alpha * hp.K)
-            lhs = lhs + rec.c_local_before - rec.c_known_used
-            rhs = np.mean(rec.gradients, axis=0)
+        st = tr.local
+        for i in range(st.n_clients):
+            lhs = (st.z_prev[i] - st.x_hat[i]) / (hp.alpha * hp.K)
+            lhs = lhs + st.c_local[i] - st.c_known[i]
+            rhs = np.mean(tr.gradients[i], axis=0)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -123,9 +123,9 @@ def test_uplink_momentum_eta_one_equals_mean_gradient():
         prob, Regularizer.zero(), hp, CompressorSpec("identity"), seed=2, record_transcripts=True
     )
     tr = res.transcripts[0]
-    for detail in tr.clients:
-        mean_grad = np.mean(detail.local.gradients, axis=0)
-        assert np.max(np.abs(detail.v_after - mean_grad)) <= 1e-12
+    for i in range(prob.n_clients):
+        mean_grad = np.mean(tr.gradients[i], axis=0)
+        assert np.max(np.abs(tr.end.v[i] - mean_grad)) <= 1e-12
 
 
 def test_server_aggregate_cases():
@@ -231,10 +231,33 @@ def test_transcript_byte_counts_match_payloads():
     res = run_fedcef(
         prob, Regularizer.zero(), hp, CompressorSpec("topk", 3), seed=0, record_transcripts=True
     )
-    for tr in res.transcripts:
-        assert tr.uplink_bytes == sum(payload_bytes(pl) for pl in tr.uplink_payloads)
-        assert tr.downlink_bytes == payload_bytes(tr.downlink_payload)
-        assert tr.uplink_bytes == 4 * 3 * 8  # N clients, k entries, 8 bytes each
+    rows = res.series.rows
+    for t, tr in enumerate(res.transcripts):
+        up = sum(payload_bytes(pl) for pl in tr.uplink_payloads)
+        assert up == rows[t + 1].uplink_bytes_cum - rows[t].uplink_bytes_cum
+        assert payload_bytes(tr.downlink_payload) == rows[t + 1].downlink_bytes_cum - rows[t].downlink_bytes_cum
+        assert up == 4 * 3 * 8  # N clients, k entries, 8 bytes each
+
+
+def test_transcripts_copy_the_state_and_leave_the_run_unchanged():
+    prob = generate_synthetic(
+        "logistic", 8, 60, 3, PartitionSpec("dirichlet", 0.5), derive_stream(37, "problem")
+    )
+    hp = HyperParams(alpha=0.05, eta_g=1.0, K=3, eta=0.5, B=4, T=5)
+    reg, spec = Regularizer.l1(1e-3), CompressorSpec("topk", 0.25)
+    res = run_fedcef(prob, reg, hp, spec, seed=4, record_transcripts=True)
+    plain = run_fedcef(prob, reg, hp, spec, seed=4)
+    assert len(res.transcripts) == hp.T
+    for t, tr in enumerate(res.transcripts):
+        assert tr.round == t
+        assert tr.gradients.shape == (prob.n_clients, hp.K, prob.dim)
+        for i in range(prob.n_clients):
+            assert np.array_equal(tr.local.z_prev[i], res.z_history[t])
+            assert np.array_equal(tr.end.z_prev[i], res.z_history[t + 1])
+    assert [dataclasses.astuple(r) for r in res.series.rows] == [
+        dataclasses.astuple(r) for r in plain.series.rows
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(res.z_history, plain.z_history, strict=True))
 
 
 def test_control_consistency_debug_checks():
@@ -242,11 +265,16 @@ def test_control_consistency_debug_checks():
         "logistic", 12, 90, 3, PartitionSpec("iid"), derive_stream(29, "problem")
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=5, eta=0.5, B=FULL, T=12)
-    # debug_checks asserts server control == mean of client controls and
-    # reconstruction consistency every round
-    run_fedcef(
-        prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.25), seed=6, debug_checks=True
+    # every round the server control equals the mean of the client controls
+    # and every client's reconstruction equals the server control
+    res = run_fedcef(
+        prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.25), seed=6, record_transcripts=True
     )
+    for tr in res.transcripts:
+        st = tr.end
+        assert np.max(np.abs(st.c_global - st.c_local.mean(axis=0))) <= 1e-10
+        scale = 1.0 + np.max(np.abs(st.c_global))
+        assert np.max(np.abs(st.c_known - st.c_global)) <= 1e-10 * scale
 
 
 def test_step_condition_warning_emitted_and_recorded():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedcef.algorithms import HyperParams, RoundTranscript
+from fedcef.algorithms import HyperParams, RoundState, RoundTranscript
 from fedcef.compressors import DENSE_ENTRY_BYTES, CompressorSpec, compress, dense_payload, payload_bytes
 from fedcef.core import derive_stream
 from fedcef.metrics import (
@@ -237,12 +237,14 @@ def comm_accounting(transcripts, dim, include_bootstrap=True):
 
 
 def _transcript(round_idx, payloads, dim):
+    st = RoundState.initial(np.zeros(dim), len(payloads))
     return RoundTranscript(
         round=round_idx,
+        gradients=np.zeros((len(payloads), 1, dim)),
+        local=st,
+        end=st,
         uplink_payloads=payloads,
         downlink_payload=dense_payload(np.zeros(dim)),
-        uplink_bytes=0,
-        downlink_bytes=0,
     )
 
 

@@ -23,11 +23,9 @@ from fedcef.problems import (
     client_gradient,
     client_objective,
     dirichlet_partition,
-    dump_dataset_csv,
     estimate_smoothness,
     full_global_gradient,
     generate_synthetic,
-    load_dataset_csv,
     objective_value,
     per_sample_gradients,
     stochastic_gradient,
@@ -264,19 +262,6 @@ def test_planted_model_recovery_via_pgd():
     true_support = set(np.flatnonzero(prob.ground_truth))
     found_support = set(np.flatnonzero(z))
     assert true_support <= found_support
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    prob = small_problem("logistic", seed=23, p=5, samples=40, N=3)
-    path = tmp_path / "data.csv"
-    dump_dataset_csv(prob, str(path))
-    back = load_dataset_csv(str(path), "logistic")
-    assert back.n_clients == prob.n_clients
-    for i in range(prob.n_clients):
-        assert np.array_equal(back.features[i], prob.features[i])
-        assert np.array_equal(back.labels[i], prob.labels[i])
-    with pytest.raises(ValueError):
-        dump_dataset_csv(hetero_problem(), str(tmp_path / "nope.csv"))
 
 
 def test_generate_preconditions():
