@@ -12,13 +12,14 @@ Three optimizers are implemented over the same problem/regularizer surface:
   objective, kept outside the engine as the independent reduction oracle.
 
 The first two are a local step rule and an aggregation rule on one engine,
-`_run`. Client state lives in a RoundState as (N, p) arrays, one row per
-client, updated in place. Each round every client runs its K local steps,
-one client after another, the algorithm's aggregation rule (client_uplink ->
-server_aggregate -> client_downlink -> server_finalize for fedcef, model
-averaging for prox_fedavg) yields z^{t+1}, and the row is measured.
-local_update is fedcef's local pass; prox_fedavg's runs the same loop with
-its own step rule.
+`_run`. State lives in a RoundState, updated in place: (N, p) arrays, one row
+per client, for what differs between clients, and single (p,) vectors for
+the global model z and the controls every client shares. Each round every
+client runs its K local steps from z, one client after another, the
+algorithm's aggregation rule (client_uplink -> server_aggregate ->
+client_downlink -> server_finalize for fedcef, model averaging for
+prox_fedavg) yields z^{t+1}, and the row is measured. local_update is
+fedcef's local pass; prox_fedavg's runs the same loop with its own step rule.
 
 Local update, per client i, round t, local steps k = 0..K-1:
 
@@ -32,10 +33,13 @@ The pre-proximal state is a linear accumulator:
 stochastic gradient up to float rounding, which is what the momentum
 estimator v_i tracks and the compressor transmits as a deviation from c_i.
 
-The uplink and downlink act on all rows at once. Every batched operation is
-elementwise and cross-client sums run in ascending client order, so the
-results are bit-identical to handling the clients one at a time; the
-correction is evaluated as (g + c) - c_i.
+The uplink acts on all rows at once. Every batched operation is elementwise
+and cross-client sums run in ascending client order, so the results are
+bit-identical to handling the clients one at a time; the correction is
+evaluated as (g + c) - c_i. Every client receives the same broadcast z_tilde
+and knows the same z^t, so the control (z^t - z_tilde) / beta is
+reconstructed once, and prox_{beta h}(z_tilde), the new model of every
+client and of the server, is computed once.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ class StepConditionWarning(UserWarning):
     """Step sizes violate the sufficient convergence conditions."""
 
 
+def _is_count(n: object) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Round-level hyper parameters. The effective global step
@@ -84,14 +92,14 @@ class HyperParams:
             raise ValueError("alpha must be positive")
         if not self.eta_g > 0:
             raise ValueError("eta_g must be positive")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        if not _is_count(self.K):
+            raise ValueError("K must be an integer >= 1")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if self.B != FULL and (not isinstance(self.B, int) or self.B < 1):
+        if self.B != FULL and not _is_count(self.B):
             raise ValueError("B must be a positive integer or FULL")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if not _is_count(self.T):
+            raise ValueError("T must be an integer >= 1")
 
     @property
     def beta(self) -> float:
@@ -100,27 +108,27 @@ class HyperParams:
 
 @dataclass
 class RoundState:
-    """Engine state, updated in place. Client arrays hold one row per client,
-    shape (N, p); the server's model and control have shape (p,)."""
+    """Engine state, updated in place. Per-client arrays hold one row per
+    client, shape (N, p); the global model and the two copies of the global
+    control, which every client shares, have shape (p,)."""
 
     x_hat: np.ndarray  # pre-proximal accumulators, xhat_i^{t,K} after a round
     x: np.ndarray  # post-proximal local models
     c_local: np.ndarray  # local controls c_i
     v: np.ndarray  # momentum estimators v_i
-    z_prev: np.ndarray  # last global model each client knows; xhat_i^{t,0}
-    c_known: np.ndarray  # each client's reconstructed copy of the global control
-    z: np.ndarray
-    c_global: np.ndarray
+    z: np.ndarray  # global model z^t; every local pass starts from it
+    c_known: np.ndarray  # the clients' control, reconstructed from the broadcast
+    c_global: np.ndarray  # the server's control
 
     @classmethod
     def initial(cls, z0: np.ndarray, n_clients: int) -> "RoundState":
         rows = np.tile(z0, (n_clients, 1))
         zeros = np.zeros_like(rows)
-        return cls(rows.copy(), rows.copy(), zeros.copy(), zeros.copy(), rows, zeros, z0.copy(), np.zeros_like(z0))
+        return cls(rows, rows.copy(), zeros, zeros.copy(), z0.copy(), np.zeros_like(z0), np.zeros_like(z0))
 
     @property
     def n_clients(self) -> int:
-        return self.z_prev.shape[0]
+        return self.x_hat.shape[0]
 
 
 @dataclass
@@ -170,13 +178,13 @@ def _local_pass(
     t: int,
     step: Callable[..., tuple[np.ndarray, float]],
 ) -> list[np.ndarray]:
-    """Run one client's K local steps from z_prev and store its xhat and x;
+    """Run one client's K local steps from z and store its xhat and x;
     returns the K gradients. The step rule maps (hp, k, xhat, x, g, c_known,
     c_local) to the next xhat and the prox step size. A sampling oracle draws
     the client's K x B indices from client/{i}/round/{t}/grad in one call."""
-    x_hat = st.z_prev[client].copy()
+    x_hat = st.z.copy()
     x = x_hat.copy()
-    c_known, c_local = st.c_known[client], st.c_local[client]
+    c_known, c_local = st.c_known, st.c_local[client]
     batches = None
     if hp.B != FULL and not prob.closed_form:
         n = prob.features[client].shape[0]
@@ -206,8 +214,8 @@ def local_update(
 def client_uplink(st: RoundState, hp: HyperParams, spec: CompressorSpec, seed: int, t: int) -> list[SparsePayload]:
     """Momentum update of every v_i, then per client the deviation compression
     and the error feedback step c_i <- c_i + densify(payload). Rand-k draws
-    from client/{i}/round/{t}/compress."""
-    drift = (st.z_prev - st.x_hat) / (hp.alpha * hp.K) + st.c_local - st.c_known
+    from client/{i}/round/{t}/compress. Reads z^t, so it runs before finalize."""
+    drift = (st.z - st.x_hat) / (hp.alpha * hp.K) + st.c_local - st.c_known
     st.v = (1.0 - hp.eta) * st.v + hp.eta * drift
     deviation = st.v - st.c_local
     payloads = []
@@ -231,20 +239,20 @@ def server_aggregate(st: RoundState, payloads: list[SparsePayload], hp: HyperPar
     return st.z - hp.beta * st.c_global
 
 
-def client_downlink(st: RoundState, z_tilde: np.ndarray, reg: Regularizer, hp: HyperParams) -> np.ndarray:
-    """Every client reconstructs the global control from the pre-proximal
-    broadcast and applies the global proximal step; returns the (N, p)
-    reconstructed controls."""
+def client_downlink(st: RoundState, z_tilde: np.ndarray, hp: HyperParams) -> np.ndarray:
+    """The clients reconstruct the global control from the pre-proximal
+    broadcast, c = (z^t - z_tilde) / beta, and return it. Every client holds
+    the same z^t and receives the same broadcast, so this is one (p,) vector.
+    It reads z^t from st.z, so it runs before server_finalize."""
     if hp.beta == 0:
         raise ValueError("beta must be nonzero for downlink reconstruction")
-    st.c_known = (st.z_prev - z_tilde) / hp.beta
-    st.z_prev[:] = reg.prox(hp.beta, z_tilde)
+    st.c_known = (st.z - z_tilde) / hp.beta
     return st.c_known
 
 
 def server_finalize(st: RoundState, z_tilde: np.ndarray, reg: Regularizer, hp: HyperParams) -> None:
-    """Mirror the client-side prox so the server holds z^{t+1} for the next
-    broadcast baseline."""
+    """z^{t+1} = prox_{beta h}(z_tilde): the global proximal step every client
+    and the server apply to the same broadcast, computed once."""
     st.z = reg.prox(hp.beta, z_tilde)
 
 
@@ -331,7 +339,7 @@ def run_fedcef(
         before = deepcopy(st) if record_transcripts else None
         payloads = client_uplink(st, hp, spec, seed, t)
         z_tilde = server_aggregate(st, payloads, hp)
-        client_downlink(st, z_tilde, reg, hp)
+        client_downlink(st, z_tilde, hp)
         server_finalize(st, z_tilde, reg, hp)
         if record_transcripts:
             transcripts.append(
@@ -364,7 +372,6 @@ def run_prox_fedavg(
         for x in st.x:  # ascending client order
             total += x
         st.z = total / st.n_clients
-        st.z_prev[:] = st.z
         return st.n_clients * DENSE_ENTRY_BYTES * p, DENSE_ENTRY_BYTES * p
 
     rows, z_hist = _run(prob, reg, hp, z0, local, average, 0.0, report.all_ok, False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,7 +67,9 @@ class CompressorSpec:
             if self.retain > p:
                 raise ValueError(f"retain count {self.retain} exceeds dimension {p}")
             return self.retain
-        return max(1, math.ceil(float(self.retain) * p))
+        # exact in the ratio's decimal value: in binary floating point
+        # 0.07 * 100 is 7.000000000000001, which would round up to 8
+        return math.ceil(Fraction(repr(float(self.retain))) * p)
 
 
 def contraction_factor(spec: CompressorSpec, p: int) -> float:

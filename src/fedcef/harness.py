@@ -55,6 +55,7 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_LINE = "# fedcef-metrics schema=1"
 CSV_COLUMNS = "t,F,prox_grad_sq,uplink_bytes_cum,downlink_bytes_cum,nnz,lyapunov,condition_ok"
+N_COLUMNS = CSV_COLUMNS.count(",") + 1
 
 ALGORITHMS = ("fedcef", "prox_fedavg", "pgd")
 
@@ -328,13 +329,12 @@ def write_metrics_csv(path: str, series: MetricsSeries, cfg_echo: dict[str, str]
     buf.write(f"# contraction_q2 = {_fmt(series.contraction)}\n")
     buf.write(f"# beta = {_fmt(series.beta)}\n")
     rep = series.conditions
-    if rep is not None:
-        buf.write(
-            "# conditions: "
-            f"beta_ok={int(rep.beta_ok)} beta_bound={_fmt(rep.beta_bound)} "
-            f"eta_g_ok={int(rep.eta_g_ok)} eta_g_bound={_fmt(rep.eta_g_bound)} "
-            f"alpha_ok={int(rep.alpha_ok)} alpha_bound={_fmt(rep.alpha_bound)}\n"
-        )
+    buf.write(
+        "# conditions: "
+        f"beta_ok={int(rep.beta_ok)} beta_bound={_fmt(rep.beta_bound)} "
+        f"eta_g_ok={int(rep.eta_g_ok)} eta_g_bound={_fmt(rep.eta_g_bound)} "
+        f"alpha_ok={int(rep.alpha_ok)} alpha_bound={_fmt(rep.alpha_bound)}\n"
+    )
     buf.write(CSV_COLUMNS + "\n")
     for row in series.rows:
         lyap = "" if row.lyapunov is None else _fmt(row.lyapunov)
@@ -355,7 +355,7 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
         if first != SCHEMA_LINE:
             raise ConfigError(f"{path}: unrecognized schema line {first!r}")
         header_seen = False
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 body = line[1:].strip()
@@ -373,8 +373,10 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
             if not line:
                 continue
             parts = line.split(",")
-            rows.append(
-                MetricsRow(
+            if len(parts) != N_COLUMNS:
+                raise ConfigError(f"{path}, line {lineno}: expected {N_COLUMNS} columns, got {len(parts)}")
+            try:
+                row = MetricsRow(
                     t=int(parts[0]),
                     F=float(parts[1]),
                     prox_grad_sq=float(parts[2]),
@@ -384,7 +386,9 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
                     lyapunov=None if parts[6] == "" else float(parts[6]),
                     condition_ok=parts[7] == "1",
                 )
-            )
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+            rows.append(row)
     if not header_seen:
         raise ConfigError(f"{path}: missing column header")
     return meta, rows
@@ -451,6 +455,9 @@ def _summarize(path: str, rows: list[MetricsRow], threshold: float | None) -> Ru
 def compare_runs(path_a: str, path_b: str, threshold: float | None = None) -> ComparisonSummary:
     _, rows_a = read_metrics_csv(path_a)
     _, rows_b = read_metrics_csv(path_b)
+    for path, rows in ((path_a, rows_a), (path_b, rows_b)):
+        if not rows:
+            raise ConfigError(f"{path}: no rows")
     if [r.t for r in rows_a] != [r.t for r in rows_b]:
         raise ConfigError(
             f"{path_a} ({len(rows_a)} rows) and {path_b} ({len(rows_b)} rows) measure different rounds t"

@@ -18,7 +18,6 @@ import numpy as np
 
 from .problems import (
     FULL,
-    HETERO_QUADRATIC,
     FederatedProblem,
     client_gradient,
     client_margins,
@@ -52,7 +51,7 @@ class MetricsSeries:
     smoothness: float
     contraction: float  # q^2 of the uplink compressor (0 when uncompressed)
     beta: float
-    conditions: "StepConditionReport | None"
+    conditions: StepConditionReport
     rows: list[MetricsRow]
 
 
@@ -192,8 +191,6 @@ def theorem_residual_bound(
 def estimate_gradient_variance(prob: FederatedProblem, z: np.ndarray) -> float:
     """Empirical sigma^2: max over clients of per-sample gradient variance at z
     (mean squared deviation of single-sample gradients from the full one)."""
-    if prob.loss.variant == HETERO_QUADRATIC:
-        return 0.0
     worst = 0.0
     for i in range(prob.n_clients):
         dev = per_sample_gradients(prob, i, z) - client_gradient(prob, i, z)[None, :]

@@ -118,12 +118,12 @@ def test_criterion_2_accumulator_and_reconstruction_identities():
             local, end = tr.local, tr.end
             c_sum = np.zeros(prob.dim)
             for i in range(N):
-                lhs = (local.z_prev[i] - local.x_hat[i]) / (hp.alpha * hp.K)
-                lhs = lhs + local.c_local[i] - local.c_known[i]
+                lhs = (local.z - local.x_hat[i]) / (hp.alpha * hp.K)
+                lhs = lhs + local.c_local[i] - local.c_known
                 rhs = np.mean(tr.gradients[i], axis=0)
                 worst_acc = max(worst_acc, float(np.max(np.abs(lhs - rhs))))
                 scale = 1e-10 * (1.0 + float(np.max(np.abs(end.c_global))))
-                gap = float(np.max(np.abs(end.c_known[i] - end.c_global)))
+                gap = float(np.max(np.abs(end.c_known - end.c_global)))
                 worst_rec = max(worst_rec, gap / scale * 1e-10)
                 assert gap <= scale
                 c_sum += end.c_local[i]

@@ -14,6 +14,7 @@ from fedcef.algorithms import (
     run_fedcef,
     run_prox_fedavg,
     server_aggregate,
+    server_finalize,
 )
 from fedcef.compressors import CompressorSpec, dense_payload
 from fedcef.core import derive_stream
@@ -45,6 +46,12 @@ def zero_gradient_problem(p=4, N=2):
     return prob
 
 
+@pytest.mark.parametrize("field, value", [("K", 2.5), ("T", 2.5), ("B", True), ("K", True), ("T", True)])
+def test_hyper_params_reject_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        HyperParams(alpha=0.1, **{field: value})
+
+
 def test_local_update_single_gradient_step():
     prob = lasso_problem(p=6, samples=30)
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=1, eta=1.0, B=FULL, T=1)
@@ -55,7 +62,7 @@ def test_local_update_single_gradient_step():
     assert np.allclose(st.x_hat[0], z - 0.05 * g)
     assert np.array_equal(gradients[0], g)
     # first gradient is evaluated exactly at z: x^{t,0} = z
-    assert np.array_equal(st.z_prev[0], z)
+    assert np.array_equal(st.z, z)
 
 
 def test_local_update_constant_correction_telescopes():
@@ -65,7 +72,7 @@ def test_local_update_constant_correction_telescopes():
     st = RoundState.initial(z, 1)
     st.c_local[0] = [0.5, 0.0, -0.5, 1.0]
     c_global = np.array([1.0, 1.0, 1.0, 1.0])
-    st.c_known[0] = c_global
+    st.c_known[:] = c_global
     local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
     expected = z - 7 * 0.1 * (c_global - st.c_local[0])
     assert np.allclose(st.x_hat[0], expected, atol=1e-14)
@@ -93,8 +100,8 @@ def test_accumulator_identity_on_random_runs():
     for tr in res.transcripts:
         st = tr.local
         for i in range(st.n_clients):
-            lhs = (st.z_prev[i] - st.x_hat[i]) / (hp.alpha * hp.K)
-            lhs = lhs + st.c_local[i] - st.c_known[i]
+            lhs = (st.z - st.x_hat[i]) / (hp.alpha * hp.K)
+            lhs = lhs + st.c_local[i] - st.c_known
             rhs = np.mean(tr.gradients[i], axis=0)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
@@ -102,12 +109,12 @@ def test_accumulator_identity_on_random_runs():
 def test_uplink_momentum_and_error_feedback():
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=2, eta=0.25, B=FULL, T=1)
     st = RoundState.initial(np.zeros(3), 1)
-    st.z_prev[0] = [1.0, 1.0, 1.0]  # xhat^{t,0}
+    st.z[:] = [1.0, 1.0, 1.0]  # xhat^{t,0}
     st.x_hat[0] = [0.8, 1.2, 0.6]
     st.v[0] = [1.0, -1.0, 0.0]
     st.c_local[0] = [0.1, 0.2, 0.3]
-    st.c_known[0] = [0.0, 0.1, 0.0]
-    drift = (st.z_prev[0] - st.x_hat[0]) / 0.2 + st.c_local[0] - st.c_known[0]
+    st.c_known[:] = [0.0, 0.1, 0.0]
+    drift = (st.z - st.x_hat[0]) / 0.2 + st.c_local[0] - st.c_known
     v_expected = 0.75 * st.v[0] + 0.25 * drift
     (payload,) = client_uplink(st, hp, CompressorSpec("identity"), seed=0, t=0)
     assert np.allclose(st.v[0], v_expected)
@@ -156,17 +163,18 @@ def test_client_downlink_reconstruction():
         c_true = rng.standard_normal(6)
         z_tilde = z_prev - hp.beta * c_true
         st = RoundState.initial(z_prev, 1)
-        c_rec = client_downlink(st, z_tilde, reg, hp)[0]
+        c_rec = client_downlink(st, z_tilde, hp)
         tol = 1e-10 * (1.0 + np.max(np.abs(c_true)))
         assert np.max(np.abs(c_rec - c_true)) <= tol
-        assert np.array_equal(st.z_prev[0], reg.prox(hp.beta, z_tilde))
+        server_finalize(st, z_tilde, reg, hp)
+        assert np.array_equal(st.z, reg.prox(hp.beta, z_tilde))
     # h = 0: new global model is the broadcast itself
     st = RoundState.initial(np.ones(3), 1)
-    c_rec = client_downlink(st, np.full(3, 0.5), Regularizer.zero(), hp)[0]
-    assert np.array_equal(st.z_prev[0], np.full(3, 0.5))
+    server_finalize(st, np.full(3, 0.5), Regularizer.zero(), hp)
+    assert np.array_equal(st.z, np.full(3, 0.5))
     # unchanged broadcast reconstructs a zero control
     st = RoundState.initial(np.ones(3), 1)
-    c_rec = client_downlink(st, np.ones(3), Regularizer.zero(), hp)[0]
+    c_rec = client_downlink(st, np.ones(3), hp)
     assert np.array_equal(c_rec, np.zeros(3))
 
 
@@ -251,9 +259,8 @@ def test_transcripts_copy_the_state_and_leave_the_run_unchanged():
     for t, tr in enumerate(res.transcripts):
         assert tr.round == t
         assert tr.gradients.shape == (prob.n_clients, hp.K, prob.dim)
-        for i in range(prob.n_clients):
-            assert np.array_equal(tr.local.z_prev[i], res.z_history[t])
-            assert np.array_equal(tr.end.z_prev[i], res.z_history[t + 1])
+        assert np.array_equal(tr.local.z, res.z_history[t])
+        assert np.array_equal(tr.end.z, res.z_history[t + 1])
     assert [dataclasses.astuple(r) for r in res.series.rows] == [
         dataclasses.astuple(r) for r in plain.series.rows
     ]

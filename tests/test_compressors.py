@@ -26,6 +26,13 @@ def test_ratio_resolution_clamps_to_one():
     assert CompressorSpec("topk", 1.0).resolve_k(7) == 7
 
 
+def test_ratio_resolution_is_exact_in_decimal():
+    # 0.07 * 100 is 7.000000000000001 in binary floating point
+    for j in range(1, 101):
+        spec = CompressorSpec("topk", j / 100)
+        assert [spec.resolve_k(p) for p in range(1, 2001)] == [-(-j * p // 100) for p in range(1, 2001)], j
+
+
 def test_topk_keeps_largest_magnitude():
     x = np.array([1.0, -3.0, 2.0])
     payload, dense = compress(CompressorSpec("topk", 1), x)

@@ -25,7 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 
-@pytest.mark.parametrize("algorithm", ["fedcef", "prox_fedavg"])
+@pytest.mark.parametrize("algorithm", ["fedcef", "prox_fedavg", "pgd"])
 @pytest.mark.parametrize(
     "name, config", [("demo", "configs/demo.ini"), ("hetero_randk", "tests/golden/hetero_randk.ini")]
 )
@@ -175,6 +175,20 @@ def test_every_engine_phase_the_benchmark_traces_runs(case):
     assert summary["problems.stochastic_gradient"]["calls"] == 2 * prob.n_clients * hp.K * hp.T
     # rows 0..T of both runs, each F evaluated once
     assert summary["problems.objective_value"]["calls"] == 2 * (hp.T + 1)
+
+
+@pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
+@pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk])
+def test_broadcast_prox_runs_once_per_round(case):
+    """One prox per local step, one for the broadcast (server_finalize) and
+    one per measured row: every client holds the same z^{t+1}, so the prox of
+    the broadcast is computed once, not again per client."""
+    prob, reg, hp, spec = case()
+    tracer = _load_tracer().Tracer()
+    with tracer, tracer.span("run") as root:
+        algorithms.run_fedcef(prob, reg, hp, spec, seed=1, lyapunov=True)
+    calls = tracer.summarize(root.idx)["regularizers.prox"]["calls"]
+    assert calls == prob.n_clients * hp.K * hp.T + 2 * hp.T + 1
 
 
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")

@@ -472,3 +472,33 @@ def test_cli_reports_a_diverging_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: client ") and "non-finite state at round" in err
     assert not out.exists()
+
+
+def _header_and_rows(path):
+    lines = path.read_text().splitlines(keepends=True)
+    split = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    return lines[:split], lines[split:]
+
+
+@pytest.mark.parametrize("cut", ["truncated", "unparsable"])
+def test_cli_compare_reports_a_malformed_row(tmp_path, capsys, cut):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    run_experiment(parse_config(BASE_CONFIG), str(good))
+    head, rows = _header_and_rows(good)
+    last = rows[-1].split(",")
+    last = last[:3] if cut == "truncated" else ["x"] + last[1:]
+    bad.write_text("".join(head + rows[:-1]) + ",".join(last))
+    assert cli_main(["compare", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad}, line {len(head) + len(rows)}" in err
+
+
+def test_cli_compare_reports_header_only_csvs(tmp_path, capsys):
+    full, a, b = tmp_path / "full.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+    run_experiment(parse_config(BASE_CONFIG), str(full))
+    head, _ = _header_and_rows(full)
+    a.write_text("".join(head))
+    b.write_text("".join(head))
+    assert cli_main(["compare", str(a), str(b)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(a) in err
