@@ -8,6 +8,7 @@ which keeps it contractive (biased) rather than unbiased.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -67,9 +68,15 @@ class CompressorSpec:
             if self.retain > p:
                 raise ValueError(f"retain count {self.retain} exceeds dimension {p}")
             return self.retain
-        # exact in the ratio's decimal value: in binary floating point
-        # 0.07 * 100 is 7.000000000000001, which would round up to 8
-        return math.ceil(Fraction(repr(float(self.retain))) * p)
+        return _ratio_count(float(self.retain), p)
+
+
+@functools.lru_cache(maxsize=1024)
+def _ratio_count(ratio: float, p: int) -> int:
+    """ceil(ratio * p), exact in the ratio's decimal value: in binary floating
+    point 0.07 * 100 is 7.000000000000001, which would round up to 8. Cached,
+    since compress resolves k on every call."""
+    return math.ceil(Fraction(repr(ratio)) * p)
 
 
 def contraction_factor(spec: CompressorSpec, p: int) -> float:

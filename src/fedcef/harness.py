@@ -388,6 +388,10 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
                 )
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+            if parts[7] not in ("0", "1"):
+                raise ConfigError(f"{path}, line {lineno}: condition_ok must be 0 or 1, got {parts[7]!r}")
+            if row.t != len(rows):
+                raise ConfigError(f"{path}, line {lineno}: expected t = {len(rows)}, got {row.t}")
             rows.append(row)
     if not header_seen:
         raise ConfigError(f"{path}: missing column header")

@@ -493,6 +493,23 @@ def test_cli_compare_reports_a_malformed_row(tmp_path, capsys, cut):
     assert err.startswith("error:") and f"{bad}, line {len(head) + len(rows)}" in err
 
 
+@pytest.mark.parametrize("fault", ["condition_token", "round_order"])
+def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    run_experiment(parse_config(BASE_CONFIG), str(good))
+    head, rows = _header_and_rows(good)
+    if fault == "condition_token":
+        rows[-1] = rows[-1].rstrip("\n").rsplit(",", 1)[0] + ",yes\n"
+        lineno = len(head) + len(rows)
+    else:
+        rows[1] = "7," + rows[1].split(",", 1)[1]
+        lineno = len(head) + 2
+    bad.write_text("".join(head + rows))
+    assert cli_main(["compare", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad}, line {lineno}" in err
+
+
 def test_cli_compare_reports_header_only_csvs(tmp_path, capsys):
     full, a, b = tmp_path / "full.csv", tmp_path / "a.csv", tmp_path / "b.csv"
     run_experiment(parse_config(BASE_CONFIG), str(full))

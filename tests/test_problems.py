@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedcef.algorithms import run_centralized_pgd
-from fedcef.core import derive_stream
+from fedcef.core import NonFiniteError, derive_stream
 from fedcef.problems import (
     DIRICHLET,
     FULL,
@@ -17,6 +17,7 @@ from fedcef.problems import (
     LossKind,
     PartitionError,
     PartitionSpec,
+    _gram_top_eigenvalue,
     _iid_partition,
     _permute_rows,
     _sigmoid,
@@ -119,7 +120,63 @@ def test_logistic_smoothness_vs_dense_eigensolve():
     )
     a = prob.features[0]
     exact = 0.25 * float(np.linalg.eigvalsh(a.T @ a / a.shape[0])[-1])
-    assert estimate_smoothness(prob) == pytest.approx(exact, rel=0.01)
+    assert estimate_smoothness(prob) == pytest.approx(exact, rel=1e-8)
+
+
+def _gram_shard(shape: str) -> np.ndarray:
+    rng = np.random.default_rng(17)
+    if shape == "tall":
+        return rng.standard_normal((500, 20))
+    if shape == "wide":
+        return rng.standard_normal((30, 400))
+    if shape == "rank_deficient":
+        return rng.standard_normal((200, 5)) @ rng.standard_normal((5, 50))
+    if shape == "duplicate_rows":
+        rows = rng.standard_normal((20, 15))
+        return np.vstack([rows, rows, rows[:5]])
+    if shape == "p1":
+        return rng.standard_normal((40, 1))
+    if shape == "p2":
+        return rng.standard_normal((40, 2))
+    if shape == "n1":
+        return rng.standard_normal((1, 30))
+    if shape == "zero":
+        return np.zeros((10, 6))
+    # top gap 1e-9: singular values sqrt(n * lambda) between two rotations
+    n = 60
+    lam = np.concatenate([[4.0, 4.0 - 1e-9], np.linspace(3.0, 0.1, n - 2)])
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    vt = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (u * np.sqrt(n * lam)) @ vt
+
+
+@pytest.mark.parametrize(
+    "shape", ["tall", "wide", "rank_deficient", "duplicate_rows", "p1", "p2", "n1", "zero", "top_gap_1e-9"]
+)
+def test_gram_top_eigenvalue_matches_eigvalsh(shape):
+    a = _gram_shard(shape)
+    exact = float(np.linalg.eigvalsh(a.T @ a / a.shape[0])[-1])
+    assert _gram_top_eigenvalue(a) == pytest.approx(exact, rel=1e-8, abs=0.0)
+
+
+def test_gram_top_eigenvalue_keeps_no_basis():
+    # 1000-dimensional shard: a k x p Lanczos basis would cost 8 kB per step
+    a = np.random.default_rng(2).standard_normal((300, 1000))
+    tracemalloc.start()
+    try:
+        _gram_top_eigenvalue(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * a.shape[1] * 8
+
+
+def test_overflowing_shard_raises_naming_the_client():
+    prob = small_problem("squared_error", N=2)
+    feats = [prob.features[0], prob.features[1] * 1e160]
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NonFiniteError, match="client 1"):
+            FederatedProblem(LossKind("squared_error"), prob.dim, feats, prob.labels)
 
 
 @pytest.mark.parametrize("variant", DATA_VARIANTS + (HETERO_QUADRATIC,))
