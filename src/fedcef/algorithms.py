@@ -153,19 +153,71 @@ class RunResult:
 
 
 def decoupled_step(
-    hp: HyperParams, k: int, x_hat: np.ndarray, x: np.ndarray, g: np.ndarray, c_known: np.ndarray, c_local: np.ndarray
-) -> tuple[np.ndarray, float]:
+    hp: HyperParams,
+    k: int,
+    x_hat: np.ndarray,
+    x: np.ndarray,
+    g: np.ndarray,
+    c_known: np.ndarray,
+    c_local: np.ndarray,
+    work: np.ndarray,
+) -> float:
     """fedcef: the pre-proximal accumulator takes the corrected gradient step
-    and the prox step grows with k, so it is zero at k = 0 and the first
+    x_hat -= alpha * ((g + c) - c_i) in place, through `work`, and returns the
+    prox step size. That grows with k, so it is zero at k = 0 and the first
     gradient is evaluated at x_i^{t,0} = z exactly."""
-    return x_hat - hp.alpha * (g + c_known - c_local), (k + 1) * hp.alpha
+    np.add(g, c_known, out=work)
+    work -= c_local
+    work *= hp.alpha
+    x_hat -= work
+    return (k + 1) * hp.alpha
 
 
 def prox_sgd_step(
-    hp: HyperParams, k: int, x_hat: np.ndarray, x: np.ndarray, g: np.ndarray, c_known: np.ndarray, c_local: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """prox_fedavg: a plain proximal SGD step from the post-proximal model."""
-    return x - hp.alpha * g, hp.alpha
+    hp: HyperParams,
+    k: int,
+    x_hat: np.ndarray,
+    x: np.ndarray,
+    g: np.ndarray,
+    c_known: np.ndarray,
+    c_local: np.ndarray,
+    work: np.ndarray,
+) -> float:
+    """prox_fedavg: a plain proximal SGD step from the post-proximal model,
+    x_hat = x - alpha * g written in place; returns the prox step size."""
+    np.multiply(g, hp.alpha, out=work)
+    np.subtract(x, work, out=x_hat)
+    return hp.alpha
+
+
+def _steps(
+    st: RoundState,
+    client: int,
+    prob: FederatedProblem,
+    reg: Regularizer,
+    hp: HyperParams,
+    t: int,
+    step: Callable[..., float],
+    batches: np.ndarray | None,
+    checked: bool,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """One client's K local steps from z; returns xhat^K, x^K and the K
+    gradients. `checked` raises NonFiniteError at the first step whose xhat
+    is non-finite. x never aliases x_hat: it starts as z, which no step
+    writes, and then holds what prox returns, always a new array."""
+    x_hat = st.z.copy()
+    x = st.z
+    work = np.empty_like(x_hat)
+    c_known, c_local = st.c_known, st.c_local[client]
+    gradients = []
+    for k in range(hp.K):
+        g = stochastic_gradient(prob, client, x, hp.B, None if batches is None else batches[k])
+        gradients.append(g)
+        tau = step(hp, k, x_hat, x, g, c_known, c_local, work)
+        if checked and not np.isfinite(x_hat).all():
+            raise NonFiniteError(f"client {client}: non-finite state at round {t}, local step {k}")
+        x = reg.prox(tau, x_hat)
+    return x_hat, x, gradients
 
 
 def _local_pass(
@@ -176,27 +228,33 @@ def _local_pass(
     hp: HyperParams,
     seed: int,
     t: int,
-    step: Callable[..., tuple[np.ndarray, float]],
+    step: Callable[..., float],
 ) -> list[np.ndarray]:
     """Run one client's K local steps from z and store its xhat and x;
-    returns the K gradients. The step rule maps (hp, k, xhat, x, g, c_known,
-    c_local) to the next xhat and the prox step size. A sampling oracle draws
-    the client's K x B indices from client/{i}/round/{t}/grad in one call."""
-    x_hat = st.z.copy()
-    x = x_hat.copy()
-    c_known, c_local = st.c_known, st.c_local[client]
+    returns the K gradients. The step rule writes the next xhat into its
+    x_hat argument, given (hp, k, xhat, x, g, c_known, c_local, work), and
+    returns the prox step size. A sampling oracle draws the client's K x B
+    indices from client/{i}/round/{t}/grad in one call.
+
+    Finiteness is checked once, on xhat^K. That is exact: a non-finite
+    accumulator stays non-finite under both step rules (inf - finite = inf,
+    inf - inf = NaN, NaN absorbs everything) and under the soft threshold
+    (+-inf to +-inf, NaN to NaN), so xhat^K is finite exactly when every
+    xhat^k was. A non-finite pass is replayed with a check after every step,
+    from the same z and controls and with the indices already drawn, so the
+    error names the first bad step and no stream is drawn twice. Both runs
+    ignore overflow and invalid operations, which would otherwise surface as
+    RuntimeWarnings before the error. The client's rows are written only
+    after the check, so a failed pass leaves them as they were."""
     batches = None
     if hp.B != FULL and not prob.closed_form:
         n = prob.features[client].shape[0]
         batches = derive_stream(seed, f"client/{client}/round/{t}/grad").gen.integers(0, n, size=(hp.K, hp.B))
-    gradients = []
-    for k in range(hp.K):
-        g = stochastic_gradient(prob, client, x, hp.B, None if batches is None else batches[k])
-        gradients.append(g)
-        x_hat, tau = step(hp, k, x_hat, x, g, c_known, c_local)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_hat, x, gradients = _steps(st, client, prob, reg, hp, t, step, batches, False)
         if not np.isfinite(x_hat).all():
-            raise NonFiniteError(f"client {client}: non-finite state at round {t}, local step {k}")
-        x = reg.prox(tau, x_hat)
+            _steps(st, client, prob, reg, hp, t, step, batches, True)
+            raise NonFiniteError(f"client {client}: non-finite state at round {t}, local step {hp.K - 1}")
     st.x_hat[client] = x_hat
     st.x[client] = x
     return gradients

@@ -93,7 +93,10 @@ class SparsePayload:
 
     dim: int
     dense: bool
-    indices: np.ndarray  # int64, strictly increasing, empty when dense
+    # int64, strictly increasing and < dim, empty when dense: compress builds
+    # them so and payload_from_bytes checks decoded ones, so they are not
+    # re-checked here
+    indices: np.ndarray
     values: np.ndarray  # float64; length dim when dense, else len(indices)
 
     def __post_init__(self) -> None:
@@ -107,8 +110,6 @@ class SparsePayload:
         else:
             if idx.shape != vals.shape:
                 raise ValueError("sparse payload indices/values length mismatch")
-            if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] >= self.dim):
-                raise ValueError("payload indices must be strictly increasing and < dim")
 
     def densify(self) -> np.ndarray:
         if self.dense:
@@ -159,6 +160,7 @@ def compress(
 
 
 _HEADER = struct.Struct("<QBQ")  # dim, dense flag, entry count
+_PAIR = np.dtype([("i", "<u4"), ("v", "<f4")])  # one sparse entry
 
 
 def payload_to_bytes(payload: SparsePayload) -> bytes:
@@ -170,19 +172,31 @@ def payload_to_bytes(payload: SparsePayload) -> bytes:
         return _HEADER.pack(payload.dim, 1, payload.dim) + body
     idx = payload.indices.astype("<u4")
     vals = payload.values.astype("<f4")
-    pairs = np.empty(idx.size, dtype=[("i", "<u4"), ("v", "<f4")])
+    pairs = np.empty(idx.size, dtype=_PAIR)
     pairs["i"] = idx
     pairs["v"] = vals
     return _HEADER.pack(payload.dim, 0, idx.size) + pairs.tobytes()
 
 
 def payload_from_bytes(buf: bytes) -> SparsePayload:
+    """Decode payload_to_bytes output; raises ValueError on a buffer it cannot
+    have written: a short header, a dense flag other than 0 or 1, a body
+    shorter or longer than the entry count, or sparse indices that are not
+    strictly increasing and < dim."""
+    if len(buf) < _HEADER.size:
+        raise ValueError(f"payload of {len(buf)} bytes is shorter than its {_HEADER.size}-byte header")
     dim, dense, count = _HEADER.unpack_from(buf, 0)
+    if dense not in (0, 1):
+        raise ValueError(f"payload dense flag must be 0 or 1, got {dense}")
+    entry = 4 if dense else _PAIR.itemsize
+    if len(buf) != _HEADER.size + entry * count:
+        raise ValueError(f"payload of {len(buf)} bytes, its header declares {_HEADER.size + entry * count}")
     body = buf[_HEADER.size :]
     if dense:
-        vals = np.frombuffer(body, dtype="<f4", count=count).astype(np.float64)
+        vals = np.frombuffer(body, dtype="<f4").astype(np.float64)
         return SparsePayload(dim, True, np.empty(0, dtype=np.int64), vals)
-    pairs = np.frombuffer(body, dtype=[("i", "<u4"), ("v", "<f4")], count=count)
-    return SparsePayload(
-        dim, False, pairs["i"].astype(np.int64), pairs["v"].astype(np.float64)
-    )
+    pairs = np.frombuffer(body, dtype=_PAIR)
+    idx = pairs["i"].astype(np.int64)
+    if idx.size and (np.any(np.diff(idx) <= 0) or idx[-1] >= dim):
+        raise ValueError("payload indices must be strictly increasing and < dim")
+    return SparsePayload(dim, False, idx, pairs["v"].astype(np.float64))

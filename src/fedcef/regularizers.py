@@ -17,7 +17,14 @@ KINDS = (ZERO, L1)
 
 
 def soft_threshold(x: np.ndarray, thresh: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+    """sign(x) * max(|x| - thresh, 0), computed as x - clip(x, -thresh, thresh)
+    in three ufuncs and one new array. The values are equal on every input,
+    +-inf and NaN included, and the bits too, except for the sign of zero: an
+    entry thresholded to zero from a negative input is +0.0 here, where the
+    sign formula gives -0.0."""
+    out = np.maximum(x, -thresh)
+    np.minimum(out, thresh, out=out)
+    return np.subtract(x, out, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,21 @@
+import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+from fedcef import algorithms
 from fedcef.algorithms import (
     HyperParams,
     RoundState,
     StepConditionWarning,
+    _local_pass,
     client_downlink,
     client_uplink,
+    decoupled_step,
     local_update,
+    prox_sgd_step,
     run_centralized_pgd,
     run_fedcef,
     run_prox_fedavg,
@@ -17,7 +23,7 @@ from fedcef.algorithms import (
     server_finalize,
 )
 from fedcef.compressors import CompressorSpec, dense_payload
-from fedcef.core import derive_stream
+from fedcef.core import NonFiniteError, derive_stream
 from fedcef.metrics import prox_gradient_mapping
 from fedcef.problems import (
     FULL,
@@ -84,9 +90,65 @@ def test_local_update_rejects_nonfinite_state():
     hp = HyperParams(alpha=1e300, eta_g=1.0, K=3, eta=1.0, B=FULL, T=1)
     z = np.ones(4)
     st = RoundState.initial(z, 1)
-    with np.errstate(over="ignore"):
-        with pytest.raises(FloatingPointError, match="local step"):
-            local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
+    with pytest.raises(FloatingPointError, match="local step"):
+        local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
+
+
+def diverging_problem(closed_form, p=3, N=2):
+    """A problem on which, from z = ones with zero controls, every local step
+    multiplies the model by about -1e100 at alpha = DIVERGING_ALPHA[closed_form]:
+    xhat^{k+1} is about (-1e100)^(k+1), finite through step 2 and non-finite
+    from step 3 on. The row oracle's shards repeat one all-ones row, so any
+    minibatch gives the full gradient."""
+    if closed_form:
+        loss = LossKind("hetero_quadratic", np.ones((N, p)), np.zeros((N, p)))
+        return FederatedProblem(loss, p, [np.zeros((1, p))] * N, [np.zeros(1)] * N)
+    return FederatedProblem(LossKind("squared_error"), p, [np.ones((4, p))] * N, [np.zeros(4)] * N)
+
+
+DIVERGING_ALPHA = {True: 1e100, False: 1e100 / 3}
+
+
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "row_oracle"])
+@pytest.mark.parametrize("step", [decoupled_step, prox_sgd_step])
+def test_nonfinite_pass_names_the_first_bad_step_and_keeps_the_rows(step, closed_form, monkeypatch):
+    prob = diverging_problem(closed_form)
+    hp = HyperParams(alpha=DIVERGING_ALPHA[closed_form], K=6, B=FULL if closed_form else 2)
+    st = RoundState.initial(np.ones(prob.dim), prob.n_clients)
+    st.x_hat[1] = 5.0
+    st.x[1] = 7.0
+    before = copy.deepcopy(st)
+    labels = []
+
+    def counting_stream(seed, label):
+        labels.append(label)
+        return derive_stream(seed, label)
+
+    monkeypatch.setattr(algorithms, "derive_stream", counting_stream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^client 1: non-finite state at round 7, local step 3$"):
+            _local_pass(st, 1, prob, Regularizer.l1(1e-10), hp, 0, 7, step)
+    for name in ("x_hat", "x", "c_local", "v", "z", "c_known", "c_global"):
+        assert np.array_equal(getattr(st, name), getattr(before, name)), name
+    # the replay steps from the indices the first run drew
+    assert labels == ([] if closed_form else ["client/1/round/7/grad"])
+
+
+def test_finite_pass_checks_finiteness_once(monkeypatch):
+    prob = lasso_problem(p=6, samples=30)
+    hp = HyperParams(alpha=0.01, K=5, B=4)
+    st = RoundState.initial(np.zeros(6), 1)
+    calls = []
+    isfinite = np.isfinite
+
+    def counting_isfinite(x, *args, **kwargs):
+        calls.append(x.shape)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    gradients = local_update(st, 0, prob, Regularizer.l1(1e-3), hp, seed=0, t=0)
+    assert len(gradients) == hp.K and calls == [(6,)]
 
 
 def test_accumulator_identity_on_random_runs():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,43 @@ def test_serialization_rounds_to_single_precision():
     back = payload_from_bytes(payload_to_bytes(payload))
     assert back.values[0] == np.float32(val)
     assert payload.values[0] == val  # in-memory state untouched
+
+
+def _sparse_bytes(dim, pairs):
+    """A sparse payload's wire form from raw (index, value) pairs, unchecked."""
+    body = np.array(pairs, dtype=[("i", "<u4"), ("v", "<f4")]).tobytes()
+    return struct.pack("<QBQ", dim, 0, len(pairs)) + body
+
+
+def test_decode_accepts_increasing_in_range_indices():
+    back = payload_from_bytes(_sparse_bytes(5, [(0, 1.0), (2, -2.0), (4, 3.0)]))
+    assert np.array_equal(back.indices, [0, 2, 4]) and np.array_equal(back.values, [1.0, -2.0, 3.0])
+    assert payload_from_bytes(_sparse_bytes(5, [])).indices.size == 0
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(3, 1.0), (1, 2.0)], [(2, 1.0), (2, 2.0)], [(1, 1.0), (5, 2.0)], [(7, 1.0)]],
+    ids=["unsorted", "duplicate", "out_of_range", "single_out_of_range"],
+)
+def test_decode_rejects_bad_indices(pairs):
+    with pytest.raises(ValueError, match="strictly increasing and < dim"):
+        payload_from_bytes(_sparse_bytes(5, pairs))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [dense_payload(np.arange(4.0)), compress(CompressorSpec("topk", 2), np.arange(4.0))[0]],
+    ids=["dense", "sparse"],
+)
+def test_decode_rejects_short_and_long_buffers(payload):
+    buf = payload_to_bytes(payload)
+    for bad in (buf[:10], buf[:-1], buf + b"junk", buf + b"\0"):
+        with pytest.raises(ValueError, match="payload of"):
+            payload_from_bytes(bad)
+
+
+def test_decode_rejects_a_dense_flag_other_than_0_or_1():
+    buf = bytearray(payload_to_bytes(dense_payload(np.ones(3))))
+    buf[8] = 2
+    with pytest.raises(ValueError, match="dense flag"):
+        payload_from_bytes(bytes(buf))

@@ -113,9 +113,10 @@ def test_retain_count_vs_ratio():
 
 
 # With the demo and hetero_randk goldens of tests/test_engine.py these cover
-# all four loss families and both partition modes.
+# all four loss families and both partition modes; hetero_drift_p200 is the
+# benchmark's hetero_drift workload cut to T = 20.
 @pytest.mark.parametrize("algorithm", ["fedcef", "prox_fedavg"])
-@pytest.mark.parametrize("name", ["squared_iid", "sigmoid_dirichlet_b8"])
+@pytest.mark.parametrize("name", ["squared_iid", "sigmoid_dirichlet_b8", "hetero_drift_p200"])
 def test_loss_family_csv_matches_golden_bytes(name, algorithm, tmp_path):
     with open(os.path.join(GOLDEN, f"{name}.ini")) as fh:
         cfg = dataclasses.replace(parse_config(fh.read()), algorithm=algorithm)

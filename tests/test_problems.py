@@ -159,6 +159,30 @@ def test_gram_top_eigenvalue_matches_eigvalsh(shape):
     assert _gram_top_eigenvalue(a) == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
+def _closing_shard(name):
+    """Shards on which Lanczos from the fixed start vector v0 = linspace(1, 2, p)
+    closes inside an invariant subspace that misses the top eigenvector."""
+    if name == "v0_eigvec_p2":
+        # a^T a / 2 = 9 u1 u1^T + u2 u2^T with u2 = v0
+        u1, u2 = np.array([2.0, -1.0]) / np.sqrt(5.0), np.array([1.0, 2.0]) / np.sqrt(5.0)
+        return np.sqrt(2.0) * np.vstack([3.0 * u1, u2])
+    if name == "v0_null_p2":
+        return np.array([[2.0, -1.0], [4.0, -2.0]])  # v0 spans the null space
+    # p = 40: v0 an eigenvector of eigenvalue 1, the rest of the spectrum 2..5
+    p = 40
+    v0 = np.linspace(1.0, 2.0, p)
+    q = np.linalg.qr(np.column_stack([v0, np.random.default_rng(3).standard_normal((p, p - 1))]))[0]
+    return (q * np.sqrt(p * np.concatenate([[1.0], np.linspace(2.0, 5.0, p - 1)]))) @ q.T
+
+
+@pytest.mark.parametrize("name", ["v0_eigvec_p2", "v0_null_p2", "v0_eigvec_p40"])
+def test_gram_top_eigenvalue_when_the_krylov_space_closes_early(name):
+    a = _closing_shard(name)
+    exact = float(np.linalg.eigvalsh(a.T @ a / a.shape[0])[-1])
+    assert _gram_top_eigenvalue(a) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert _gram_top_eigenvalue(np.zeros_like(a)) == 0.0
+
+
 def test_gram_top_eigenvalue_keeps_no_basis():
     # 1000-dimensional shard: a k x p Lanczos basis would cost 8 kB per step
     a = np.random.default_rng(2).standard_normal((300, 1000))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedcef.regularizers import Regularizer, soft_threshold
 
@@ -96,3 +99,39 @@ def test_zero_kind_forces_zero_weight():
     reg = Regularizer("zero", 3.0)
     assert reg.lam == 0.0
     assert np.array_equal(soft_threshold(np.array([2.0, -2.0]), 0.5), [1.5, -1.5])
+
+
+def sign_soft_threshold(x, thresh):
+    """The sign formula `soft_threshold` replaced, kept as its oracle."""
+    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+
+
+def assert_same_as_sign_formula(x, thresh):
+    got, want = soft_threshold(x, thresh), sign_soft_threshold(x, thresh)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    # bit-equal except for the sign of zero, which is + for any thresh > 0
+    nonzero = ~nan & (want != 0)
+    assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
+    if thresh > 0:
+        assert not np.any(np.signbit(got[~nan & (want == 0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_nan=True, allow_infinity=True)),
+    st.floats(0.0, 1e300, allow_subnormal=True),
+)
+def test_soft_threshold_equals_the_sign_formula(x, thresh):
+    assert_same_as_sign_formula(x, thresh)
+
+
+def test_soft_threshold_edge_values_equal_the_sign_formula():
+    t = 0.75
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([0.0, -0.0, t, -t, np.nextafter(t, 1), -np.nextafter(t, 1), np.nextafter(t, 0), tiny, -tiny,
+                  np.inf, -np.inf, np.nan, 1e308, -1e308])
+    assert_same_as_sign_formula(x, t)
+    got = soft_threshold(x, t)
+    assert np.array_equal(got[9:11], [np.inf, -np.inf]) and np.isnan(got[11])
