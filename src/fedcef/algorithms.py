@@ -327,7 +327,9 @@ def _run(
 ) -> tuple[list[MetricsRow], list[np.ndarray]]:
     """The round loop both federated algorithms share: each client's local
     pass, the algorithm's aggregation rule (which returns the round's uplink
-    and downlink bytes), measurement. Returns rows 0..T and z^0..z^T.
+    and downlink bytes), measurement. Returns rows 0..T and z^0..z^T. The
+    client gradients a row measures at z^t are kept for the next row's
+    Lyapunov term, which needs them at its z_prev = z^t.
 
     Clients run one at a time, each one's K steps in a row: interleaving
     clients step by step streams every shard through the cache once per step,
@@ -338,13 +340,14 @@ def _run(
     uplink_cum = 0
     downlink_cum = DENSE_ENTRY_BYTES * prob.dim  # bootstrap broadcast of z^0
 
-    def measure(t: int, z_prev: np.ndarray | None) -> MetricsRow:
-        row = measure_row(prob, reg, hp.beta, t, st.z, uplink_cum, downlink_cum, condition_ok)
+    def measure(t: int, z_prev: np.ndarray | None, z_prev_grads: np.ndarray | None):
+        row, grads = measure_row(prob, reg, hp.beta, t, st.z, uplink_cum, downlink_cum, condition_ok)
         if lyapunov:
-            row.lyapunov = lyapunov_diagnostic(prob, reg, hp, q, st.z, z_prev, st.v, st.c_local, row.F)
-        return row
+            row.lyapunov = lyapunov_diagnostic(prob, reg, hp, q, st.z, z_prev, st.v, st.c_local, row.F, z_prev_grads)
+        return row, grads
 
-    rows = [measure(0, None)]
+    row, grads = measure(0, None, None)
+    rows = [row]
     z_hist = [st.z.copy()]
     for t in range(hp.T):
         z_round = st.z
@@ -353,7 +356,8 @@ def _run(
         up, down = aggregate(st, t)
         uplink_cum += up
         downlink_cum += down
-        rows.append(measure(t + 1, z_round))
+        row, grads = measure(t + 1, z_round, grads)
+        rows.append(row)
         z_hist.append(st.z.copy())
     return rows, z_hist
 

@@ -155,7 +155,7 @@ def compress(
         if rng is None:
             raise ValueError("rand-k compression requires an rng stream")
         idx = np.sort(rng.gen.choice(p, size=k, replace=False))
-    payload = SparsePayload(p, False, idx.astype(np.int64), x[idx].copy())
+    payload = SparsePayload(p, False, idx.astype(np.int64, copy=False), x[idx])  # x[idx] is a copy
     return payload, payload.densify()
 
 

@@ -26,11 +26,12 @@ def ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _label_words(label: str) -> tuple[int, ...]:
-    # Stable 128-bit hash of the label, split into four uint32 words for the
-    # SeedSequence spawn key. hashlib is platform independent, unlike hash().
+def _entropy_words(seed: int, label: str) -> np.ndarray:
+    """The eight uint32 words a stream's SeedSequence is built from: the seed
+    mod 2^64 as two little-endian words, two zero words, then a stable 128-bit
+    hash of the label as four. hashlib is platform independent, unlike hash()."""
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
-    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+    return np.frombuffer((int(seed) & ((1 << 64) - 1)).to_bytes(16, "little") + digest, dtype="<u4")
 
 
 @dataclass
@@ -40,6 +41,13 @@ class RngStream:
     The underlying generator is Philox (counter based) keyed by the 64-bit
     seed plus a hash of the label, so streams with distinct labels are
     statistically independent and any stream can be re-derived from scratch.
+
+    The SeedSequence gets one entropy array, [seed_lo, seed_hi, 0, 0,
+    label_w0..label_w3]. That is the same pool, Philox key and draws as
+    SeedSequence(entropy=seed, spawn_key=label words): numpy pads a run
+    entropy shorter than its pool size of 4 words with zeros before it
+    appends a spawn key, and the seed takes at most two words. numpy takes
+    a uint32 array as it is, where it converts Python ints word by word.
     """
 
     seed: int
@@ -49,9 +57,7 @@ class RngStream:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("rng stream label must be nonempty")
-        ss = np.random.SeedSequence(
-            entropy=int(self.seed) & ((1 << 64) - 1), spawn_key=_label_words(self.label)
-        )
+        ss = np.random.SeedSequence(entropy=_entropy_words(self.seed, self.label))
         self.gen = np.random.Generator(np.random.Philox(ss))
 
     def child(self, sublabel: str) -> "RngStream":

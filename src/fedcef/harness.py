@@ -316,7 +316,7 @@ def run_experiment(cfg: RunConfig, out_path: str) -> MetricsSeries:
 def _pgd_series(prob, reg, hp: HyperParams, seed: int) -> MetricsSeries:
     traj = run_centralized_pgd(prob, reg, hp.beta, hp.T)
     report = check_step_conditions(hp, prob.smoothness, 0.0)
-    rows = [measure_row(prob, reg, hp.beta, t, z, 0, 0, report.all_ok) for t, z in enumerate(traj)]
+    rows = [measure_row(prob, reg, hp.beta, t, z, 0, 0, report.all_ok)[0] for t, z in enumerate(traj)]
     return MetricsSeries("pgd", seed, prob.smoothness, 0.0, hp.beta, report, rows)
 
 

@@ -19,8 +19,9 @@ import numpy as np
 from .problems import (
     FULL,
     FederatedProblem,
+    all_client_margins,
     client_gradient,
-    client_margins,
+    client_gradients,
     full_global_gradient,
     objective_value,
     per_sample_gradients,
@@ -72,37 +73,52 @@ class StepConditionReport:
 
 
 def prox_gradient_mapping(
-    prob: FederatedProblem, reg, z: np.ndarray, beta: float, margins: Sequence[np.ndarray] | None = None
+    prob: FederatedProblem, reg, z: np.ndarray, beta: float, grads: np.ndarray | None = None
 ) -> np.ndarray:
-    """G_beta(z), computed with the exact full global gradient; `margins` holds
-    client_margins(prob, i, z) per client when already computed."""
+    """G_beta(z), computed with the exact full global gradient; `grads` is
+    client_gradients(prob, z) when already computed."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    g = full_global_gradient(prob, z, margins)
+    g = full_global_gradient(prob, z, grads)
     return (z - reg.prox(beta, z - beta * g)) / beta
 
 
 def measure_row(
     prob: FederatedProblem, reg, beta: float, t: int, z: np.ndarray, up: int, down: int, condition_ok: bool
-) -> MetricsRow:
+) -> tuple[MetricsRow, np.ndarray]:
     """The row of model z after round t: F, ||G_beta(z)||^2, the cumulative
-    byte counters and nnz. The Lyapunov column is left to the caller. F and
-    the gradient share one margin pass over the shards."""
-    margins = [client_margins(prob, i, z) for i in range(prob.n_clients)]
-    G = prox_gradient_mapping(prob, reg, z, beta, margins)
+    byte counters and nnz, and the (N, p) block of client gradients at z.
+
+    F and the gradient block share one margin pass over the shards, so each
+    shard is read twice (a_i @ z, then a_i^T w); on hetero_quadratic the
+    margins, the gradients and the N objectives are each one operation on
+    the block. The Lyapunov column is left to the caller, and the block is
+    returned for it: the next row's diagnostic needs exactly these gradients,
+    at its z_prev, and takes them instead of recomputing them."""
+    margins = all_client_margins(prob, z)
+    grads = client_gradients(prob, z, margins)
+    G = prox_gradient_mapping(prob, reg, z, beta, grads)
     F = objective_value(prob, reg, z, margins)
-    return MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
+    row = MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
+    return row, grads
 
 
 def check_step_conditions(hp: "HyperParams", L: float, q: float) -> StepConditionReport:
     """Evaluate beta <= min(eta^2, (1-q)^2) / (25 L),
     eta_g >= sqrt(16 (1-q)^2 + 161 eta^2) / (5 eta (1-q)),
-    alpha <= 1 / (8 K L). Never aborts; callers decide what to do."""
-    if not L > 0:
-        raise ValueError("smoothness constant must be positive")
+    alpha <= 1 / (8 K L). Never aborts; callers decide what to do.
+
+    L = 0 means every f_i is affine, and then no condition binds: the upper
+    bounds on beta and alpha are inf, the lower bound on eta_g is 0 (not
+    inf, which eta_g_ok would contradict), and every condition holds. A
+    negative or NaN L raises."""
+    if not L >= 0:
+        raise ValueError("smoothness constant must be non-negative")
     if not 0.0 <= q < 1.0:
         raise ValueError("compression factor q must lie in [0, 1)")
     eta = hp.eta
+    if L == 0:
+        return StepConditionReport(math.inf, True, 0.0, True, math.inf, True)
     beta_bound = min(eta * eta, (1.0 - q) ** 2) / (25.0 * L)
     eta_g_bound = math.sqrt(16.0 * (1.0 - q) ** 2 + 161.0 * eta * eta) / (5.0 * eta * (1.0 - q))
     alpha_bound = 1.0 / (8.0 * hp.K * L)
@@ -126,6 +142,7 @@ def lyapunov_diagnostic(
     client_vs: Sequence[np.ndarray],
     client_cs: Sequence[np.ndarray],
     F: float | None = None,
+    grads: np.ndarray | None = None,
 ) -> float:
     """Single-trajectory Lyapunov potential at the current round.
 
@@ -135,24 +152,30 @@ def lyapunov_diagnostic(
 
     with expectations replaced by realized values. z_prev = None marks the
     initial round, where only F(z) is available. F, when given, is F(z)
-    already evaluated by the caller.
+    already evaluated by the caller; grads, when given, is the (N, p) block
+    client_gradients(prob, z_prev), which the previous row's measure_row
+    returned. Without it the block is recomputed.
+
+    The per-client squared norms are taken on (N, p) blocks, one row each,
+    and added in ascending client order, as are the sums behind vbar and
+    grad f(z_prev): the same bits as a loop over the clients.
     """
     if F is None:
         F = objective_value(prob, reg, z)
     if z_prev is None:
         return F
+    if grads is None:
+        grads = client_gradients(prob, z_prev)
+    vs, cs = np.asarray(client_vs), np.asarray(client_cs)
     N = prob.n_clients
     beta, eta = hp.beta, hp.eta
-    local_est = 0.0
-    feedback = 0.0
+    local_est = _sum_sq_rows(vs - grads)
+    feedback = _sum_sq_rows(vs - cs)
     vbar = np.zeros(prob.dim)
     gbar = np.zeros(prob.dim)
-    for i in range(N):
-        gi = client_gradient(prob, i, z_prev)
-        local_est += float(np.sum((client_vs[i] - gi) ** 2))
-        feedback += float(np.sum((client_vs[i] - client_cs[i]) ** 2))
-        vbar += client_vs[i]
-        gbar += gi
+    for v, g in zip(vs, grads):
+        vbar += v
+        gbar += g
     vbar /= N
     gbar /= N
     global_est = float(np.sum((vbar - gbar) ** 2))
@@ -162,6 +185,17 @@ def lyapunov_diagnostic(
         + (8.0 * beta / eta) * global_est
         + (17.0 * beta / (1.0 - q)) * (feedback / N)
     )
+
+
+def _sum_sq_rows(d: np.ndarray) -> float:
+    """sum_i ||d_i||^2 over the rows of a C-contiguous block. np.sum along
+    the rows reduces each one pairwise, as it does a 1-d array, so row i is
+    np.sum(d[i] * d[i]) bit for bit; the rows are then added in order, which
+    np.sum over the N values would not do once N >= 8."""
+    total = 0.0
+    for v in np.sum(d * d, axis=1).tolist():
+        total += v
+    return total
 
 
 def theorem_residual_bound(

@@ -93,7 +93,7 @@ class FederatedProblem:
     dim: int
     features: list[np.ndarray]  # per client, shape (n_i, p); may be row views of one matrix
     labels: list[np.ndarray]  # per client, shape (n_i,)
-    smoothness: float = 0.0  # cached L estimate; computed here when left unset
+    smoothness: float | None = None  # L; estimated here when left unset
     ground_truth: np.ndarray | None = None  # planted model, when labels came from one
 
     def __post_init__(self) -> None:
@@ -104,7 +104,7 @@ class FederatedProblem:
                 raise ValueError("every shard must be nonempty")
             if a.shape != (b.shape[0], self.dim):
                 raise ValueError("feature rows must have length dim and match labels")
-        if self.smoothness == 0.0:
+        if self.smoothness is None:
             self.smoothness = estimate_smoothness(self)
 
     @property
@@ -155,6 +155,14 @@ def client_margins(prob: FederatedProblem, client: int, x: np.ndarray) -> np.nda
     return prob.features[client] @ x
 
 
+def all_client_margins(prob: FederatedProblem, x: np.ndarray) -> np.ndarray | list[np.ndarray]:
+    """client_margins of every client: one (N, p) block x - m for
+    hetero_quadratic, else a list of the N arrays a_i @ x."""
+    if prob.closed_form:
+        return x - prob.loss.centers
+    return [client_margins(prob, i, x) for i in range(prob.n_clients)]
+
+
 def client_objective(
     prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None
 ) -> float:
@@ -180,6 +188,21 @@ def client_gradient(
         margins = a @ x
     w = _per_sample_grad_weights(prob.loss, margins, prob.labels[client])
     return (a.T @ w) / a.shape[0]
+
+
+def client_gradients(
+    prob: FederatedProblem, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
+) -> np.ndarray:
+    """The (N, p) block whose row i is grad f_i(x); `margins` is
+    all_client_margins(prob, x) when already computed. hetero_quadratic is
+    one product on the block; the data losses fill row i by client_gradient,
+    the same bits as calling it per client."""
+    if prob.closed_form:
+        return prob.loss.curvatures * (x - prob.loss.centers if margins is None else margins)
+    out = np.empty((prob.n_clients, prob.dim))
+    for i in range(prob.n_clients):
+        out[i] = client_gradient(prob, i, x, None if margins is None else margins[i])
+    return out
 
 
 def per_sample_gradients(prob: FederatedProblem, client: int, x: np.ndarray) -> np.ndarray:
@@ -215,24 +238,32 @@ def stochastic_gradient(
     return (rows.T @ w) / B
 
 
-def full_global_gradient(
-    prob: FederatedProblem, x: np.ndarray, margins: Sequence[np.ndarray] | None = None
-) -> np.ndarray:
-    """(1/N) sum_i grad f_i(x), accumulated in ascending client order;
-    `margins` holds client_margins(prob, i, x) per client when already computed."""
+def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
+    """(1/N) sum_i grad f_i(x), the rows added from zeros in ascending client
+    order; `grads` is client_gradients(prob, x) when already computed."""
+    if grads is None:
+        grads = client_gradients(prob, x)
     total = np.zeros(prob.dim)
-    for i in range(prob.n_clients):
-        total += client_gradient(prob, i, x, None if margins is None else margins[i])
+    for g in grads:
+        total += g
     return ensure_finite(total / prob.n_clients, "full_global_gradient")
 
 
 def objective_value(
-    prob: FederatedProblem, reg, x: np.ndarray, margins: Sequence[np.ndarray] | None = None
+    prob: FederatedProblem, reg, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
 ) -> float:
-    """F(x) = (1/N) sum_i f_i(x) + h(x); `margins` as for full_global_gradient."""
+    """F(x) = (1/N) sum_i f_i(x) + h(x), the f_i added in ascending client
+    order; `margins` is all_client_margins(prob, x) when already computed.
+    hetero_quadratic takes every f_i in one pass over the (N, p) block."""
+    if margins is None:
+        margins = all_client_margins(prob, x)
+    if prob.closed_form:
+        values = (0.5 * np.sum((prob.loss.curvatures * margins) * margins, axis=1)).tolist()
+    else:
+        values = [client_objective(prob, i, x, m) for i, m in enumerate(margins)]
     total = 0.0
-    for i in range(prob.n_clients):
-        total += client_objective(prob, i, x, None if margins is None else margins[i])
+    for v in values:
+        total += v
     return total / prob.n_clients + reg.evaluate(x)
 
 

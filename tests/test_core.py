@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from fedcef.core import NonFiniteError, derive_stream, ensure_finite
+from fedcef.core import NonFiniteError, RngStream, derive_stream, ensure_finite
 
 
 def test_non_finite_result_names_the_operation():
@@ -42,3 +44,32 @@ def test_child_stream_matches_rederivation():
 def test_empty_label_rejected():
     with pytest.raises(ValueError):
         derive_stream(0, "")
+
+
+def _label_words(label):
+    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
+    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+
+
+def spawn_key_philox(seed, label):
+    """The seed-plus-spawn-key construction RngStream replaced, kept as its oracle."""
+    ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=_label_words(label))
+    return np.random.Philox(ss)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1])
+@pytest.mark.parametrize(
+    "label", ["a", "client/3/round/7/compress", "client/12/round/399/grad/" + "x" * 300, "é/漢字/🙂"]
+)
+def test_stream_equals_the_spawn_key_construction(seed, label):
+    want = spawn_key_philox(seed, label)
+    got = RngStream(seed, label).gen
+    assert np.array_equal(got.bit_generator.state["state"]["key"], want.state["state"]["key"])
+    assert np.array_equal(got.random(16), np.random.Generator(want).random(16))
+
+
+def test_stream_keys_are_pinned():
+    # fails loudly if numpy ever changes how SeedSequence mixes its entropy
+    key = lambda label: RngStream(0, label).gen.bit_generator.state["state"]["key"].tolist()
+    assert key("problem") == [16474797391453484009, 4287957084332759251]
+    assert key("client/3/round/7/compress") == [2365003788389370405, 4735189110066603015]

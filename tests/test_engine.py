@@ -179,6 +179,31 @@ def test_every_engine_phase_the_benchmark_traces_runs(case):
 
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
 @pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk])
+def test_measurement_gradients_are_computed_once_per_row(case):
+    """The Lyapunov term takes the client gradients the previous row measured
+    at its z_prev: the only client_gradient calls are the local oracle's on
+    the closed form and the measured rows' blocks on the data losses, and a
+    row reads the shards twice (gradient and objective), not three times."""
+    prob, reg, hp, spec = case()
+    tracer = _load_tracer().Tracer()
+    runs = (
+        lambda: algorithms.run_fedcef(prob, reg, hp, spec, seed=1, lyapunov=True),
+        lambda: algorithms.run_prox_fedavg(prob, reg, hp, seed=1),
+    )
+    for run in runs:
+        tracer.reset_counts()
+        with tracer, tracer.span("run") as root:
+            run()
+        calls = tracer.summarize(root.idx)["problems.client_gradient"]["calls"]
+        if prob.closed_form:
+            assert calls == prob.n_clients * hp.K * hp.T  # local steps only
+        else:
+            assert calls == prob.n_clients * (hp.T + 1)  # minibatch steps take no exact gradient
+        assert tracer.counts["measure.shard_passes"] == 2 * (hp.T + 1)
+
+
+@pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
+@pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk])
 def test_broadcast_prox_runs_once_per_round(case):
     """One prox per local step, one for the broadcast (server_finalize) and
     one per measured row: every client holds the same z^{t+1}, so the prox of

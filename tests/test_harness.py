@@ -1,12 +1,17 @@
 import dataclasses
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fedcef
 from fedcef import compressors, regularizers
+from fedcef.algorithms import HyperParams, run_fedcef
 from fedcef.cli import main as cli_main
 from fedcef.harness import (
     ALGORITHMS,
@@ -21,7 +26,7 @@ from fedcef.harness import (
     write_metrics_csv,
 )
 from fedcef.metrics import MetricsRow, MetricsSeries, StepConditionReport
-from fedcef.problems import DIRICHLET, IID, LOSS_VARIANTS
+from fedcef.problems import DIRICHLET, FULL, IID, LOSS_VARIANTS, FederatedProblem, LossKind
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -292,6 +297,35 @@ def test_cli_reports_errors(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedcef.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    a, b = (os.path.join(GOLDEN, f"demo-{name}.csv") for name in ("fedcef", "prox_fedavg"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcef", "compare", a, b], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == compare_runs(a, b).render() + "\n"
+    assert "uplink bytes" in proc.stdout
+
+
+def test_a_flat_problem_runs_and_its_infinite_bounds_round_trip(tmp_path):
+    # all-zero shards: every f_i is constant, so L = 0 and no step condition binds
+    prob = FederatedProblem(LossKind("squared_error"), 4, [np.zeros((3, 4))] * 2, [np.ones(3)] * 2)
+    assert prob.smoothness == 0.0
+    hp = HyperParams(alpha=0.1, eta_g=1.0, K=2, eta=1.0, B=FULL, T=3)
+    series = run_fedcef(prob, regularizers.Regularizer.l1(0.1), hp, compressors.CompressorSpec("topk", 2), 0).series
+    assert series.conditions.all_ok and series.conditions.beta_bound == math.inf
+    path = tmp_path / "flat.csv"
+    write_metrics_csv(str(path), series, {})
+    assert "beta_bound=inf " in path.read_text()
+    meta, rows = read_metrics_csv(str(path))
+    assert (meta["beta_bound"], meta["alpha_bound"], meta["beta_ok"]) == ("inf", "inf", "1")
+    assert float(meta["beta_bound"]) == math.inf
+    assert rows == series.rows
+    assert [r.F for r in rows] == [0.5] * (hp.T + 1)
 
 
 def test_runconfig_helpers_validate():

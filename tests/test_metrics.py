@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedcef.algorithms import HyperParams, RoundState, RoundTranscript
 from fedcef.compressors import DENSE_ENTRY_BYTES, CompressorSpec, compress, dense_payload, payload_bytes
 from fedcef.core import derive_stream
 from fedcef.metrics import (
+    MetricsRow,
     StepConditionReport,
     check_step_conditions,
     estimate_gradient_variance,
@@ -21,6 +25,9 @@ from fedcef.problems import (
     FederatedProblem,
     LossKind,
     PartitionSpec,
+    client_gradient,
+    client_margins,
+    client_objective,
     full_global_gradient,
     generate_synthetic,
     objective_value,
@@ -104,12 +111,83 @@ def test_measure_row_matches_the_three_pass_reference(variant):
     rng = np.random.default_rng(2)
     for _ in range(5):
         z = rng.standard_normal(prob.dim) * (rng.random(prob.dim) < 0.6)
-        row = measure_row(prob, reg, 0.3, 4, z, 10, 20, True)
+        row, _ = measure_row(prob, reg, 0.3, 4, z, 10, 20, True)
         G = prox_gradient_mapping(prob, reg, z, 0.3)
         assert row.F == objective_value(prob, reg, z)
         assert row.prox_grad_sq == float(np.sum(G * G))
         assert (row.t, row.uplink_bytes_cum, row.downlink_bytes_cum) == (4, 10, 20)
         assert row.nnz == np.count_nonzero(z)
+
+
+def per_client_measure_row(prob, reg, beta, t, z, up, down, condition_ok):
+    """measure_row as it was before it measured on the client block, one
+    client at a time, kept as its oracle."""
+    N = prob.n_clients
+    margins = [client_margins(prob, i, z) for i in range(N)]
+    total = np.zeros(prob.dim)
+    for i in range(N):
+        total += client_gradient(prob, i, z, margins[i])
+    g = total / N
+    G = (z - reg.prox(beta, z - beta * g)) / beta
+    F = 0.0
+    for i in range(N):
+        F += client_objective(prob, i, z, margins[i])
+    F = F / N + reg.evaluate(z)
+    return MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
+
+
+def per_client_lyapunov(prob, reg, hp, q, z, z_prev, client_vs, client_cs):
+    """lyapunov_diagnostic's per-client loop before it took blocks, kept as its oracle."""
+    F = objective_value(prob, reg, z)
+    N = prob.n_clients
+    beta, eta = hp.beta, hp.eta
+    local_est = 0.0
+    feedback = 0.0
+    vbar = np.zeros(prob.dim)
+    gbar = np.zeros(prob.dim)
+    for i in range(N):
+        gi = client_gradient(prob, i, z_prev)
+        local_est += float(np.sum((client_vs[i] - gi) ** 2))
+        feedback += float(np.sum((client_vs[i] - client_cs[i]) ** 2))
+        vbar += client_vs[i]
+        gbar += gi
+    vbar /= N
+    gbar /= N
+    global_est = float(np.sum((vbar - gbar) ** 2))
+    return (
+        F
+        + (70.0 * eta * beta / (1.0 - q) ** 2) * (local_est / N)
+        + (8.0 * beta / eta) * global_est
+        + (17.0 * beta / (1.0 - q)) * (feedback / N)
+    )
+
+
+# ten clients: numpy sums eight or more values pairwise, not in order
+BLOCK_PROBLEMS = {
+    variant: generate_synthetic(variant, 9, 300, 10, PartitionSpec(DIRICHLET, 0.5), derive_stream(11, "problem"))
+    for variant in LOSS_VARIANTS
+}
+_models = hnp.arrays(np.float64, 9, elements=st.floats(-20.0, 20.0) | st.just(0.0))
+
+
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+@settings(max_examples=40, deadline=None)
+@given(z=_models, z_prev=_models, seed=st.integers(0, 2**32 - 1))
+def test_block_measurement_is_bitwise_the_per_client_loop(variant, z, z_prev, seed):
+    prob = BLOCK_PROBLEMS[variant]
+    reg = Regularizer.l1(0.05)
+    hp = HyperParams(alpha=0.01, eta_g=1.5, K=5, eta=0.6, B="full", T=1)
+    rng = np.random.default_rng(seed)
+    vs, cs = rng.standard_normal((2, prob.n_clients, prob.dim))
+    with np.errstate(over="ignore"):
+        row, grads = measure_row(prob, reg, 0.3, 4, z, 10, 20, True)
+        assert row == per_client_measure_row(prob, reg, 0.3, 4, z, 10, 20, True)
+        assert np.array_equal(grads, [client_gradient(prob, i, z) for i in range(prob.n_clients)])
+        _, prev_grads = measure_row(prob, reg, 0.3, 3, z_prev, 0, 0, True)
+        want = per_client_lyapunov(prob, reg, hp, 0.4, z, z_prev, vs, cs)
+        assert lyapunov_diagnostic(prob, reg, hp, 0.4, z, z_prev, vs, cs) == want
+        assert lyapunov_diagnostic(prob, reg, hp, 0.4, z, z_prev, vs, cs, row.F, prev_grads) == want
+        assert lyapunov_diagnostic(prob, reg, hp, 0.4, z, z_prev, list(vs), list(cs)) == want
 
 
 def test_measure_row_reads_each_shard_twice():
@@ -152,6 +230,17 @@ def test_step_condition_bounds_are_positive():
         )
         rep = check_step_conditions(hp, L=float(rng.uniform(1e-3, 50.0)), q=float(rng.uniform(0, 0.99)))
         assert rep.beta_bound > 0 and rep.eta_g_bound > 0 and rep.alpha_bound > 0
+
+
+def test_flat_objective_meets_every_step_condition():
+    # L = 0: every f_i is affine, so no step size is too large
+    hp = HyperParams(alpha=10.0, eta_g=0.1, K=10, eta=0.5, B="full", T=1)
+    rep = check_step_conditions(hp, L=0.0, q=0.5)
+    assert (rep.beta_bound, rep.eta_g_bound, rep.alpha_bound) == (math.inf, 0.0, math.inf)
+    assert rep.beta_ok and rep.eta_g_ok and rep.alpha_ok and rep.all_ok
+    for bad in (-1.0, -0.0 - 1e-300, math.nan):
+        with pytest.raises(ValueError, match="smoothness"):
+            check_step_conditions(hp, L=bad, q=0.5)
 
 
 def test_step_condition_flags():

@@ -114,6 +114,16 @@ def test_hetero_smoothness_is_max_diagonal():
     assert estimate_smoothness(prob) == 3.0
 
 
+def test_smoothness_is_estimated_only_when_left_unset():
+    # all-zero shards: L = 0 is the estimate and is kept, as is an explicit 0
+    feats, labs = [np.zeros((3, 4))] * 2, [np.ones(3)] * 2
+    assert FederatedProblem(LossKind("squared_error"), 4, feats, labs).smoothness == 0.0
+    a = [np.ones((3, 4))] * 2  # a^T a / 3 is the all-ones 4 x 4 matrix, top eigenvalue 4
+    assert FederatedProblem(LossKind("squared_error"), 4, a, labs).smoothness == pytest.approx(4.0)
+    assert FederatedProblem(LossKind("squared_error"), 4, a, labs, smoothness=0.0).smoothness == 0.0
+    assert FederatedProblem(LossKind("squared_error"), 4, a, labs, smoothness=7.5).smoothness == 7.5
+
+
 def test_logistic_smoothness_vs_dense_eigensolve():
     prob = generate_synthetic(
         "logistic", 10, 100, 1, PartitionSpec(IID), derive_stream(3, "problem")
