@@ -34,7 +34,7 @@ stochastic gradient up to float rounding, which is what the momentum
 estimator v_i tracks and the compressor transmits as a deviation from c_i.
 
 The uplink acts on all rows at once. Every batched operation is elementwise
-and cross-client sums run in ascending client order, so the results are
+and every cross-client sum is core.client_sum, so the results are
 bit-identical to handling the clients one at a time; the correction is
 evaluated as (g + c) - c_i. Every client receives the same broadcast z_tilde
 and knows the same z^t, so the control (z^t - z_tilde) / beta is
@@ -44,6 +44,7 @@ client and of the server, is computed once.
 
 from __future__ import annotations
 
+import math
 import warnings
 from copy import deepcopy
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ from .compressors import (
     dense_payload,
     payload_bytes,
 )
-from .core import NonFiniteError, derive_stream
+from .core import NonFiniteError, client_sum, derive_stream
 from .metrics import MetricsRow, MetricsSeries, check_step_conditions, lyapunov_diagnostic, measure_row
 from .problems import FULL, FederatedProblem, full_global_gradient, stochastic_gradient
 from .regularizers import Regularizer
@@ -78,7 +79,7 @@ def _is_count(n: object) -> bool:
 @dataclass(frozen=True)
 class HyperParams:
     """Round-level hyper parameters. The effective global step
-    beta = alpha * eta_g * K is always derived, never set independently."""
+    beta = alpha * eta_g * K is derived, finite and positive: the downlink divides by it."""
 
     alpha: float
     eta_g: float = 1.0
@@ -88,12 +89,14 @@ class HyperParams:
     T: int = 1
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.eta_g > 0:
-            raise ValueError("eta_g must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 < self.eta_g < math.inf:
+            raise ValueError("eta_g must be positive and finite")
         if not _is_count(self.K):
             raise ValueError("K must be an integer >= 1")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta = alpha * eta_g * K = {self.beta!r} must be positive and finite")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.B != FULL and not _is_count(self.B):
@@ -290,10 +293,7 @@ def server_aggregate(st: RoundState, payloads: list[SparsePayload], hp: HyperPar
     z_tilde = z - beta * c. The server's z stays at z^t until finalize."""
     if len(payloads) != st.n_clients:
         raise ValueError(f"expected {st.n_clients} payloads, got {len(payloads)}")
-    total = np.zeros_like(st.z)
-    for pl in payloads:  # ascending client order, part of the replay contract
-        total += pl.densify()
-    st.c_global = st.c_global + total / st.n_clients
+    st.c_global = st.c_global + client_sum(pl.densify() for pl in payloads) / st.n_clients
     return st.z - hp.beta * st.c_global
 
 
@@ -302,8 +302,6 @@ def client_downlink(st: RoundState, z_tilde: np.ndarray, hp: HyperParams) -> np.
     broadcast, c = (z^t - z_tilde) / beta, and return it. Every client holds
     the same z^t and receives the same broadcast, so this is one (p,) vector.
     It reads z^t from st.z, so it runs before server_finalize."""
-    if hp.beta == 0:
-        raise ValueError("beta must be nonzero for downlink reconstruction")
     st.c_known = (st.z - z_tilde) / hp.beta
     return st.c_known
 
@@ -430,10 +428,7 @@ def run_prox_fedavg(
         _local_pass(st, i, prob, reg, hp, seed, t, prox_sgd_step)
 
     def average(st: RoundState, t: int) -> tuple[int, int]:
-        total = np.zeros(p)
-        for x in st.x:  # ascending client order
-            total += x
-        st.z = total / st.n_clients
+        st.z = client_sum(st.x) / st.n_clients
         return st.n_clients * DENSE_ENTRY_BYTES * p, DENSE_ENTRY_BYTES * p
 
     rows, z_hist = _run(prob, reg, hp, z0, local, average, 0.0, report.all_ok, False)

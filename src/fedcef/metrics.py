@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .core import client_sum
 from .problems import (
     FULL,
     FederatedProblem,
@@ -157,8 +158,8 @@ def lyapunov_diagnostic(
     returned. Without it the block is recomputed.
 
     The per-client squared norms are taken on (N, p) blocks, one row each,
-    and added in ascending client order, as are the sums behind vbar and
-    grad f(z_prev): the same bits as a loop over the clients.
+    and every sum over clients is client_sum, so gbar is the fold
+    full_global_gradient makes: the same bits as a loop over the clients.
     """
     if F is None:
         F = objective_value(prob, reg, z)
@@ -169,15 +170,12 @@ def lyapunov_diagnostic(
     vs, cs = np.asarray(client_vs), np.asarray(client_cs)
     N = prob.n_clients
     beta, eta = hp.beta, hp.eta
-    local_est = _sum_sq_rows(vs - grads)
-    feedback = _sum_sq_rows(vs - cs)
-    vbar = np.zeros(prob.dim)
-    gbar = np.zeros(prob.dim)
-    for v, g in zip(vs, grads):
-        vbar += v
-        gbar += g
-    vbar /= N
-    gbar /= N
+    # np.sum along the rows of a C-contiguous block reduces each row as it
+    # would the row alone, pairwise: each client's squared norm, bit for bit
+    local_est = client_sum(np.sum((vs - grads) ** 2, axis=1).tolist())
+    feedback = client_sum(np.sum((vs - cs) ** 2, axis=1).tolist())
+    vbar = client_sum(vs) / N
+    gbar = client_sum(grads) / N
     global_est = float(np.sum((vbar - gbar) ** 2))
     return (
         F
@@ -185,17 +183,6 @@ def lyapunov_diagnostic(
         + (8.0 * beta / eta) * global_est
         + (17.0 * beta / (1.0 - q)) * (feedback / N)
     )
-
-
-def _sum_sq_rows(d: np.ndarray) -> float:
-    """sum_i ||d_i||^2 over the rows of a C-contiguous block. np.sum along
-    the rows reduces each one pairwise, as it does a 1-d array, so row i is
-    np.sum(d[i] * d[i]) bit for bit; the rows are then added in order, which
-    np.sum over the N values would not do once N >= 8."""
-    total = 0.0
-    for v in np.sum(d * d, axis=1).tolist():
-        total += v
-    return total
 
 
 def theorem_residual_bound(

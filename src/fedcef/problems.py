@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RngStream, ensure_finite
+from .core import RngStream, client_sum, ensure_finite
 
 SQUARED_ERROR = "squared_error"
 LOGISTIC = "logistic"
@@ -239,21 +239,18 @@ def stochastic_gradient(
 
 
 def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
-    """(1/N) sum_i grad f_i(x), the rows added from zeros in ascending client
-    order; `grads` is client_gradients(prob, x) when already computed."""
+    """(1/N) sum_i grad f_i(x), the rows added by client_sum; `grads` is
+    client_gradients(prob, x) when already computed."""
     if grads is None:
         grads = client_gradients(prob, x)
-    total = np.zeros(prob.dim)
-    for g in grads:
-        total += g
-    return ensure_finite(total / prob.n_clients, "full_global_gradient")
+    return ensure_finite(client_sum(grads) / prob.n_clients, "full_global_gradient")
 
 
 def objective_value(
     prob: FederatedProblem, reg, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
 ) -> float:
-    """F(x) = (1/N) sum_i f_i(x) + h(x), the f_i added in ascending client
-    order; `margins` is all_client_margins(prob, x) when already computed.
+    """F(x) = (1/N) sum_i f_i(x) + h(x), the f_i added by client_sum;
+    `margins` is all_client_margins(prob, x) when already computed.
     hetero_quadratic takes every f_i in one pass over the (N, p) block."""
     if margins is None:
         margins = all_client_margins(prob, x)
@@ -261,10 +258,7 @@ def objective_value(
         values = (0.5 * np.sum((prob.loss.curvatures * margins) * margins, axis=1)).tolist()
     else:
         values = [client_objective(prob, i, x, m) for i, m in enumerate(margins)]
-    total = 0.0
-    for v in values:
-        total += v
-    return total / prob.n_clients + reg.evaluate(x)
+    return client_sum(values) / prob.n_clients + reg.evaluate(x)
 
 
 def _exact_gram_top_eigenvalue(a: np.ndarray, op: str) -> float:

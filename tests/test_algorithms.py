@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -56,6 +57,20 @@ def zero_gradient_problem(p=4, N=2):
 def test_hyper_params_reject_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=field):
         HyperParams(alpha=0.1, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "steps, field",
+    [
+        ({"alpha": math.inf}, "alpha"),
+        ({"eta_g": math.inf}, "eta_g"),
+        ({"alpha": 1e-200, "eta_g": 1e-200}, "beta"),  # beta underflows to 0.0
+        ({"alpha": 1e200, "eta_g": 1e200}, "beta"),  # beta overflows to inf
+    ],
+)
+def test_hyper_params_need_finite_steps_and_a_finite_positive_beta(steps, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        HyperParams(**{"alpha": 0.1, **steps})
 
 
 def test_local_update_single_gradient_step():

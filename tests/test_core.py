@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedcef.core import NonFiniteError, RngStream, derive_stream, ensure_finite
+from fedcef.core import NonFiniteError, RngStream, client_sum, derive_stream, ensure_finite
 
 
 def test_non_finite_result_names_the_operation():
@@ -11,6 +11,50 @@ def test_non_finite_result_names_the_operation():
     assert ensure_finite(finite, "step") is finite
     with pytest.raises(NonFiniteError, match="local step"):
         ensure_finite(np.array([1.0, np.nan]), "local step")
+
+
+def _loop_sum(rows):
+    """The per-client loop client_sum must match bit for bit: add to zeros in order."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
+def test_client_sum_adds_rows_and_floats_in_order():
+    rows = np.random.default_rng(0).standard_normal((9, 3)) * np.logspace(-8, 8, 9)[:, None]
+    kept = rows.copy()
+    total = client_sum(rows)
+    assert total.tobytes() == _loop_sum(rows).tobytes()
+    assert client_sum(row for row in rows).tobytes() == total.tobytes()
+    assert np.array_equal(rows, kept)  # no term is written to
+    floats = rows[:, 0].tolist()
+    expected = 0.0
+    for v in floats:
+        expected += v
+    assert client_sum(floats) == expected
+    assert client_sum(iter(floats)) == expected
+
+
+def test_client_sum_of_a_column_block_is_the_loop_not_np_sum():
+    """An (N, 1) block is one 1-d run to np.sum, which adds it pairwise once
+    N >= 8; client_sum keeps the loop's order on every draw."""
+    rng = np.random.default_rng(1)
+    reordered = 0
+    for _ in range(50):
+        block = rng.standard_normal((10, 1))
+        total = client_sum(block)
+        assert total.tobytes() == _loop_sum(block).tobytes()
+        reordered += total.tobytes() != np.sum(block, axis=0).tobytes()
+    assert reordered > 0
+
+
+def test_client_sum_of_negative_zeros_is_positive_zero():
+    block = np.full((10, 2), -0.0)
+    block[:, 1] = 1.0
+    total = client_sum(block)
+    assert total.tobytes() == _loop_sum(block).tobytes()
+    assert not np.signbit(total[0])
 
 
 def test_stream_is_deterministic():

@@ -113,8 +113,22 @@ def _hetero_randk():
     return prob, Regularizer.l1(0.01), hp, CompressorSpec("randk", 0.3)
 
 
+def _logistic_p1():
+    # p = 1: every cross-client sum adds an (N, 1) block, which np.sum would
+    # add pairwise, not in client order
+    prob = generate_synthetic("logistic", 1, 200, 10, PartitionSpec("iid"), derive_stream(5, "problem"))
+    hp = HyperParams(alpha=0.02, eta_g=1.0, K=6, eta=0.4, B=8, T=12)
+    return prob, Regularizer.l1(1e-3), hp, CompressorSpec("topk", 0.5)
+
+
+def _hetero_p1():
+    prob = generate_synthetic("hetero_quadratic", 1, 10, 10, PartitionSpec("iid"), derive_stream(6, "problem"))
+    hp = HyperParams(alpha=0.01, eta_g=1.0, K=4, eta=0.7, B=4, T=12)
+    return prob, Regularizer.l1(0.01), hp, CompressorSpec("randk", 1.0)
+
+
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
-@pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk])
+@pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk, _logistic_p1, _hetero_p1])
 def test_engine_matches_per_client_loop_bitwise(case):
     prob, reg, hp, spec = case()
     z_ref, up_ref, lyap_ref = reference_fedcef(prob, reg, hp, spec, seed=9)

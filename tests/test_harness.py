@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fedcef
@@ -432,6 +432,8 @@ def run_configs(draw):
     clients = draw(st.integers(1, 50))
     comp_kind = draw(st.sampled_from(compressors.KINDS))
     retain = draw(st.integers(1, 10**6) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    alpha, eta_g, K = draw(_positive), draw(_positive), draw(st.integers(1, 10**4))
+    assume(0 < alpha * eta_g * K < math.inf)  # beta, which HyperParams requires finite and positive
     return RunConfig(
         loss=draw(st.sampled_from(LOSS_VARIANTS)),
         p=draw(st.integers(1, 10**6)),
@@ -440,9 +442,9 @@ def run_configs(draw):
         partition=draw(st.sampled_from((IID, DIRICHLET))),
         alpha_d=draw(_positive),
         algorithm=draw(st.sampled_from(ALGORITHMS)),
-        alpha=draw(_positive),
-        eta_g=draw(_positive),
-        K=draw(st.integers(1, 10**4)),
+        alpha=alpha,
+        eta_g=eta_g,
+        K=K,
         eta=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         B=draw(st.just("full") | st.integers(1, 10**4)),
         T=draw(st.integers(1, 10**5)),
@@ -506,6 +508,17 @@ def test_cli_reports_a_diverging_run(tmp_path, capsys):
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: client ") and "non-finite state at round" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_beta_that_underflows_before_writing(tmp_path, capsys):
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text("[hyper]\nalpha = 1e-200\neta_g = 1e-200\n")
+    with pytest.raises(ConfigError, match=r"^\[hyper\] beta "):
+        parse_config(cfg_path.read_text())
+    out = tmp_path / "x.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [hyper] beta ")
     assert not out.exists()
 
 
