@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from copy import deepcopy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,7 +58,6 @@ from .compressors import (
     SparsePayload,
     compress,
     contraction_factor,
-    dense_payload,
     payload_bytes,
 )
 from .core import NonFiniteError, client_sum, derive_stream
@@ -135,24 +133,9 @@ class RoundState:
 
 
 @dataclass
-class RoundTranscript:
-    """One fedcef round for replay in tests: the K gradients of every client,
-    copies of the state after the local passes (before the uplink) and after
-    the downlink, and the payloads sent."""
-
-    round: int
-    gradients: np.ndarray  # (N, K, p)
-    local: RoundState
-    end: RoundState
-    uplink_payloads: list[SparsePayload]
-    downlink_payload: SparsePayload
-
-
-@dataclass
 class RunResult:
     series: MetricsSeries
     z_history: list[np.ndarray]
-    transcripts: list[RoundTranscript] | None
 
 
 def decoupled_step(
@@ -367,7 +350,6 @@ def run_fedcef(
     spec: CompressorSpec,
     seed: int,
     z0: np.ndarray | None = None,
-    record_transcripts: bool = False,
     lyapunov: bool = False,
 ) -> RunResult:
     """Run T rounds; fully deterministic per seed.
@@ -387,29 +369,20 @@ def run_fedcef(
             StepConditionWarning,
             stacklevel=2,
         )
-    transcripts: list[RoundTranscript] = []
-    gradients = np.empty((prob.n_clients, hp.K, p)) if record_transcripts else None
 
     def local(st: RoundState, i: int, t: int) -> None:
-        g = local_update(st, i, prob, reg, hp, seed, t)
-        if record_transcripts:
-            gradients[i] = g
+        local_update(st, i, prob, reg, hp, seed, t)
 
     def aggregate(st: RoundState, t: int) -> tuple[int, int]:
-        before = deepcopy(st) if record_transcripts else None
         payloads = client_uplink(st, hp, spec, seed, t)
         z_tilde = server_aggregate(st, payloads, hp)
         client_downlink(st, z_tilde, hp)
         server_finalize(st, z_tilde, reg, hp)
-        if record_transcripts:
-            transcripts.append(
-                RoundTranscript(t, gradients.copy(), before, deepcopy(st), payloads, dense_payload(z_tilde))
-            )
         return sum(payload_bytes(pl) for pl in payloads), DENSE_ENTRY_BYTES * p
 
     rows, z_hist = _run(prob, reg, hp, z0, local, aggregate, q, report.all_ok, lyapunov)
     series = MetricsSeries("fedcef", seed, prob.smoothness, q * q, hp.beta, report, rows)
-    return RunResult(series, z_hist, transcripts if record_transcripts else None)
+    return RunResult(series, z_hist)
 
 
 def run_prox_fedavg(
@@ -433,7 +406,7 @@ def run_prox_fedavg(
 
     rows, z_hist = _run(prob, reg, hp, z0, local, average, 0.0, report.all_ok, False)
     series = MetricsSeries("prox_fedavg", seed, prob.smoothness, 0.0, hp.beta, report, rows)
-    return RunResult(series, z_hist, None)
+    return RunResult(series, z_hist)
 
 
 def run_centralized_pgd(
@@ -445,8 +418,8 @@ def run_centralized_pgd(
 ) -> list[np.ndarray]:
     """z <- prox_{step h}(z - step grad f(z)) with the exact global gradient;
     returns the whole trajectory [z^0, ..., z^T]."""
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     z = np.zeros(prob.dim) if z0 is None else np.array(z0, dtype=np.float64, copy=True)
     traj = [z.copy()]
     for _ in range(T):

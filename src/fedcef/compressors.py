@@ -1,9 +1,12 @@
 """Contractive compression operators, their payloads, and byte accounting.
 
-All shipped operators satisfy ||C(x) - x||^2 <= q^2 ||x||^2 with
-q^2 = 1 - k/p (0 for identity). Top-k keeps the k largest-magnitude
-coordinates, rand-k keeps k uniformly chosen coordinates without rescaling,
-which keeps it contractive (biased) rather than unbiased.
+Every shipped operator has compression factor q^2 = 1 - k/p (0 for identity).
+Identity and top-k satisfy ||C(x) - x||^2 <= q^2 ||x||^2 on every input; top-k
+keeps the k largest-magnitude coordinates. Rand-k keeps k uniformly chosen
+coordinates without rescaling, which makes it biased rather than unbiased, and
+meets the bound only in expectation over its draw: E||C(x) - x||^2 =
+q^2 ||x||^2, while for a one-hot x the error is all of ||x||^2 on a share
+1 - k/p of draws.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ def _ratio_count(ratio: float, p: int) -> int:
 
 
 def contraction_factor(spec: CompressorSpec, p: int) -> float:
-    """The factor q^2 in [0, 1) such that compression error is <= q^2 ||x||^2."""
+    """The factor q^2 in [0, 1) that bounds the compression error
+    ||C(x) - x||^2 by q^2 ||x||^2: on every input for identity and top-k,
+    in expectation over the draw for rand-k."""
     k = spec.resolve_k(p)
     if spec.kind == IDENTITY or k == p:
         return 0.0

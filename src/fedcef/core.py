@@ -5,6 +5,10 @@ numpy arrays whose finiteness is checked here, every sum over clients is
 `client_sum`, and all randomness is drawn from counter-based generators keyed
 by (seed, label) so that any client/round/step stream can be re-derived
 independently of execution order.
+
+Replay is bit-identical for a given BLAS library and thread count. The
+oracles' matrix products are BLAS calls, and a BLAS may split a product
+differently across threads, which changes the order of its additions.
 """
 
 from __future__ import annotations

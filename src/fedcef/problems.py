@@ -63,8 +63,8 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.mode not in (IID, DIRICHLET):
             raise ValueError(f"unknown partition mode {self.mode!r}")
-        if not self.alpha_d > 0:
-            raise ValueError("dirichlet concentration alpha_d must be positive")
+        if not 0 < self.alpha_d < math.inf:
+            raise ValueError("dirichlet concentration alpha_d must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ anything richer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class Regularizer:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("regularizer weight must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("regularizer weight must be nonnegative and finite")
         if self.kind == ZERO:
             object.__setattr__(self, "lam", 0.0)
 
@@ -55,8 +56,8 @@ class Regularizer:
 
         tau == 0 (or the zero penalty) returns a copy of x unchanged.
         """
-        if tau < 0:
-            raise ValueError("prox step size must be nonnegative")
+        if not 0 <= tau < math.inf:
+            raise ValueError("prox step size must be nonnegative and finite")
         thresh = float(tau) * self.lam
         x = np.asarray(x, dtype=np.float64)
         if thresh == 0.0:

@@ -27,6 +27,7 @@ from fedcef.problems import (
     generate_synthetic,
 )
 from fedcef.regularizers import Regularizer
+from tests._transcripts import recording
 from tests.test_metrics import comm_accounting
 
 
@@ -111,10 +112,9 @@ def test_criterion_2_accumulator_and_reconstruction_identities():
             )
         prob = prob_cache[N]
         hp = HyperParams(alpha=0.02, eta_g=1.0, K=K, eta=eta, B=B, T=6)
-        res = run_fedcef(
-            prob, Regularizer.l1(1e-4), hp, spec, seed=cfg_idx, record_transcripts=True
-        )
-        for tr in res.transcripts:
+        with recording() as transcripts:
+            run_fedcef(prob, Regularizer.l1(1e-4), hp, spec, seed=cfg_idx)
+        for tr in transcripts:
             local, end = tr.local, tr.end
             c_sum = np.zeros(prob.dim)
             for i in range(N):
@@ -269,15 +269,16 @@ def test_criterion_7_compression_robustness_and_byte_accounting(logistic_bundle,
     prob, reg, alpha = logistic_bundle
     T, N, p, k = 500, 5, 20, 1  # topk r=0.01 on p=20 retains one coordinate
     hp = HyperParams(alpha=alpha, eta_g=1.0, K=10, eta=0.5, B=FULL, T=T)
-    run_id = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=0, record_transcripts=True)
-    run_tk = run_fedcef(prob, reg, hp, CompressorSpec("topk", 0.01), seed=0, record_transcripts=True)
+    run_id = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=0)
+    with recording() as transcripts_tk:
+        run_tk = run_fedcef(prob, reg, hp, CompressorSpec("topk", 0.01), seed=0)
     F_id = run_id.series.rows[-1].F
     F_tk = run_tk.series.rows[-1].F
     rel_gap = abs(F_tk - F_id) / abs(F_id)
     up_id = run_id.series.rows[-1].uplink_bytes_cum
     up_tk = run_tk.series.rows[-1].uplink_bytes_cum
     # formula-exact accounting, recomputed from the transcripts
-    up_series_tk, down_series_tk = comm_accounting(run_tk.transcripts, p)
+    up_series_tk, down_series_tk = comm_accounting(transcripts_tk, p)
     formulas = (
         up_tk == T * N * k * 8
         and up_id == T * N * p * 4
@@ -310,10 +311,11 @@ def test_criterion_7_compression_robustness_and_byte_accounting(logistic_bundle,
 def test_criterion_8_vanishing_transmitted_signal(hetero_bundle):
     t0 = time.time()
     prob, reg, hp, _, _ = hetero_bundle
-    res = run_fedcef(prob, reg, hp, CompressorSpec("topk", 0.5), seed=1, record_transcripts=True)
+    with recording() as transcripts:
+        run_fedcef(prob, reg, hp, CompressorSpec("topk", 0.5), seed=1)
     signal = [
         max(float(np.linalg.norm(v - c)) for v, c in zip(tr.end.v, tr.end.c_local))
-        for tr in res.transcripts
+        for tr in transcripts
     ]
     ratio = signal[-1] / signal[0]
     elapsed = time.time() - t0

@@ -36,6 +36,7 @@ from fedcef.problems import (
     objective_value,
 )
 from fedcef.regularizers import Regularizer
+from tests._transcripts import PHASES, recording
 
 
 def lasso_problem(seed=7, p=20, samples=100, N=1):
@@ -71,6 +72,12 @@ def test_hyper_params_reject_non_integer_counts(field, value):
 def test_hyper_params_need_finite_steps_and_a_finite_positive_beta(steps, field):
     with pytest.raises(ValueError, match=f"^{field} "):
         HyperParams(**{"alpha": 0.1, **steps})
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_centralized_pgd_needs_a_finite_positive_step(step):
+    with pytest.raises(ValueError, match="^step must be positive and finite$"):
+        run_centralized_pgd(lasso_problem(p=4, samples=20), Regularizer.l1(0.1), step, 2)
 
 
 def test_local_update_single_gradient_step():
@@ -171,10 +178,9 @@ def test_accumulator_identity_on_random_runs():
         "logistic", 20, 200, 3, PartitionSpec("dirichlet", 0.5), derive_stream(17, "problem")
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=30, eta=0.4, B=8, T=6)
-    res = run_fedcef(
-        prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.2), seed=5, record_transcripts=True
-    )
-    for tr in res.transcripts:
+    with recording() as transcripts:
+        run_fedcef(prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.2), seed=5)
+    for tr in transcripts:
         st = tr.local
         for i in range(st.n_clients):
             lhs = (st.z - st.x_hat[i]) / (hp.alpha * hp.K)
@@ -203,10 +209,9 @@ def test_uplink_momentum_and_error_feedback():
 def test_uplink_momentum_eta_one_equals_mean_gradient():
     prob = lasso_problem(p=5, samples=25, N=2)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=4, eta=1.0, B=FULL, T=1)
-    res = run_fedcef(
-        prob, Regularizer.zero(), hp, CompressorSpec("identity"), seed=2, record_transcripts=True
-    )
-    tr = res.transcripts[0]
+    with recording() as transcripts:
+        run_fedcef(prob, Regularizer.zero(), hp, CompressorSpec("identity"), seed=2)
+    tr = transcripts[0]
     for i in range(prob.n_clients):
         mean_grad = np.mean(tr.gradients[i], axis=0)
         assert np.max(np.abs(tr.end.v[i] - mean_grad)) <= 1e-12
@@ -313,11 +318,10 @@ def test_transcript_byte_counts_match_payloads():
         "logistic", 10, 80, 4, PartitionSpec("iid"), derive_stream(31, "problem")
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=3, eta=0.5, B=FULL, T=5)
-    res = run_fedcef(
-        prob, Regularizer.zero(), hp, CompressorSpec("topk", 3), seed=0, record_transcripts=True
-    )
+    with recording() as transcripts:
+        res = run_fedcef(prob, Regularizer.zero(), hp, CompressorSpec("topk", 3), seed=0)
     rows = res.series.rows
-    for t, tr in enumerate(res.transcripts):
+    for t, tr in enumerate(transcripts):
         up = sum(payload_bytes(pl) for pl in tr.uplink_payloads)
         assert up == rows[t + 1].uplink_bytes_cum - rows[t].uplink_bytes_cum
         assert payload_bytes(tr.downlink_payload) == rows[t + 1].downlink_bytes_cum - rows[t].downlink_bytes_cum
@@ -330,10 +334,11 @@ def test_transcripts_copy_the_state_and_leave_the_run_unchanged():
     )
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=3, eta=0.5, B=4, T=5)
     reg, spec = Regularizer.l1(1e-3), CompressorSpec("topk", 0.25)
-    res = run_fedcef(prob, reg, hp, spec, seed=4, record_transcripts=True)
+    with recording() as transcripts:
+        res = run_fedcef(prob, reg, hp, spec, seed=4)
     plain = run_fedcef(prob, reg, hp, spec, seed=4)
-    assert len(res.transcripts) == hp.T
-    for t, tr in enumerate(res.transcripts):
+    assert len(transcripts) == hp.T
+    for t, tr in enumerate(transcripts):
         assert tr.round == t
         assert tr.gradients.shape == (prob.n_clients, hp.K, prob.dim)
         assert np.array_equal(tr.local.z, res.z_history[t])
@@ -344,6 +349,15 @@ def test_transcripts_copy_the_state_and_leave_the_run_unchanged():
     assert all(np.array_equal(a, b) for a, b in zip(res.z_history, plain.z_history, strict=True))
 
 
+def test_recording_puts_every_phase_back_when_the_block_raises():
+    originals = [getattr(algorithms, name) for name in PHASES]
+    with pytest.raises(RuntimeError, match="^body$"):
+        with recording():
+            assert all(getattr(algorithms, name) is not fn for name, fn in zip(PHASES, originals))
+            raise RuntimeError("body")
+    assert [getattr(algorithms, name) for name in PHASES] == originals
+
+
 def test_control_consistency_debug_checks():
     prob = generate_synthetic(
         "logistic", 12, 90, 3, PartitionSpec("iid"), derive_stream(29, "problem")
@@ -351,10 +365,9 @@ def test_control_consistency_debug_checks():
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=5, eta=0.5, B=FULL, T=12)
     # every round the server control equals the mean of the client controls
     # and every client's reconstruction equals the server control
-    res = run_fedcef(
-        prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.25), seed=6, record_transcripts=True
-    )
-    for tr in res.transcripts:
+    with recording() as transcripts:
+        run_fedcef(prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.25), seed=6)
+    for tr in transcripts:
         st = tr.end
         assert np.max(np.abs(st.c_global - st.c_local.mean(axis=0))) <= 1e-10
         scale = 1.0 + np.max(np.abs(st.c_global))

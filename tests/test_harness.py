@@ -311,6 +311,30 @@ def test_python_dash_m_runs_the_cli():
     assert "uplink bytes" in proc.stdout
 
 
+def test_demo_on_one_blas_thread_writes_the_golden_bytes(tmp_path):
+    # the replay contract holds per BLAS library and thread count; the goldens
+    # are checked in-process under the host's setting, this run pins one thread
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedcef.__file__)))
+    config = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "configs", "demo.ini")
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    out = tmp_path / "demo.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcef", "run", "--config", config, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(GOLDEN, "demo-fedcef.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_a_flat_problem_runs_and_its_infinite_bounds_round_trip(tmp_path):
     # all-zero shards: every f_i is constant, so L = 0 and no step condition binds
     prob = FederatedProblem(LossKind("squared_error"), 4, [np.zeros((3, 4))] * 2, [np.ones(3)] * 2)

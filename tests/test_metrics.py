@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedcef.algorithms import HyperParams, RoundState, RoundTranscript
+from fedcef.algorithms import HyperParams, RoundState
 from fedcef.compressors import DENSE_ENTRY_BYTES, CompressorSpec, compress, dense_payload, payload_bytes
 from fedcef.core import derive_stream
 from fedcef.metrics import (
@@ -33,6 +33,7 @@ from fedcef.problems import (
     objective_value,
 )
 from fedcef.regularizers import Regularizer
+from tests._transcripts import RoundTranscript
 from tests.test_regularizers import grid_prox_l1
 
 

@@ -362,6 +362,12 @@ def test_generate_preconditions():
         stochastic_gradient(small_problem("logistic"), 99, np.zeros(8), FULL, None)
 
 
+@pytest.mark.parametrize("alpha_d", [0.0, -1.0, np.nan, np.inf])
+def test_dirichlet_concentration_must_be_positive_and_finite(alpha_d):
+    with pytest.raises(ValueError, match="^dirichlet concentration"):
+        PartitionSpec(DIRICHLET, alpha_d)
+
+
 def masked_sigmoid(u):
     """The per-sign masked formula `_sigmoid` replaced, kept as its oracle."""
     out = np.empty_like(u)

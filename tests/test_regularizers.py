@@ -40,9 +40,17 @@ def test_prox_soft_threshold_against_grid_argmin():
         assert np.max(np.abs(got - oracle)) <= 1e-4
 
 
-def test_negative_tau_rejected():
-    with pytest.raises(ValueError):
-        Regularizer.l1(1.0).prox(-0.1, np.zeros(2))
+@pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
+def test_tau_must_be_nonnegative_and_finite(tau):
+    for reg in (Regularizer.l1(1.0), Regularizer.zero()):
+        with pytest.raises(ValueError, match="^prox step size"):
+            reg.prox(tau, np.zeros(2))
+
+
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_regularizer_weight_must_be_nonnegative_and_finite(lam):
+    with pytest.raises(ValueError, match="^regularizer weight"):
+        Regularizer.l1(lam)
 
 
 def test_evaluate():
