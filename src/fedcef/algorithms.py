@@ -45,6 +45,7 @@ client and of the server, is computed once.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -70,8 +71,12 @@ class StepConditionWarning(UserWarning):
     """Step sizes violate the sufficient convergence conditions."""
 
 
-def _is_count(n: object) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+def _count(n: object, message: str) -> int:
+    """n as an int when it is an integer >= 1, numpy integers included and
+    bools not; else ValueError(message)."""
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1:
+        return int(n)
+    raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -91,16 +96,14 @@ class HyperParams:
             raise ValueError("alpha must be positive and finite")
         if not 0 < self.eta_g < math.inf:
             raise ValueError("eta_g must be positive and finite")
-        if not _is_count(self.K):
-            raise ValueError("K must be an integer >= 1")
+        object.__setattr__(self, "K", _count(self.K, "K must be an integer >= 1"))
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta = alpha * eta_g * K = {self.beta!r} must be positive and finite")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if self.B != FULL and not _is_count(self.B):
-            raise ValueError("B must be a positive integer or FULL")
-        if not _is_count(self.T):
-            raise ValueError("T must be an integer >= 1")
+        if self.B != FULL:
+            object.__setattr__(self, "B", _count(self.B, "B must be a positive integer or FULL"))
+        object.__setattr__(self, "T", _count(self.T, "T must be an integer >= 1"))
 
     @property
     def beta(self) -> float:

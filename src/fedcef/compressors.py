@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +27,8 @@ RANDK = "randk"
 KINDS = (IDENTITY, TOPK, RANDK)
 
 # Accounting model: a retained sparse element costs 8 bytes (4-byte index +
-# 4-byte single), a dense element costs 4 bytes.
+# 4-byte single), a dense element costs 4 bytes. The charge assumes 4-byte
+# singles on the wire, while the simulation applies the float64 values.
 SPARSE_ENTRY_BYTES = 8
 DENSE_ENTRY_BYTES = 4
 
@@ -36,8 +37,9 @@ DENSE_ENTRY_BYTES = 4
 class CompressorSpec:
     """Which operator to apply and how much to retain.
 
-    `retain` is an element count when given as an int (>= 1) and a ratio in
-    (0, 1] when given as a float; identity takes no retain argument.
+    `retain` is an element count when given as an integer (>= 1; numpy
+    integers are stored as int) and a ratio in (0, 1] when given as a float;
+    identity takes no retain argument.
     """
 
     kind: str = IDENTITY
@@ -54,9 +56,10 @@ class CompressorSpec:
             raise ValueError(f"{self.kind} compressor needs a retain count or ratio")
         if isinstance(self.retain, bool):
             raise ValueError("retain must be an int count or float ratio")
-        if isinstance(self.retain, int):
+        if isinstance(self.retain, numbers.Integral):
             if self.retain < 1:
                 raise ValueError("retain count must be >= 1")
+            object.__setattr__(self, "retain", int(self.retain))
         else:
             if not 0.0 < float(self.retain) <= 1.0:
                 raise ValueError("retain ratio must lie in (0, 1]")
@@ -99,8 +102,7 @@ class SparsePayload:
     dim: int
     dense: bool
     # int64, strictly increasing and < dim, empty when dense: compress builds
-    # them so and payload_from_bytes checks decoded ones, so they are not
-    # re-checked here
+    # them so, and they are not re-checked here
     indices: np.ndarray
     values: np.ndarray  # float64; length dim when dense, else len(indices)
 
@@ -162,46 +164,3 @@ def compress(
         idx = np.sort(rng.gen.choice(p, size=k, replace=False))
     payload = SparsePayload(p, False, idx.astype(np.int64, copy=False), x[idx])  # x[idx] is a copy
     return payload, payload.densify()
-
-
-_HEADER = struct.Struct("<QBQ")  # dim, dense flag, entry count
-_PAIR = np.dtype([("i", "<u4"), ("v", "<f4")])  # one sparse entry
-
-
-def payload_to_bytes(payload: SparsePayload) -> bytes:
-    """Canonical wire form. Values are rounded to 32-bit singles here and only
-    here; in-memory optimization state stays 64-bit. Indices are 4-byte
-    unsigned, so serialized payloads support dimensions up to 2^32 - 1."""
-    if payload.dense:
-        body = payload.values.astype("<f4").tobytes()
-        return _HEADER.pack(payload.dim, 1, payload.dim) + body
-    idx = payload.indices.astype("<u4")
-    vals = payload.values.astype("<f4")
-    pairs = np.empty(idx.size, dtype=_PAIR)
-    pairs["i"] = idx
-    pairs["v"] = vals
-    return _HEADER.pack(payload.dim, 0, idx.size) + pairs.tobytes()
-
-
-def payload_from_bytes(buf: bytes) -> SparsePayload:
-    """Decode payload_to_bytes output; raises ValueError on a buffer it cannot
-    have written: a short header, a dense flag other than 0 or 1, a body
-    shorter or longer than the entry count, or sparse indices that are not
-    strictly increasing and < dim."""
-    if len(buf) < _HEADER.size:
-        raise ValueError(f"payload of {len(buf)} bytes is shorter than its {_HEADER.size}-byte header")
-    dim, dense, count = _HEADER.unpack_from(buf, 0)
-    if dense not in (0, 1):
-        raise ValueError(f"payload dense flag must be 0 or 1, got {dense}")
-    entry = 4 if dense else _PAIR.itemsize
-    if len(buf) != _HEADER.size + entry * count:
-        raise ValueError(f"payload of {len(buf)} bytes, its header declares {_HEADER.size + entry * count}")
-    body = buf[_HEADER.size :]
-    if dense:
-        vals = np.frombuffer(body, dtype="<f4").astype(np.float64)
-        return SparsePayload(dim, True, np.empty(0, dtype=np.int64), vals)
-    pairs = np.frombuffer(body, dtype=_PAIR)
-    idx = pairs["i"].astype(np.int64)
-    if idx.size and (np.any(np.diff(idx) <= 0) or idx[-1] >= dim):
-        raise ValueError("payload indices must be strictly increasing and < dim")
-    return SparsePayload(dim, False, idx, pairs["v"].astype(np.float64))

@@ -360,7 +360,11 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("conditions:"):
-                    meta.update(item.split("=", 1) for item in body[len("conditions:") :].split())
+                    for item in body[len("conditions:") :].split():
+                        key, eq, value = item.partition("=")
+                        if not eq:
+                            raise ConfigError(f"{path}, line {lineno}: conditions token {item!r} is not key=value")
+                        meta[key] = value
                 else:
                     key, _, value = body.removeprefix("cfg ").partition(" = ")
                     meta[key.strip()] = value.strip()

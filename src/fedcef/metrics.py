@@ -20,12 +20,12 @@ from .core import client_sum
 from .problems import (
     FULL,
     FederatedProblem,
-    all_client_margins,
     client_gradient,
     client_gradients,
+    client_margins,
     full_global_gradient,
     objective_value,
-    per_sample_gradients,
+    stochastic_gradient,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,7 +96,7 @@ def measure_row(
     the block. The Lyapunov column is left to the caller, and the block is
     returned for it: the next row's diagnostic needs exactly these gradients,
     at its z_prev, and takes them instead of recomputing them."""
-    margins = all_client_margins(prob, z)
+    margins = client_margins(prob, z)
     grads = client_gradients(prob, z, margins)
     G = prox_gradient_mapping(prob, reg, z, beta, grads)
     F = objective_value(prob, reg, z, margins)
@@ -211,9 +211,12 @@ def theorem_residual_bound(
 
 def estimate_gradient_variance(prob: FederatedProblem, z: np.ndarray) -> float:
     """Empirical sigma^2: max over clients of per-sample gradient variance at z
-    (mean squared deviation of single-sample gradients from the full one)."""
+    (mean squared deviation of single-sample gradients from the full one).
+    Sample s's gradient is the minibatch oracle at the one index s; on
+    hetero_quadratic that is the exact gradient, so sigma^2 is 0."""
     worst = 0.0
-    for i in range(prob.n_clients):
-        dev = per_sample_gradients(prob, i, z) - client_gradient(prob, i, z)[None, :]
+    for i, a in enumerate(prob.features):
+        g = client_gradient(prob, i, z)
+        dev = np.array([stochastic_gradient(prob, i, z, 1, np.array([s])) for s in range(a.shape[0])]) - g
         worst = max(worst, float(np.mean(np.sum(dev * dev, axis=1))))
     return worst

@@ -51,7 +51,7 @@ _LANCZOS_RESIDUAL_RTOL = 1e-5
 _LANCZOS_CLOSED_RTOL = 1e-10
 
 
-class PartitionError(RuntimeError):
+class PartitionError(ValueError):
     """Raised when a nonempty-per-client partition cannot be produced."""
 
 
@@ -147,40 +147,34 @@ def _per_sample_grad_weights(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np
     raise ValueError(loss.variant)
 
 
-def client_margins(prob: FederatedProblem, client: int, x: np.ndarray) -> np.ndarray:
-    """The one read of client i's data that f_i(x) and grad f_i(x) share:
-    the margins a_i @ x, or the offset x - m_i for hetero_quadratic."""
-    if prob.loss.variant == HETERO_QUADRATIC:
-        return x - prob.loss.centers[client]
-    return prob.features[client] @ x
-
-
-def all_client_margins(prob: FederatedProblem, x: np.ndarray) -> np.ndarray | list[np.ndarray]:
-    """client_margins of every client: one (N, p) block x - m for
-    hetero_quadratic, else a list of the N arrays a_i @ x."""
+def client_margins(prob: FederatedProblem, x: np.ndarray) -> np.ndarray | list[np.ndarray]:
+    """The one read of the client data that f_i(x) and grad f_i(x) share: one
+    (N, p) block x - m for hetero_quadratic, else a list of the N margins
+    a_i @ x."""
     if prob.closed_form:
         return x - prob.loss.centers
-    return [client_margins(prob, i, x) for i in range(prob.n_clients)]
+    return [a @ x for a in prob.features]
 
 
-def client_objective(
-    prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None
-) -> float:
-    """f_i(x); `margins` is client_margins(prob, client, x) when already computed."""
+def client_objectives(
+    prob: FederatedProblem, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
+) -> list[float]:
+    """[f_1(x), ..., f_N(x)]; `margins` is client_margins(prob, x) when already
+    computed. hetero_quadratic takes every f_i in one pass over the (N, p)
+    block; a data loss's f_i is the mean of its per-sample losses."""
     if margins is None:
-        margins = client_margins(prob, client, x)
-    if prob.loss.variant == HETERO_QUADRATIC:
-        return float(0.5 * np.sum(prob.loss.curvatures[client] * margins * margins))
-    return float(np.mean(_per_sample_losses(prob.loss, margins, prob.labels[client])))
+        margins = client_margins(prob, x)
+    if prob.closed_form:
+        return (0.5 * np.sum((prob.loss.curvatures * margins) * margins, axis=1)).tolist()
+    return [float(np.mean(_per_sample_losses(prob.loss, m, y))) for m, y in zip(margins, prob.labels)]
 
 
 def client_gradient(
     prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact gradient of f_i at x; `margins` is client_margins(prob, client, x)
+    """Exact gradient of f_i at x; `margins` is row i of client_margins(prob, x)
     when already computed."""
     if prob.loss.variant == HETERO_QUADRATIC:
-        # inline, not through client_margins: this is the per-step oracle
         d = x - prob.loss.centers[client] if margins is None else margins
         return prob.loss.curvatures[client] * d
     a = prob.features[client]
@@ -194,7 +188,7 @@ def client_gradients(
     prob: FederatedProblem, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
     """The (N, p) block whose row i is grad f_i(x); `margins` is
-    all_client_margins(prob, x) when already computed. hetero_quadratic is
+    client_margins(prob, x) when already computed. hetero_quadratic is
     one product on the block; the data losses fill row i by client_gradient,
     the same bits as calling it per client."""
     if prob.closed_form:
@@ -203,15 +197,6 @@ def client_gradients(
     for i in range(prob.n_clients):
         out[i] = client_gradient(prob, i, x, None if margins is None else margins[i])
     return out
-
-
-def per_sample_gradients(prob: FederatedProblem, client: int, x: np.ndarray) -> np.ndarray:
-    """All single-sample gradients of client i at x, as an (n_i, p) matrix."""
-    if prob.loss.variant == HETERO_QUADRATIC:
-        return client_gradient(prob, client, x)[None, :]
-    a = prob.features[client]
-    w = _per_sample_grad_weights(prob.loss, a @ x, prob.labels[client])
-    return a * w[:, None]
 
 
 def stochastic_gradient(
@@ -249,16 +234,9 @@ def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarra
 def objective_value(
     prob: FederatedProblem, reg, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
 ) -> float:
-    """F(x) = (1/N) sum_i f_i(x) + h(x), the f_i added by client_sum;
-    `margins` is all_client_margins(prob, x) when already computed.
-    hetero_quadratic takes every f_i in one pass over the (N, p) block."""
-    if margins is None:
-        margins = all_client_margins(prob, x)
-    if prob.closed_form:
-        values = (0.5 * np.sum((prob.loss.curvatures * margins) * margins, axis=1)).tolist()
-    else:
-        values = [client_objective(prob, i, x, m) for i, m in enumerate(margins)]
-    return client_sum(values) / prob.n_clients + reg.evaluate(x)
+    """F(x) = (1/N) sum_i f_i(x) + h(x), the client_objectives added by
+    client_sum; `margins` is client_margins(prob, x) when already computed."""
+    return client_sum(client_objectives(prob, x, margins)) / prob.n_clients + reg.evaluate(x)
 
 
 def _exact_gram_top_eigenvalue(a: np.ndarray, op: str) -> float:

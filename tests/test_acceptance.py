@@ -23,12 +23,12 @@ from fedcef.problems import (
     FULL,
     PartitionSpec,
     client_gradient,
-    client_objective,
     generate_synthetic,
 )
 from fedcef.regularizers import Regularizer
 from tests._transcripts import recording
 from tests.test_metrics import comm_accounting
+from tests.test_problems import client_loss
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -364,7 +364,7 @@ def test_criterion_10_gradient_correctness():
                 for j in range(x.size):
                     e = np.zeros_like(x)
                     e[j] = h
-                    fd[j] = (client_objective(prob, i, x + e) - client_objective(prob, i, x - e)) / (2 * h)
+                    fd[j] = (client_loss(prob, i, x + e) - client_loss(prob, i, x - e)) / (2 * h)
                 rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-8)
                 worst = max(worst, float(rel))
     elapsed = time.time() - t0

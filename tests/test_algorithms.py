@@ -54,10 +54,19 @@ def zero_gradient_problem(p=4, N=2):
     return prob
 
 
-@pytest.mark.parametrize("field, value", [("K", 2.5), ("T", 2.5), ("B", True), ("K", True), ("T", True)])
+@pytest.mark.parametrize(
+    "field, value",
+    [("K", 2.5), ("T", 2.5), ("B", True), ("K", True), ("T", True), ("K", np.int64(0)), ("B", np.bool_(True))],
+)
 def test_hyper_params_reject_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=field):
         HyperParams(alpha=0.1, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["K", "B", "T"])
+def test_hyper_params_store_numpy_integer_counts_as_int(field):
+    value = getattr(HyperParams(alpha=0.1, **{field: np.int64(3)}), field)
+    assert value == 3 and type(value) is int
 
 
 @pytest.mark.parametrize(

@@ -546,6 +546,18 @@ def test_cli_rejects_a_beta_that_underflows_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_reports_a_partition_failure(tmp_path, capsys):
+    cfg_path = tmp_path / "starved.ini"
+    cfg_path.write_text(
+        "[problem]\nloss = logistic\np = 5\nsamples = 12\nclients = 12\n"
+        "partition = dirichlet\nalpha_d = 0.05\n\n[hyper]\nK = 1\nT = 2\n"
+    )
+    out = tmp_path / "x.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: dirichlet partition left a client empty")
+    assert not out.exists()
+
+
 def _header_and_rows(path):
     lines = path.read_text().splitlines(keepends=True)
     split = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
@@ -565,7 +577,7 @@ def test_cli_compare_reports_a_malformed_row(tmp_path, capsys, cut):
     assert err.startswith("error:") and f"{bad}, line {len(head) + len(rows)}" in err
 
 
-@pytest.mark.parametrize("fault", ["condition_token", "round_order"])
+@pytest.mark.parametrize("fault", ["condition_token", "round_order", "conditions_meta"])
 def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     run_experiment(parse_config(BASE_CONFIG), str(good))
@@ -573,6 +585,10 @@ def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
     if fault == "condition_token":
         rows[-1] = rows[-1].rstrip("\n").rsplit(",", 1)[0] + ",yes\n"
         lineno = len(head) + len(rows)
+    elif fault == "conditions_meta":
+        j = next(j for j, line in enumerate(head) if line.startswith("# conditions:"))
+        head[j] = "# conditions: beta_ok\n"
+        lineno = j + 1
     else:
         rows[1] = "7," + rows[1].split(",", 1)[1]
         lineno = len(head) + 2

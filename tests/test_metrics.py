@@ -26,14 +26,13 @@ from fedcef.problems import (
     LossKind,
     PartitionSpec,
     client_gradient,
-    client_margins,
-    client_objective,
     full_global_gradient,
     generate_synthetic,
     objective_value,
 )
 from fedcef.regularizers import Regularizer
 from tests._transcripts import RoundTranscript
+from tests.test_problems import client_loss, client_margin
 from tests.test_regularizers import grid_prox_l1
 
 
@@ -124,7 +123,7 @@ def per_client_measure_row(prob, reg, beta, t, z, up, down, condition_ok):
     """measure_row as it was before it measured on the client block, one
     client at a time, kept as its oracle."""
     N = prob.n_clients
-    margins = [client_margins(prob, i, z) for i in range(N)]
+    margins = [client_margin(prob, i, z) for i in range(N)]
     total = np.zeros(prob.dim)
     for i in range(N):
         total += client_gradient(prob, i, z, margins[i])
@@ -132,7 +131,7 @@ def per_client_measure_row(prob, reg, beta, t, z, up, down, condition_ok):
     G = (z - reg.prox(beta, z - beta * g)) / beta
     F = 0.0
     for i in range(N):
-        F += client_objective(prob, i, z, margins[i])
+        F += client_loss(prob, i, z, margins[i])
     F = F / N + reg.evaluate(z)
     return MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
 

@@ -22,13 +22,12 @@ from fedcef.problems import (
     _permute_rows,
     _sigmoid,
     client_gradient,
-    client_objective,
+    client_objectives,
     dirichlet_partition,
     estimate_smoothness,
     full_global_gradient,
     generate_synthetic,
     objective_value,
-    per_sample_gradients,
     stochastic_gradient,
 )
 from fedcef.regularizers import Regularizer
@@ -49,6 +48,27 @@ def hetero_problem(seed=5, p=6, N=4, curv=(0.1, 10.0)):
     )
 
 
+def client_margin(prob, i, x):
+    """Client i's margins a_i @ x, or x - m_i on hetero_quadratic: the
+    per-client oracle the all-client block functions are checked against."""
+    if prob.closed_form:
+        return x - prob.loss.centers[i]
+    return prob.features[i] @ x
+
+
+def client_loss(prob, i, x, margins=None):
+    """f_i(x), written out per loss from client i's own margins."""
+    z = client_margin(prob, i, x) if margins is None else margins
+    y = prob.labels[i]
+    if prob.closed_form:
+        return float(0.5 * np.sum(prob.loss.curvatures[i] * z * z))
+    if prob.loss.variant == "squared_error":
+        return float(np.mean(0.5 * (z - y) ** 2))
+    if prob.loss.variant == "logistic":
+        return float(np.mean(np.logaddexp(0.0, -y * z)))
+    return float(np.mean(_sigmoid(-y * z)))
+
+
 def fd_gradient(f, x, h=1e-6):
     g = np.zeros_like(x)
     for j in range(x.size):
@@ -66,7 +86,7 @@ def test_gradient_matches_finite_differences(variant):
         x = rng.standard_normal(prob.dim)
         for i in range(prob.n_clients):
             g = client_gradient(prob, i, x)
-            fd = fd_gradient(lambda v: client_objective(prob, i, v), x)
+            fd = fd_gradient(lambda v: client_loss(prob, i, v), x)
             denom = max(np.linalg.norm(g), 1e-8)
             assert np.linalg.norm(g - fd) / denom <= 1e-5
 
@@ -237,8 +257,9 @@ def test_minibatch_unbiasedness_monte_carlo():
     for _ in range(draws):
         acc += stochastic_gradient(prob, 0, x, B, rng)
     mean = acc / draws
-    # per-coordinate std of single-sample gradients
-    sigma = per_sample_gradients(prob, 0, x).std(axis=0, ddof=0)
+    # per-coordinate std of the single-sample logistic gradients -y sigmoid(-y a @ x) a
+    a, y = prob.features[0], prob.labels[0]
+    sigma = (a * (-y * _sigmoid(-y * (a @ x)))[:, None]).std(axis=0, ddof=0)
     tol = 3 * sigma / np.sqrt(draws * B)
     assert np.all(np.abs(mean - full) <= tol + 1e-12)
 
@@ -325,9 +346,11 @@ def test_objective_additivity_and_resummation():
     f_only = objective_value(prob, Regularizer.zero(), x)
     assert objective_value(prob, reg, x) - f_only == pytest.approx(reg.evaluate(x))
     # two-pass recomputation
+    per_client = [client_loss(prob, i, x) for i in range(prob.n_clients)]
+    assert client_objectives(prob, x) == per_client
     total = 0.0
-    for i in range(prob.n_clients):
-        total += client_objective(prob, i, x)
+    for f_i in per_client:
+        total += f_i
     assert f_only == pytest.approx(total / prob.n_clients, rel=1e-12)
 
 
