@@ -307,6 +307,22 @@ def test_gradient_variance_estimate():
     assert estimate_gradient_variance(hetero, z[:4]) == 0.0
 
 
+def test_gradient_variance_matches_closed_form_squared_error():
+    """sigma^2 on squared error from the closed-form single-sample gradients
+    a_s (a_s @ z - b_s), the worst client's mean squared deviation."""
+    prob = generate_synthetic(
+        "squared_error", 5, 40, 3, PartitionSpec("iid"), derive_stream(6, "problem")
+    )
+    z = np.random.default_rng(3).standard_normal(prob.dim)
+    worst = 0.0
+    for a, b in zip(prob.features, prob.labels):
+        per_sample = a * (a @ z - b)[:, None]
+        dev = per_sample - per_sample.mean(axis=0)
+        worst = max(worst, float(np.mean(np.sum(dev * dev, axis=1))))
+    assert worst > 0
+    assert estimate_gradient_variance(prob, z) == pytest.approx(worst, rel=1e-10)
+
+
 def comm_accounting(transcripts, dim, include_bootstrap=True):
     """Byte-accounting oracle: cumulative (uplink, downlink) byte series over
     recorded round transcripts, re-derived from the payloads the round loop

@@ -22,6 +22,7 @@ from fedcef.problems import (
     _permute_rows,
     _sigmoid,
     client_gradient,
+    client_margins,
     client_objectives,
     dirichlet_partition,
     estimate_smoothness,
@@ -352,6 +353,20 @@ def test_objective_additivity_and_resummation():
     for f_i in per_client:
         total += f_i
     assert f_only == pytest.approx(total / prob.n_clients, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", DATA_VARIANTS + (HETERO_QUADRATIC,))
+def test_block_oracles_match_the_per_client_oracles(variant):
+    prob = hetero_problem() if variant == HETERO_QUADRATIC else small_problem(variant)
+    x = np.random.default_rng(2).standard_normal(prob.dim)
+    margins = client_margins(prob, x)
+    assert len(margins) == prob.n_clients
+    for i in range(prob.n_clients):
+        assert np.array_equal(margins[i], client_margin(prob, i, x))
+    expected = [client_loss(prob, i, x) for i in range(prob.n_clients)]
+    assert client_objectives(prob, x) == pytest.approx(expected, rel=1e-12)
+    # precomputed margins give the same values as the function's own pass
+    assert client_objectives(prob, x, margins) == client_objectives(prob, x)
 
 
 def test_hetero_objective_zero_at_center():
