@@ -15,11 +15,17 @@ The first two are a local step rule and an aggregation rule on one engine,
 `_run`. State lives in a RoundState, updated in place: (N, p) arrays, one row
 per client, for what differs between clients, and single (p,) vectors for
 the global model z and the controls every client shares. Each round every
-client runs its K local steps from z, one client after another, the
-algorithm's aggregation rule (client_uplink -> server_aggregate ->
-client_downlink -> server_finalize for fedcef, model averaging for
-prox_fedavg) yields z^{t+1}, and the row is measured. local_update is
-fedcef's local pass; prox_fedavg's runs the same loop with its own step rule.
+client runs its K local steps from z, the algorithm's aggregation rule
+(client_uplink -> server_aggregate -> client_downlink -> server_finalize for
+fedcef, model averaging for prox_fedavg) yields z^{t+1}, and the row is
+measured. One step loop, _steps, steps either one client's (p,) row or the
+(N, p) block of all clients: one gradient oracle call per client and step,
+then the step rule and the prox once on the whole state. prox_fedavg steps
+the block. fedcef's local_update steps one client's row after another: the
+benchmark's call-count test pins local_update at one call per client and
+round, so fedcef's block pass waits for that test to count oracle work
+instead. _run's docstring gives the measured gain and the block's cost on
+large shards.
 
 Local update, per client i, round t, local steps k = 0..K-1:
 
@@ -45,7 +51,6 @@ client and of the server, is computed once.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -61,7 +66,7 @@ from .compressors import (
     contraction_factor,
     payload_bytes,
 )
-from .core import NonFiniteError, client_sum, derive_stream
+from .core import NonFiniteError, client_sum, count, derive_stream
 from .metrics import MetricsRow, MetricsSeries, check_step_conditions, lyapunov_diagnostic, measure_row
 from .problems import FULL, FederatedProblem, full_global_gradient, stochastic_gradient
 from .regularizers import Regularizer
@@ -69,14 +74,6 @@ from .regularizers import Regularizer
 
 class StepConditionWarning(UserWarning):
     """Step sizes violate the sufficient convergence conditions."""
-
-
-def _count(n: object, message: str) -> int:
-    """n as an int when it is an integer >= 1, numpy integers included and
-    bools not; else ValueError(message)."""
-    if isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1:
-        return int(n)
-    raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -96,14 +93,14 @@ class HyperParams:
             raise ValueError("alpha must be positive and finite")
         if not 0 < self.eta_g < math.inf:
             raise ValueError("eta_g must be positive and finite")
-        object.__setattr__(self, "K", _count(self.K, "K must be an integer >= 1"))
+        object.__setattr__(self, "K", count(self.K, "K must be an integer >= 1"))
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta = alpha * eta_g * K = {self.beta!r} must be positive and finite")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.B != FULL:
-            object.__setattr__(self, "B", _count(self.B, "B must be a positive integer or FULL"))
-        object.__setattr__(self, "T", _count(self.T, "T must be an integer >= 1"))
+            object.__setattr__(self, "B", count(self.B, "B must be a positive integer or FULL"))
+        object.__setattr__(self, "T", count(self.T, "T must be an integer >= 1"))
 
     @property
     def beta(self) -> float:
@@ -181,26 +178,42 @@ def prox_sgd_step(
 
 def _steps(
     st: RoundState,
-    client: int,
+    client: int | None,
     prob: FederatedProblem,
     reg: Regularizer,
     hp: HyperParams,
     t: int,
     step: Callable[..., float],
-    batches: np.ndarray | None,
+    batches: dict[int, np.ndarray] | None,
     checked: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """One client's K local steps from z; returns xhat^K, x^K and the K
-    gradients. `checked` raises NonFiniteError at the first step whose xhat
-    is non-finite. x never aliases x_hat: it starts as z, which no step
+    """K local steps from z, of one client's (p,) row or, with client None,
+    of the (N, p) block of all clients; returns xhat^K, x^K and the K
+    gradients, each shaped like the state. Each step takes one
+    stochastic_gradient per client, on its row, then runs the step rule and
+    the prox once on the whole state: both are elementwise, so every row
+    gets the bits it gets when stepped alone. `batches` maps a client to its
+    (K, B) sample indices, or is None when no step samples. `checked` raises
+    NonFiniteError at the first step whose xhat is non-finite. x never
+    aliases x_hat: it starts as (a read-only broadcast of) z, which no step
     writes, and then holds what prox returns, always a new array."""
-    x_hat = st.z.copy()
-    x = st.z
+    if client is None:
+        x = np.broadcast_to(st.z, st.x_hat.shape)
+        c_local = st.c_local
+    else:
+        x = st.z
+        c_local = st.c_local[client]
+    x_hat = x.copy()
     work = np.empty_like(x_hat)
-    c_known, c_local = st.c_known, st.c_local[client]
+    c_known = st.c_known
     gradients = []
     for k in range(hp.K):
-        g = stochastic_gradient(prob, client, x, hp.B, None if batches is None else batches[k])
+        if client is None:
+            g = np.empty_like(x_hat)
+            for i in range(len(g)):
+                g[i] = stochastic_gradient(prob, i, x[i], hp.B, None if batches is None else batches[i][k])
+        else:
+            g = stochastic_gradient(prob, client, x, hp.B, None if batches is None else batches[client][k])
         gradients.append(g)
         tau = step(hp, k, x_hat, x, g, c_known, c_local, work)
         if checked and not np.isfinite(x_hat).all():
@@ -211,7 +224,7 @@ def _steps(
 
 def _local_pass(
     st: RoundState,
-    client: int,
+    client: int | None,
     prob: FederatedProblem,
     reg: Regularizer,
     hp: HyperParams,
@@ -219,33 +232,42 @@ def _local_pass(
     t: int,
     step: Callable[..., float],
 ) -> list[np.ndarray]:
-    """Run one client's K local steps from z and store its xhat and x;
-    returns the K gradients. The step rule writes the next xhat into its
-    x_hat argument, given (hp, k, xhat, x, g, c_known, c_local, work), and
-    returns the prox step size. A sampling oracle draws the client's K x B
-    indices from client/{i}/round/{t}/grad in one call.
+    """Run K local steps from z, of one client's row or, with client None,
+    of every client's row at once, and store xhat and x; returns the K
+    gradients. The step rule writes the next xhat into its x_hat argument,
+    given (hp, k, xhat, x, g, c_known, c_local, work), and returns the prox
+    step size. A sampling oracle draws each client's K x B indices from
+    client/{i}/round/{t}/grad in one call.
 
     Finiteness is checked once, on xhat^K. That is exact: a non-finite
     accumulator stays non-finite under both step rules (inf - finite = inf,
     inf - inf = NaN, NaN absorbs everything) and under the soft threshold
-    (+-inf to +-inf, NaN to NaN), so xhat^K is finite exactly when every
-    xhat^k was. A non-finite pass is replayed with a check after every step,
-    from the same z and controls and with the indices already drawn, so the
-    error names the first bad step and no stream is drawn twice. Both runs
-    ignore overflow and invalid operations, which would otherwise surface as
-    RuntimeWarnings before the error. The client's rows are written only
-    after the check, so a failed pass leaves them as they were."""
+    (+-inf to +-inf, NaN to NaN), so a row of xhat^K is finite exactly when
+    every xhat^k of that row was. When a row is non-finite, the lowest such
+    client's pass is replayed alone with a check after every step, from the
+    same z and controls and with the indices already drawn, so the error
+    names the client and its first bad step, and no stream is drawn twice.
+    All runs ignore overflow and invalid operations, which would otherwise
+    surface as RuntimeWarnings before the error. The rows are written only
+    after the check, so a failed pass leaves every row as it was."""
     batches = None
     if hp.B != FULL and not prob.closed_form:
-        n = prob.features[client].shape[0]
-        batches = derive_stream(seed, f"client/{client}/round/{t}/grad").gen.integers(0, n, size=(hp.K, hp.B))
+        batches = {
+            i: derive_stream(seed, f"client/{i}/round/{t}/grad").gen.integers(
+                0, prob.features[i].shape[0], size=(hp.K, hp.B)
+            )
+            for i in (range(st.n_clients) if client is None else (client,))
+        }
     with np.errstate(over="ignore", invalid="ignore"):
         x_hat, x, gradients = _steps(st, client, prob, reg, hp, t, step, batches, False)
-        if not np.isfinite(x_hat).all():
-            _steps(st, client, prob, reg, hp, t, step, batches, True)
-            raise NonFiniteError(f"client {client}: non-finite state at round {t}, local step {hp.K - 1}")
-    st.x_hat[client] = x_hat
-    st.x[client] = x
+        finite = np.isfinite(x_hat)
+        if not finite.all():
+            bad = client if client is not None else int(np.argmin(finite.all(axis=1)))
+            _steps(st, bad, prob, reg, hp, t, step, batches, True)
+            raise NonFiniteError(f"client {bad}: non-finite state at round {t}, local step {hp.K - 1}")
+    rows = slice(None) if client is None else client
+    st.x_hat[rows] = x_hat
+    st.x[rows] = x
     return gradients
 
 
@@ -253,8 +275,9 @@ def local_update(
     st: RoundState, client: int, prob: FederatedProblem, reg: Regularizer, hp: HyperParams, seed: int, t: int
 ) -> list[np.ndarray]:
     """fedcef's local update of one client: K decoupled proximal steps with
-    the control-variate correction; returns the K gradients. prox_fedavg
-    calls _local_pass with its own step rule, not this phase."""
+    the control-variate correction on its row; returns the K gradients.
+    prox_fedavg calls _local_pass on the block with its own step rule, not
+    this phase."""
     return _local_pass(st, client, prob, reg, hp, seed, t, decoupled_step)
 
 
@@ -303,22 +326,29 @@ def _run(
     reg: Regularizer,
     hp: HyperParams,
     z0: np.ndarray | None,
-    local: Callable[[RoundState, int, int], None],
+    local: Callable[[RoundState, int], None],
     aggregate: Callable[[RoundState, int], tuple[int, int]],
     q: float,
     condition_ok: bool,
     lyapunov: bool,
 ) -> tuple[list[MetricsRow], list[np.ndarray]]:
-    """The round loop both federated algorithms share: each client's local
-    pass, the algorithm's aggregation rule (which returns the round's uplink
-    and downlink bytes), measurement. Returns rows 0..T and z^0..z^T. The
-    client gradients a row measures at z^t are kept for the next row's
-    Lyapunov term, which needs them at its z_prev = z^t.
+    """The round loop both federated algorithms share: the algorithm's local
+    phase (every client's K steps from z^t), its aggregation rule (which
+    returns the round's uplink and downlink bytes), measurement. Returns rows
+    0..T and z^0..z^T. The client gradients a row measures at z^t are kept
+    for the next row's Lyapunov term, which needs them at its z_prev = z^t.
 
-    Clients run one at a time, each one's K steps in a row: interleaving
-    clients step by step streams every shard through the cache once per step,
-    which made a p = 2000, 20000-sample problem (320 MB of shards, 300 MB of
-    L3) 20% slower."""
+    prox_fedavg steps the (N, p) block, all clients a step at a time, so
+    the step rule and the prox run once per step, not once per client: on
+    the hetero_drift benchmark problem (p = 200, N = 20, K = 10) its run fell
+    from 0.90 to 0.40 s. fedcef steps one client's row after another through
+    local_update, which the benchmark's call-count test pins at one call per
+    client and round; its runs kept their time. The block has a cost on large
+    shards: each step reads every client's shard, where a client's K steps
+    in a row reuse its own shard from cache. On the wide_p2000 benchmark
+    problem (p = 2000, 20000 samples, 320 MB of shards) prox_fedavg's run
+    rose from 4.0 to 4.8 s. Both are medians of alternating runs on a
+    2-vCPU shared host."""
     z = np.zeros(prob.dim) if z0 is None else np.array(z0, dtype=np.float64, copy=True)
     st = RoundState.initial(z, prob.n_clients)
     uplink_cum = 0
@@ -335,8 +365,7 @@ def _run(
     z_hist = [st.z.copy()]
     for t in range(hp.T):
         z_round = st.z
-        for i in range(prob.n_clients):
-            local(st, i, t)
+        local(st, t)
         up, down = aggregate(st, t)
         uplink_cum += up
         downlink_cum += down
@@ -373,8 +402,9 @@ def run_fedcef(
             stacklevel=2,
         )
 
-    def local(st: RoundState, i: int, t: int) -> None:
-        local_update(st, i, prob, reg, hp, seed, t)
+    def local(st: RoundState, t: int) -> None:
+        for i in range(st.n_clients):
+            local_update(st, i, prob, reg, hp, seed, t)
 
     def aggregate(st: RoundState, t: int) -> tuple[int, int]:
         payloads = client_uplink(st, hp, spec, seed, t)
@@ -395,13 +425,14 @@ def run_prox_fedavg(
     seed: int,
     z0: np.ndarray | None = None,
 ) -> RunResult:
-    """Naive baseline: K local proximal SGD steps per client, then the server
-    averages the post-proximal models. Transmits dense models both ways."""
+    """Naive baseline: K local proximal SGD steps per client, all clients
+    stepped together on the (N, p) block, then the server averages the
+    post-proximal models. Transmits dense models both ways."""
     p = prob.dim
     report = check_step_conditions(hp, prob.smoothness, 0.0)
 
-    def local(st: RoundState, i: int, t: int) -> None:
-        _local_pass(st, i, prob, reg, hp, seed, t, prox_sgd_step)
+    def local(st: RoundState, t: int) -> None:
+        _local_pass(st, None, prob, reg, hp, seed, t, prox_sgd_step)
 
     def average(st: RoundState, t: int) -> tuple[int, int]:
         st.z = client_sum(st.x) / st.n_clients

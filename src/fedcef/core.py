@@ -1,4 +1,5 @@
-"""Finiteness checks, the ordered client sum and labelled random streams.
+"""Finiteness and count checks, the ordered client sum and labelled random
+streams.
 
 Every other module builds on these pieces: parameter vectors are plain 1-d
 numpy arrays whose finiteness is checked here, every sum over clients is
@@ -14,6 +15,7 @@ differently across threads, which changes the order of its additions.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,14 @@ def ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite result produced by {op}")
     return arr
+
+
+def count(n: object, message: str) -> int:
+    """n as an int when it is an integer >= 1, numpy integers included and
+    bools not; else ValueError(message)."""
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1:
+        return int(n)
+    raise ValueError(message)
 
 
 def client_sum(terms):

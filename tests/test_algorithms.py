@@ -125,16 +125,20 @@ def test_local_update_rejects_nonfinite_state():
         local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
 
 
-def diverging_problem(closed_form, p=3, N=2):
+def diverging_problem(closed_form, p=3, N=2, finite=()):
     """A problem on which, from z = ones with zero controls, every local step
     multiplies the model by about -1e100 at alpha = DIVERGING_ALPHA[closed_form]:
     xhat^{k+1} is about (-1e100)^(k+1), finite through step 2 and non-finite
     from step 3 on. The row oracle's shards repeat one all-ones row, so any
-    minibatch gives the full gradient."""
+    minibatch gives the full gradient. The clients in `finite` have a
+    gradient of (about) zero instead and stay at z."""
     if closed_form:
-        loss = LossKind("hetero_quadratic", np.ones((N, p)), np.zeros((N, p)))
-        return FederatedProblem(loss, p, [np.zeros((1, p))] * N, [np.zeros(1)] * N)
-    return FederatedProblem(LossKind("squared_error"), p, [np.ones((4, p))] * N, [np.zeros(4)] * N)
+        curvatures = np.ones((N, p))
+        curvatures[list(finite)] = 1e-200
+        loss = LossKind("hetero_quadratic", curvatures, np.zeros((N, p)))
+        return FederatedProblem(loss, p, [np.zeros((1, p))] * N, [np.zeros(1)] * N, smoothness=1.0)
+    features = [np.zeros((4, p)) if i in finite else np.ones((4, p)) for i in range(N)]
+    return FederatedProblem(LossKind("squared_error"), p, features, [np.zeros(4)] * N, smoothness=3.0)
 
 
 DIVERGING_ALPHA = {True: 1e100, False: 1e100 / 3}
@@ -164,6 +168,40 @@ def test_nonfinite_pass_names_the_first_bad_step_and_keeps_the_rows(step, closed
         assert np.array_equal(getattr(st, name), getattr(before, name)), name
     # the replay steps from the indices the first run drew
     assert labels == ([] if closed_form else ["client/1/round/7/grad"])
+
+
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "row_oracle"])
+def test_block_pass_names_the_lowest_diverging_client_and_keeps_every_row(closed_form, monkeypatch):
+    """prox_fedavg's block pass: client 0 stays finite, clients 1 and 2
+    diverge. One finiteness check on the block, then client 1 alone is
+    replayed with a check per step from the indices already drawn."""
+    prob = diverging_problem(closed_form, N=3, finite=(0,))
+    hp = HyperParams(alpha=DIVERGING_ALPHA[closed_form], K=6, B=FULL if closed_form else 2)
+    st = RoundState.initial(np.ones(prob.dim), prob.n_clients)
+    st.x_hat[:] = 5.0
+    st.x[:] = 7.0
+    before = copy.deepcopy(st)
+    labels, checked = [], []
+    isfinite = np.isfinite
+
+    def counting_stream(seed, label):
+        labels.append(label)
+        return derive_stream(seed, label)
+
+    def counting_isfinite(x, *args, **kwargs):
+        checked.append(x.shape)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "derive_stream", counting_stream)
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^client 1: non-finite state at round 7, local step 3$"):
+            _local_pass(st, None, prob, Regularizer.l1(1e-10), hp, 0, 7, prox_sgd_step)
+    for name in ("x_hat", "x", "c_local", "v", "z", "c_known", "c_global"):
+        assert np.array_equal(getattr(st, name), getattr(before, name)), name
+    assert labels == ([] if closed_form else [f"client/{i}/round/7/grad" for i in range(3)])
+    assert checked == [(3, prob.dim)] + [(prob.dim,)] * 4  # the block once, then client 1's steps 0..3
 
 
 def test_finite_pass_checks_finiteness_once(monkeypatch):

@@ -18,7 +18,7 @@ from fedcef.compressors import CompressorSpec, compress, contraction_factor, pay
 from fedcef.core import NonFiniteError, derive_stream
 from fedcef.harness import parse_config, run_experiment
 from fedcef.metrics import lyapunov_diagnostic
-from fedcef.problems import FULL, PartitionSpec, generate_synthetic, stochastic_gradient
+from fedcef.problems import FULL, FederatedProblem, LossKind, PartitionSpec, generate_synthetic, stochastic_gradient
 from fedcef.regularizers import Regularizer
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -127,8 +127,21 @@ def _hetero_p1():
     return prob, Regularizer.l1(0.01), hp, CompressorSpec("randk", 1.0)
 
 
+def _separate_shards():
+    # generated shards are row views of one client-major matrix; these are
+    # separate arrays of different lengths, one of them a strided view
+    rng = np.random.default_rng(11)
+    p = 6
+    features = [rng.standard_normal((n, p)) for n in (7, 19, 12)]
+    features[1] = features[1][::2]
+    labels = [np.where(rng.standard_normal(a.shape[0]) > 0, 1.0, -1.0) for a in features]
+    prob = FederatedProblem(LossKind("logistic"), p, features, labels)
+    hp = HyperParams(alpha=0.05, eta_g=1.0, K=5, eta=0.5, B=3, T=10)
+    return prob, Regularizer.l1(1e-3), hp, CompressorSpec("topk", 0.5)
+
+
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
-@pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk, _logistic_p1, _hetero_p1])
+@pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk, _logistic_p1, _hetero_p1, _separate_shards])
 def test_engine_matches_per_client_loop_bitwise(case):
     prob, reg, hp, spec = case()
     z_ref, up_ref, lyap_ref = reference_fedcef(prob, reg, hp, spec, seed=9)
@@ -232,7 +245,7 @@ def test_broadcast_prox_runs_once_per_round(case):
 
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
 @pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk])
-def test_streams_are_derived_only_when_drawn_from(case):
+def test_streams_are_derived_only_when_drawn_from(case, monkeypatch):
     prob, reg, hp, spec = case()
     tracer = _load_tracer().Tracer()
     with tracer, tracer.span("run") as root:
@@ -242,6 +255,20 @@ def test_streams_are_derived_only_when_drawn_from(case):
     grad = 0 if prob.closed_form else prob.n_clients * hp.T  # only the sampled run draws
     compress_streams = 2 * prob.n_clients * hp.T if spec.kind == "randk" else 0
     assert calls == grad + compress_streams
+
+    # prox_fedavg's block pass derives each client's grad stream once per
+    # round, and only when the oracle samples
+    labels = []
+
+    def recording_stream(seed, label):
+        labels.append(label)
+        return derive_stream(seed, label)
+
+    monkeypatch.setattr(algorithms, "derive_stream", recording_stream)
+    algorithms.run_prox_fedavg(prob, reg, hp, seed=1)
+    algorithms.run_prox_fedavg(prob, reg, dataclasses.replace(hp, B=FULL), seed=1)
+    drawn = [f"client/{i}/round/{t}/grad" for t in range(hp.T) for i in range(prob.n_clients)]
+    assert labels == ([] if prob.closed_form else drawn)
 
 
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")

@@ -126,6 +126,19 @@ def test_predrawn_indices_match_drawing_from_the_stream():
         assert np.array_equal(stochastic_gradient(prob, 1, x, 5, row), stochastic_gradient(prob, 1, x, 5, rng))
 
 
+def test_numpy_integer_batch_size_gives_the_same_bits():
+    prob = small_problem("logistic")
+    x = np.linspace(-1, 1, prob.dim)
+    g = stochastic_gradient(prob, 0, x, np.int64(2), derive_stream(4, "s"))
+    assert np.array_equal(g, stochastic_gradient(prob, 0, x, 2, derive_stream(4, "s")))
+
+
+@pytest.mark.parametrize("B", [0, -1, 2.0, True, np.bool_(True)])
+def test_batch_size_must_be_a_positive_integer(B):
+    with pytest.raises(ValueError, match="^batch size must be a positive integer or FULL$"):
+        stochastic_gradient(small_problem("logistic"), 0, np.zeros(8), B, derive_stream(4, "s"))
+
+
 def test_hetero_smoothness_is_max_diagonal():
     H = np.array([[1.0, 2.0], [3.0, 1.0]])
     m = np.zeros((2, 2))
