@@ -18,14 +18,17 @@ the global model z and the controls every client shares. Each round every
 client runs its K local steps from z, the algorithm's aggregation rule
 (client_uplink -> server_aggregate -> client_downlink -> server_finalize for
 fedcef, model averaging for prox_fedavg) yields z^{t+1}, and the row is
-measured. One step loop, _steps, steps either one client's (p,) row or the
-(N, p) block of all clients: one gradient oracle call per client and step,
-then the step rule and the prox once on the whole state. prox_fedavg steps
-the block. fedcef's local_update steps one client's row after another: the
-benchmark's call-count test pins local_update at one call per client and
-round, so fedcef's block pass waits for that test to count oracle work
-instead. _run's docstring gives the measured gain and the block's cost on
-large shards.
+measured. One step loop, _steps, steps the block of a range of clients:
+one gradient oracle call per client and step, written into that client's
+row of one gradient block, then the step rule and the prox once on the
+block. prox_fedavg steps all N rows at once. fedcef's local_update steps
+one client's one-row block after another: the benchmark's call-count test
+pins local_update at one call per client and round, so fedcef's all-client
+pass waits for that test to count oracle work instead. The all-client block
+has a cost on large shards: each step reads every client's shard, where a
+client's K steps in a row reuse its own shard from cache. On the wide_p2000
+benchmark problem (p = 2000, 20000 samples, 320 MB of shards) prox_fedavg's
+run rose from 4.0 to 4.8 s in alternating runs on a 2-vCPU shared host.
 
 Local update, per client i, round t, local steps k = 0..K-1:
 
@@ -178,7 +181,7 @@ def prox_sgd_step(
 
 def _steps(
     st: RoundState,
-    client: int | None,
+    rows: range,
     prob: FederatedProblem,
     reg: Regularizer,
     hp: HyperParams,
@@ -186,58 +189,56 @@ def _steps(
     step: Callable[..., float],
     batches: dict[int, np.ndarray] | None,
     checked: bool,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """K local steps from z, of one client's (p,) row or, with client None,
-    of the (N, p) block of all clients; returns xhat^K, x^K and the K
-    gradients, each shaped like the state. Each step takes one
-    stochastic_gradient per client, on its row, then runs the step rule and
-    the prox once on the whole state: both are elementwise, so every row
-    gets the bits it gets when stepped alone. `batches` maps a client to its
-    (K, B) sample indices, or is None when no step samples. `checked` raises
-    NonFiniteError at the first step whose xhat is non-finite. x never
-    aliases x_hat: it starts as (a read-only broadcast of) z, which no step
-    writes, and then holds what prox returns, always a new array."""
-    if client is None:
-        x = np.broadcast_to(st.z, st.x_hat.shape)
-        c_local = st.c_local
-    else:
-        x = st.z
-        c_local = st.c_local[client]
-    x_hat = x.copy()
+) -> None:
+    """K local steps from z on the (len(rows), p) block of the clients in
+    `rows`; when xhat^K is finite, the block's xhat and x are stored in
+    those rows (_local_pass says why one check suffices). Each step writes
+    each client's stochastic_gradient into its row of one gradient block,
+    reused across the steps, then runs the step rule and the prox once on
+    the block: both are elementwise, so every row gets the bits it gets
+    when stepped alone. `batches` maps a client to its (K, B) sample
+    indices, or is None when no step samples. `checked` raises
+    NonFiniteError, naming the block's first client, at the first step
+    whose xhat is non-finite. x never aliases x_hat: it starts as a copy of
+    z per row, which no step writes, and then holds what prox returns,
+    always a new array."""
+    x_hat = st.z[None].repeat(len(rows), axis=0)
+    x = x_hat.copy()
+    g = np.empty_like(x_hat)
     work = np.empty_like(x_hat)
-    c_known = st.c_known
-    gradients = []
+    c_local = st.c_local[rows.start : rows.stop]
+    c_known = st.c_known[None]  # (1, p): a (p,) operand puts a one-row block's ufuncs on numpy's slower broadcast path
     for k in range(hp.K):
-        if client is None:
-            g = np.empty_like(x_hat)
-            for i in range(len(g)):
-                g[i] = stochastic_gradient(prob, i, x[i], hp.B, None if batches is None else batches[i][k])
-        else:
-            g = stochastic_gradient(prob, client, x, hp.B, None if batches is None else batches[client][k])
-        gradients.append(g)
+        for j, i in enumerate(rows):
+            stochastic_gradient(prob, i, x[j], hp.B, None if batches is None else batches[i][k], out=g[j])
         tau = step(hp, k, x_hat, x, g, c_known, c_local, work)
         if checked and not np.isfinite(x_hat).all():
-            raise NonFiniteError(f"client {client}: non-finite state at round {t}, local step {k}")
+            raise NonFiniteError(f"client {rows[0]}: non-finite state at round {t}, local step {k}")
         x = reg.prox(tau, x_hat)
-    return x_hat, x, gradients
+    finite = np.isfinite(x_hat)
+    if not finite.all():
+        bad = rows[int(np.argmin(finite.all(axis=1)))]
+        _steps(st, range(bad, bad + 1), prob, reg, hp, t, step, batches, True)
+        raise NonFiniteError(f"client {bad}: non-finite state at round {t}, local step {hp.K - 1}")
+    st.x_hat[rows.start : rows.stop] = x_hat
+    st.x[rows.start : rows.stop] = x
 
 
 def _local_pass(
     st: RoundState,
-    client: int | None,
+    rows: range,
     prob: FederatedProblem,
     reg: Regularizer,
     hp: HyperParams,
     seed: int,
     t: int,
     step: Callable[..., float],
-) -> list[np.ndarray]:
-    """Run K local steps from z, of one client's row or, with client None,
-    of every client's row at once, and store xhat and x; returns the K
-    gradients. The step rule writes the next xhat into its x_hat argument,
-    given (hp, k, xhat, x, g, c_known, c_local, work), and returns the prox
-    step size. A sampling oracle draws each client's K x B indices from
-    client/{i}/round/{t}/grad in one call.
+) -> None:
+    """Run K local steps from z on the block of the clients in `rows` and
+    store their xhat and x. The step rule writes the next xhat into its
+    x_hat argument, given (hp, k, xhat, x, g, c_known, c_local, work), and
+    returns the prox step size. A sampling oracle draws each client's K x B
+    indices from client/{i}/round/{t}/grad in one call.
 
     Finiteness is checked once, on xhat^K. That is exact: a non-finite
     accumulator stays non-finite under both step rules (inf - finite = inf,
@@ -256,29 +257,18 @@ def _local_pass(
             i: derive_stream(seed, f"client/{i}/round/{t}/grad").gen.integers(
                 0, prob.features[i].shape[0], size=(hp.K, hp.B)
             )
-            for i in (range(st.n_clients) if client is None else (client,))
+            for i in rows
         }
     with np.errstate(over="ignore", invalid="ignore"):
-        x_hat, x, gradients = _steps(st, client, prob, reg, hp, t, step, batches, False)
-        finite = np.isfinite(x_hat)
-        if not finite.all():
-            bad = client if client is not None else int(np.argmin(finite.all(axis=1)))
-            _steps(st, bad, prob, reg, hp, t, step, batches, True)
-            raise NonFiniteError(f"client {bad}: non-finite state at round {t}, local step {hp.K - 1}")
-    rows = slice(None) if client is None else client
-    st.x_hat[rows] = x_hat
-    st.x[rows] = x
-    return gradients
+        _steps(st, rows, prob, reg, hp, t, step, batches, False)
 
 
 def local_update(
     st: RoundState, client: int, prob: FederatedProblem, reg: Regularizer, hp: HyperParams, seed: int, t: int
-) -> list[np.ndarray]:
+) -> None:
     """fedcef's local update of one client: K decoupled proximal steps with
-    the control-variate correction on its row; returns the K gradients.
-    prox_fedavg calls _local_pass on the block with its own step rule, not
-    this phase."""
-    return _local_pass(st, client, prob, reg, hp, seed, t, decoupled_step)
+    the control-variate correction, on that client's one-row block."""
+    _local_pass(st, range(client, client + 1), prob, reg, hp, seed, t, decoupled_step)
 
 
 def client_uplink(st: RoundState, hp: HyperParams, spec: CompressorSpec, seed: int, t: int) -> list[SparsePayload]:
@@ -336,19 +326,7 @@ def _run(
     phase (every client's K steps from z^t), its aggregation rule (which
     returns the round's uplink and downlink bytes), measurement. Returns rows
     0..T and z^0..z^T. The client gradients a row measures at z^t are kept
-    for the next row's Lyapunov term, which needs them at its z_prev = z^t.
-
-    prox_fedavg steps the (N, p) block, all clients a step at a time, so
-    the step rule and the prox run once per step, not once per client: on
-    the hetero_drift benchmark problem (p = 200, N = 20, K = 10) its run fell
-    from 0.90 to 0.40 s. fedcef steps one client's row after another through
-    local_update, which the benchmark's call-count test pins at one call per
-    client and round; its runs kept their time. The block has a cost on large
-    shards: each step reads every client's shard, where a client's K steps
-    in a row reuse its own shard from cache. On the wide_p2000 benchmark
-    problem (p = 2000, 20000 samples, 320 MB of shards) prox_fedavg's run
-    rose from 4.0 to 4.8 s. Both are medians of alternating runs on a
-    2-vCPU shared host."""
+    for the next row's Lyapunov term, which needs them at its z_prev = z^t."""
     z = np.zeros(prob.dim) if z0 is None else np.array(z0, dtype=np.float64, copy=True)
     st = RoundState.initial(z, prob.n_clients)
     uplink_cum = 0
@@ -432,7 +410,7 @@ def run_prox_fedavg(
     report = check_step_conditions(hp, prob.smoothness, 0.0)
 
     def local(st: RoundState, t: int) -> None:
-        _local_pass(st, None, prob, reg, hp, seed, t, prox_sgd_step)
+        _local_pass(st, range(st.n_clients), prob, reg, hp, seed, t, prox_sgd_step)
 
     def average(st: RoundState, t: int) -> tuple[int, int]:
         st.z = client_sum(st.x) / st.n_clients

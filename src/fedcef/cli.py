@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
+from .algorithms import StepConditionWarning
 from .core import NonFiniteError
 from .harness import ConfigError, compare_runs, read_sections, resolve_config, run_experiment, set_key
 
@@ -47,8 +49,10 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         base_text = fh.read()
     runs = []  # every config is resolved before the first run, so a bad one writes nothing
-    for raw in args.values.split(","):
-        raw = raw.strip()
+    values = [raw.strip() for raw in args.values.split(",")]
+    for n, raw in enumerate(values):
+        if raw in values[:n]:  # its run would overwrite the first one's CSV
+            raise ConfigError(f"--values repeats {raw!r}")
         sections = read_sections(base_text)
         key = set_key(sections, args.key, raw)
         runs.append((os.path.join(args.out_dir, f"{key}={raw}.csv"), resolve_config(sections)))
@@ -67,15 +71,24 @@ def _cmd_compare(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_compare(args)
-    except (ConfigError, NonFiniteError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    show = warnings.showwarning
+
+    def show_step_warning(message, category, *rest):  # one line for the user, not a source location
+        if not issubclass(category, StepConditionWarning):
+            return show(message, category, *rest)
+        print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_step_warning
+        try:
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "sweep":
+                return _cmd_sweep(args)
+            return _cmd_compare(args)
+        except (ConfigError, NonFiniteError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

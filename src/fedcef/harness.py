@@ -46,7 +46,7 @@ from typing import Callable
 from . import compressors, regularizers
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
 from .compressors import IDENTITY, TOPK, CompressorSpec
-from .core import derive_stream
+from .core import count, derive_stream
 from .metrics import MetricsRow, MetricsSeries, check_step_conditions, measure_row
 from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
 from .regularizers import Regularizer
@@ -124,10 +124,7 @@ def _fmt(x: float) -> str:
 
 
 def _count(raw: str) -> int:
-    val = int(raw)
-    if val < 1:
-        raise ValueError("must be >= 1")
-    return val
+    return count(int(raw), "must be >= 1")
 
 
 def _float(raw: str) -> float:
@@ -461,6 +458,8 @@ def _summarize(path: str, rows: list[MetricsRow], threshold: float | None) -> Ru
 
 
 def compare_runs(path_a: str, path_b: str, threshold: float | None = None) -> ComparisonSummary:
+    if threshold is not None and not math.isfinite(threshold):
+        raise ConfigError(f"threshold {threshold!r} must be finite")
     _, rows_a = read_metrics_csv(path_a)
     _, rows_b = read_metrics_csv(path_b)
     for path, rows in ((path_a, rows_a), (path_b, rows_b)):

@@ -170,18 +170,19 @@ def client_objectives(
 
 
 def client_gradient(
-    prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None
+    prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact gradient of f_i at x; `margins` is row i of client_margins(prob, x)
-    when already computed."""
+    when already computed. With `out`, the gradient is written there and
+    `out` is returned, the same bits."""
     if prob.loss.variant == HETERO_QUADRATIC:
         d = x - prob.loss.centers[client] if margins is None else margins
-        return prob.loss.curvatures[client] * d
+        return np.multiply(prob.loss.curvatures[client], d, out=out)
     a = prob.features[client]
     if margins is None:
         margins = a @ x
     w = _per_sample_grad_weights(prob.loss, margins, prob.labels[client])
-    return (a.T @ w) / a.shape[0]
+    return np.divide(a.T @ w, a.shape[0], out=out)
 
 
 def client_gradients(
@@ -195,23 +196,30 @@ def client_gradients(
         return prob.loss.curvatures * (x - prob.loss.centers if margins is None else margins)
     out = np.empty((prob.n_clients, prob.dim))
     for i in range(prob.n_clients):
-        out[i] = client_gradient(prob, i, x, None if margins is None else margins[i])
+        client_gradient(prob, i, x, None if margins is None else margins[i], out=out[i])
     return out
 
 
 def stochastic_gradient(
-    prob: FederatedProblem, client: int, x: np.ndarray, B: int | str, rng: RngStream | np.ndarray | None
+    prob: FederatedProblem,
+    client: int,
+    x: np.ndarray,
+    B: int | str,
+    rng: RngStream | np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mini-batch gradient estimate, B i.i.d. samples drawn with replacement.
 
     B = FULL returns the exact gradient. hetero_quadratic is deterministic,
     so any B returns the exact gradient there too. `rng` is the stream to
-    draw the B sample indices from, or those indices already drawn.
+    draw the B sample indices from, or those indices already drawn. With
+    `out`, the estimate is written there and `out` is returned, the same
+    bits.
     """
     if not 0 <= client < prob.n_clients:
         raise ValueError(f"client index {client} out of range")
     if prob.closed_form or B == FULL:
-        return client_gradient(prob, client, x)
+        return client_gradient(prob, client, x, out=out)
     if type(B) is not int or B < 1:  # count's Integral test costs 1 us a call
         B = count(B, "batch size must be a positive integer or FULL")
     if rng is None:
@@ -220,7 +228,7 @@ def stochastic_gradient(
     idx = rng if isinstance(rng, np.ndarray) else rng.gen.integers(0, a.shape[0], size=B)
     rows = a[idx]
     w = _per_sample_grad_weights(prob.loss, rows @ x, prob.labels[client][idx])
-    return (rows.T @ w) / B
+    return np.divide(rows.T @ w, B, out=out)
 
 
 def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Round transcripts of fedcef runs, recorded from outside the engine.
 
 `recording()` wraps the phase functions `local_update`, `client_uplink`,
-`server_aggregate` and `server_finalize` in the `fedcef.algorithms`
-namespace, where `run_fedcef` looks them up at call time, as
-`bench/tracer.py` does. A transcript therefore comes from a real engine run:
-the wrappers pass every argument and result through unchanged and only copy
-what they see. The originals are put back on exit, also when the body raises.
+`server_aggregate` and `server_finalize`, and the gradient oracle
+`stochastic_gradient`, in the `fedcef.algorithms` namespace, where the engine
+looks them up at call time, as `bench/tracer.py` does. A transcript
+therefore comes from a real engine run: the wrappers pass every argument and
+result through unchanged and only copy what they see. The oracle writes into
+a gradient block the pass reuses, so each gradient is copied when it is
+returned. The originals are put back on exit, also when the body raises.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fedcef import algorithms
 from fedcef.algorithms import RoundState
 from fedcef.compressors import SparsePayload, dense_payload
 
-PHASES = ("local_update", "client_uplink", "server_aggregate", "server_finalize")
+PHASES = ("local_update", "stochastic_gradient", "client_uplink", "server_aggregate", "server_finalize")
 
 
 @dataclass
@@ -47,8 +49,13 @@ def recording():
     pending: dict[str, object] = {}
 
     def local_update(st, client, *args):
-        g = originals["local_update"](st, client, *args)
-        gradients[client] = g
+        gradients[client] = []
+        originals["local_update"](st, client, *args)
+
+    def stochastic_gradient(prob, client, *args, **kwargs):
+        g = originals["stochastic_gradient"](prob, client, *args, **kwargs)
+        if client in gradients:  # inside fedcef's local_update of that client
+            gradients[client].append(g.copy())
         return g
 
     def client_uplink(st, hp, spec, seed, t):
@@ -73,7 +80,7 @@ def recording():
         gradients.clear()
 
     try:
-        for wrapper in (local_update, client_uplink, server_aggregate, server_finalize):
+        for wrapper in (local_update, stochastic_gradient, client_uplink, server_aggregate, server_finalize):
             setattr(algorithms, wrapper.__name__, wrapper)
         yield transcripts
     finally:

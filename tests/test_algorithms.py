@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,12 +90,27 @@ def test_centralized_pgd_needs_a_finite_positive_step(step):
         run_centralized_pgd(lasso_problem(p=4, samples=20), Regularizer.l1(0.1), step, 2)
 
 
-def test_local_update_single_gradient_step():
+def recorded_gradients(monkeypatch):
+    """A list that gets a copy of every gradient the engine's oracle returns."""
+    gradients = []
+    oracle = algorithms.stochastic_gradient
+
+    def recording_oracle(*args, **kwargs):
+        g = oracle(*args, **kwargs)
+        gradients.append(g.copy())
+        return g
+
+    monkeypatch.setattr(algorithms, "stochastic_gradient", recording_oracle)
+    return gradients
+
+
+def test_local_update_single_gradient_step(monkeypatch):
     prob = lasso_problem(p=6, samples=30)
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=1, eta=1.0, B=FULL, T=1)
     z = np.linspace(-1, 1, 6)
     st = RoundState.initial(z, 1)
-    gradients = local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
+    gradients = recorded_gradients(monkeypatch)
+    local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
     g = client_gradient(prob, 0, z)
     assert np.allclose(st.x_hat[0], z - 0.05 * g)
     assert np.array_equal(gradients[0], g)
@@ -163,7 +179,7 @@ def test_nonfinite_pass_names_the_first_bad_step_and_keeps_the_rows(step, closed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=r"^client 1: non-finite state at round 7, local step 3$"):
-            _local_pass(st, 1, prob, Regularizer.l1(1e-10), hp, 0, 7, step)
+            _local_pass(st, range(1, 2), prob, Regularizer.l1(1e-10), hp, 0, 7, step)
     for name in ("x_hat", "x", "c_local", "v", "z", "c_known", "c_global"):
         assert np.array_equal(getattr(st, name), getattr(before, name)), name
     # the replay steps from the indices the first run drew
@@ -197,11 +213,11 @@ def test_block_pass_names_the_lowest_diverging_client_and_keeps_every_row(closed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=r"^client 1: non-finite state at round 7, local step 3$"):
-            _local_pass(st, None, prob, Regularizer.l1(1e-10), hp, 0, 7, prox_sgd_step)
+            _local_pass(st, range(3), prob, Regularizer.l1(1e-10), hp, 0, 7, prox_sgd_step)
     for name in ("x_hat", "x", "c_local", "v", "z", "c_known", "c_global"):
         assert np.array_equal(getattr(st, name), getattr(before, name)), name
     assert labels == ([] if closed_form else [f"client/{i}/round/7/grad" for i in range(3)])
-    assert checked == [(3, prob.dim)] + [(prob.dim,)] * 4  # the block once, then client 1's steps 0..3
+    assert checked == [(3, prob.dim)] + [(1, prob.dim)] * 4  # the block once, then client 1's steps 0..3
 
 
 def test_finite_pass_checks_finiteness_once(monkeypatch):
@@ -216,8 +232,27 @@ def test_finite_pass_checks_finiteness_once(monkeypatch):
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
-    gradients = local_update(st, 0, prob, Regularizer.l1(1e-3), hp, seed=0, t=0)
-    assert len(gradients) == hp.K and calls == [(6,)]
+    gradients = recorded_gradients(monkeypatch)
+    local_update(st, 0, prob, Regularizer.l1(1e-3), hp, seed=0, t=0)
+    assert len(gradients) == hp.K and calls == [(1, 6)]
+
+
+def test_block_pass_holds_one_gradient_block():
+    """prox_fedavg's block pass on the hetero_drift benchmark's shape (N = 20,
+    p = 200, K = 10) reuses one gradient block across its steps: the traced
+    peak stays below what keeping every step's block, K * N * p * 8 bytes,
+    would take."""
+    N, p, K = 20, 200, 10
+    prob = generate_synthetic("hetero_quadratic", p, N, N, PartitionSpec("iid"), derive_stream(0, "problem"))
+    hp = HyperParams(alpha=1e-3, K=K)
+    st = RoundState.initial(np.ones(p), N)
+    tracemalloc.start()
+    try:
+        _local_pass(st, range(N), prob, Regularizer.l1(1e-5), hp, 0, 0, prox_sgd_step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < K * N * p * 8
 
 
 def test_accumulator_identity_on_random_runs():

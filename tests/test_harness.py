@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,55 @@ def test_sweep_key_goes_through_the_table(tmp_path, capsys):
         assert cli_main(args + [str(bad_dir), "--key", key]) == 1
         assert not bad_dir.exists()
     assert "unknown" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_repeated_value_before_running(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BASE_CONFIG)
+    out_dir = tmp_path / "sweep"
+    args = ["sweep", "--config", str(cfg_path), "--key", "run.seed", "--values", "1, 2,1", "--out-dir", str(out_dir)]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err == "error: --values repeats '1'\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_compare_rejects_a_non_finite_threshold(threshold, capsys):
+    a = os.path.join(GOLDEN, "demo-fedcef.csv")
+    with pytest.raises(ConfigError, match="^threshold .* must be finite$"):
+        compare_runs(a, a, threshold)
+    assert cli_main(["compare", a, a, f"--threshold={threshold}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: threshold {threshold!r} must be finite\n" and not captured.out
+
+
+def test_cli_prints_the_step_condition_warning_as_one_line(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedcef.__file__)))
+    config = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "configs", "demo.ini")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "demo.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcef", "run", "--config", config, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: step sizes violate the sufficient convergence conditions; proceeding\n"
+    assert proc.stdout == f"wrote {out}\n"
+
+
+def test_cli_leaves_other_warnings_to_the_filters(tmp_path, monkeypatch):
+    # the suite's "error" filter still turns any other warning into an error
+    def warn_and_run(cfg, out):
+        warnings.warn("some other warning", UserWarning)
+
+    monkeypatch.setattr("fedcef.cli.run_experiment", warn_and_run)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BASE_CONFIG)
+    with pytest.raises(UserWarning, match="^some other warning$"):
+        cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
 
 
 def test_compare_rejects_runs_of_different_rounds(tmp_path):

@@ -126,6 +126,19 @@ def test_predrawn_indices_match_drawing_from_the_stream():
         assert np.array_equal(stochastic_gradient(prob, 1, x, 5, row), stochastic_gradient(prob, 1, x, 5, rng))
 
 
+@pytest.mark.parametrize("B", [FULL, 5])
+@pytest.mark.parametrize("variant", DATA_VARIANTS + (HETERO_QUADRATIC,))
+def test_oracle_writes_the_same_bits_into_a_row_of_a_block(variant, B):
+    prob = hetero_problem() if variant == HETERO_QUADRATIC else small_problem(variant)
+    x = np.linspace(-1, 1, prob.dim)
+    block = np.full((prob.n_clients, prob.dim), np.nan)
+    for i in range(prob.n_clients):
+        plain = stochastic_gradient(prob, i, x, B, derive_stream(4, f"s{i}"))
+        row = block[i]
+        assert stochastic_gradient(prob, i, x, B, derive_stream(4, f"s{i}"), out=row) is row
+        assert row.tobytes() == plain.tobytes()
+
+
 def test_numpy_integer_batch_size_gives_the_same_bits():
     prob = small_problem("logistic")
     x = np.linspace(-1, 1, prob.dim)
