@@ -42,13 +42,13 @@ The pre-proximal state is a linear accumulator:
 stochastic gradient up to float rounding, which is what the momentum
 estimator v_i tracks and the compressor transmits as a deviation from c_i.
 
-The uplink acts on all rows at once. Every batched operation is elementwise
-and every cross-client sum is core.client_sum, so the results are
-bit-identical to handling the clients one at a time; the correction is
-evaluated as (g + c) - c_i. Every client receives the same broadcast z_tilde
-and knows the same z^t, so the control (z^t - z_tilde) / beta is
-reconstructed once, and prox_{beta h}(z_tilde), the new model of every
-client and of the server, is computed once.
+The uplink compresses all rows in one call and sends one payload. Every
+batched operation is row-wise and every cross-client sum is
+core.client_sum, so the results are bit-identical to handling the clients
+one at a time; the correction is evaluated as (g + c) - c_i. Every client
+receives the same broadcast z_tilde and knows the same z^t, so the control
+(z^t - z_tilde) / beta is reconstructed once, and prox_{beta h}(z_tilde),
+the new model of every client and of the server, is computed once.
 """
 
 from __future__ import annotations
@@ -271,28 +271,26 @@ def local_update(
     _local_pass(st, range(client, client + 1), prob, reg, hp, seed, t, decoupled_step)
 
 
-def client_uplink(st: RoundState, hp: HyperParams, spec: CompressorSpec, seed: int, t: int) -> list[SparsePayload]:
-    """Momentum update of every v_i, then per client the deviation compression
-    and the error feedback step c_i <- c_i + densify(payload). Rand-k draws
+def client_uplink(st: RoundState, hp: HyperParams, spec: CompressorSpec, seed: int, t: int) -> SparsePayload:
+    """Momentum update of every v_i, one compress call on the (N, p) deviation
+    block, and error feedback c_i <- c_i + C(v_i - c_i). Rand-k draws row i
     from client/{i}/round/{t}/compress. Reads z^t, so it runs before finalize."""
     drift = (st.z - st.x_hat) / (hp.alpha * hp.K) + st.c_local - st.c_known
     st.v = (1.0 - hp.eta) * st.v + hp.eta * drift
-    deviation = st.v - st.c_local
-    payloads = []
-    for i in range(st.n_clients):
-        rng = derive_stream(seed, f"client/{i}/round/{t}/compress") if spec.kind == RANDK else None
-        payload, dense = compress(spec, deviation[i], rng)
-        st.c_local[i] += dense
-        payloads.append(payload)
-    return payloads
+    streams = None
+    if spec.kind == RANDK:
+        streams = [derive_stream(seed, f"client/{i}/round/{t}/compress") for i in range(st.n_clients)]
+    payload, dense = compress(spec, st.v - st.c_local, streams)
+    st.c_local += dense
+    return payload
 
 
-def server_aggregate(st: RoundState, payloads: list[SparsePayload], hp: HyperParams) -> np.ndarray:
-    """c <- c + (1/N) sum_i densify(payload_i), then the pre-proximal broadcast
-    z_tilde = z - beta * c. The server's z stays at z^t until finalize."""
-    if len(payloads) != st.n_clients:
-        raise ValueError(f"expected {st.n_clients} payloads, got {len(payloads)}")
-    st.c_global = st.c_global + client_sum(pl.densify() for pl in payloads) / st.n_clients
+def server_aggregate(st: RoundState, payload: SparsePayload, hp: HyperParams) -> np.ndarray:
+    """c <- c + (1/N) sum_i row_i(densify(payload)), then the pre-proximal
+    broadcast z_tilde = z - beta * c. The server's z stays at z^t until finalize."""
+    if payload.dim != st.c_local.size:
+        raise ValueError(f"uplink payload has dim {payload.dim}, expected N * p = {st.c_local.size}")
+    st.c_global = st.c_global + client_sum(payload.densify().reshape(st.c_local.shape)) / st.n_clients
     return st.z - hp.beta * st.c_global
 
 
@@ -385,11 +383,11 @@ def run_fedcef(
             local_update(st, i, prob, reg, hp, seed, t)
 
     def aggregate(st: RoundState, t: int) -> tuple[int, int]:
-        payloads = client_uplink(st, hp, spec, seed, t)
-        z_tilde = server_aggregate(st, payloads, hp)
+        payload = client_uplink(st, hp, spec, seed, t)
+        z_tilde = server_aggregate(st, payload, hp)
         client_downlink(st, z_tilde, hp)
         server_finalize(st, z_tilde, reg, hp)
-        return sum(payload_bytes(pl) for pl in payloads), DENSE_ENTRY_BYTES * p
+        return payload_bytes(payload), DENSE_ENTRY_BYTES * p
 
     rows, z_hist = _run(prob, reg, hp, z0, local, aggregate, q, report.all_ok, lyapunov)
     series = MetricsSeries("fedcef", seed, prob.smoothness, q * q, hp.beta, report, rows)

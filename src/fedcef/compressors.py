@@ -7,11 +7,14 @@ coordinates without rescaling, which makes it biased rather than unbiased, and
 meets the bound only in expectation over its draw: E||C(x) - x||^2 =
 q^2 ||x||^2, while for a one-hot x the error is all of ||x||^2 on a share
 1 - k/p of draws.
+
+`compress` treats each row of a block as a vector of its own and ships the
+block as one payload. No header is charged per message, so the payload
+costs exactly what its rows would cost sent one by one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,15 +77,9 @@ class CompressorSpec:
             if self.retain > p:
                 raise ValueError(f"retain count {self.retain} exceeds dimension {p}")
             return self.retain
-        return _ratio_count(float(self.retain), p)
-
-
-@functools.lru_cache(maxsize=1024)
-def _ratio_count(ratio: float, p: int) -> int:
-    """ceil(ratio * p), exact in the ratio's decimal value: in binary floating
-    point 0.07 * 100 is 7.000000000000001, which would round up to 8. Cached,
-    since compress resolves k on every call."""
-    return math.ceil(Fraction(repr(ratio)) * p)
+        # ceil(ratio * p), exact in the ratio's decimal value: in binary floating
+        # point 0.07 * 100 is 7.000000000000001, which would round up to 8.
+        return math.ceil(Fraction(repr(float(self.retain))) * p)
 
 
 def contraction_factor(spec: CompressorSpec, p: int) -> float:
@@ -97,7 +94,8 @@ def contraction_factor(spec: CompressorSpec, p: int) -> float:
 
 @dataclass(frozen=True)
 class SparsePayload:
-    """What actually crosses the wire for one compressed vector."""
+    """What actually crosses the wire for one compressed vector, or for an
+    (n, p) block flattened: dim = n*p, row i at indices [i*p, (i+1)*p)."""
 
     dim: int
     dense: bool
@@ -127,8 +125,8 @@ class SparsePayload:
 
 
 def dense_payload(values: np.ndarray) -> SparsePayload:
-    values = np.asarray(values, dtype=np.float64)
-    return SparsePayload(values.size, True, np.empty(0, dtype=np.int64), values.copy())
+    values = np.array(values, dtype=np.float64).ravel()  # a flat copy
+    return SparsePayload(values.size, True, np.empty(0, dtype=np.int64), values)
 
 
 def payload_bytes(payload: SparsePayload) -> int:
@@ -138,9 +136,11 @@ def payload_bytes(payload: SparsePayload) -> int:
 
 
 def compress(
-    spec: CompressorSpec, x: np.ndarray, rng: RngStream | None = None
+    spec: CompressorSpec, x: np.ndarray, rng: RngStream | list[RngStream] | None = None
 ) -> tuple[SparsePayload, np.ndarray]:
-    """Apply the operator; returns the payload and its densified vector C(x).
+    """Apply the operator to each row of an (n, p) block or a (p,) vector;
+    returns the flattened block's payload (see SparsePayload) and C(x), shaped
+    like x. Rand-k draws row i from rng[i], or a vector from rng, one stream.
 
     Full retention (identity, or k == p) is transmitted dense: it carries the
     whole vector anyway and dense elements are cheaper (4 vs 8 bytes), so
@@ -148,19 +148,19 @@ def compress(
     """
     x = np.asarray(x, dtype=np.float64)
     ensure_finite(x, "compress input")
-    p = x.size
+    n, p = np.atleast_2d(x).shape
     k = spec.resolve_k(p)
     if spec.kind == IDENTITY or k == p:
-        payload = dense_payload(x)
-        return payload, payload.densify()
+        return dense_payload(x), x.copy()
     if spec.kind == TOPK:
         # Stable sort on negated magnitudes: ties keep original order, so the
         # lowest index wins and replay is deterministic.
-        order = np.argsort(-np.abs(x), kind="stable")[:k]
-        idx = np.sort(order)
+        idx = np.sort(np.argsort(-np.abs(x.reshape(n, p)), axis=1, kind="stable")[:, :k], axis=1)
     else:  # RANDK
-        if rng is None:
-            raise ValueError("rand-k compression requires an rng stream")
-        idx = np.sort(rng.gen.choice(p, size=k, replace=False))
-    payload = SparsePayload(p, False, idx.astype(np.int64, copy=False), x[idx])  # x[idx] is a copy
-    return payload, payload.densify()
+        streams = [rng] if isinstance(rng, RngStream) else list(rng or ())
+        if len(streams) != n:
+            raise ValueError(f"rand-k needs one rng stream per row: got {len(streams)} streams for {n} rows")
+        idx = np.sort([s.gen.choice(p, size=k, replace=False) for s in streams], axis=1)
+    flat = (idx + p * np.arange(n)[:, None]).ravel()  # strictly increasing: row by row, each sorted
+    payload = SparsePayload(n * p, False, flat, x.ravel()[flat])  # x.ravel()[flat] is a copy
+    return payload, payload.densify().reshape(x.shape)

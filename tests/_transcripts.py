@@ -29,13 +29,13 @@ PHASES = ("local_update", "stochastic_gradient", "client_uplink", "server_aggreg
 class RoundTranscript:
     """One fedcef round: the K gradients of every client, copies of the state
     after the local passes (before the uplink) and after the downlink, and
-    the payloads sent."""
+    the round's uplink and downlink payloads."""
 
     round: int
     gradients: np.ndarray  # (N, K, p)
     local: RoundState
     end: RoundState
-    uplink_payloads: list[SparsePayload]
+    uplink_payload: SparsePayload  # every client's message, one row each
     downlink_payload: SparsePayload
 
 
@@ -60,12 +60,12 @@ def recording():
 
     def client_uplink(st, hp, spec, seed, t):
         local = copy.deepcopy(st)
-        payloads = originals["client_uplink"](st, hp, spec, seed, t)
-        pending.update(round=t, local=local, payloads=payloads)
-        return payloads
+        payload = originals["client_uplink"](st, hp, spec, seed, t)
+        pending.update(round=t, local=local, uplink=payload)
+        return payload
 
-    def server_aggregate(st, payloads, hp):
-        z_tilde = originals["server_aggregate"](st, payloads, hp)
+    def server_aggregate(st, payload, hp):
+        z_tilde = originals["server_aggregate"](st, payload, hp)
         pending["downlink"] = dense_payload(z_tilde)
         return z_tilde
 
@@ -74,7 +74,7 @@ def recording():
         grads = np.array([gradients[i] for i in range(st.n_clients)])
         transcripts.append(
             RoundTranscript(
-                pending["round"], grads, pending["local"], copy.deepcopy(st), pending["payloads"], pending["downlink"]
+                pending["round"], grads, pending["local"], copy.deepcopy(st), pending["uplink"], pending["downlink"]
             )
         )
         gradients.clear()

@@ -24,7 +24,7 @@ from fedcef.algorithms import (
     server_aggregate,
     server_finalize,
 )
-from fedcef.compressors import CompressorSpec, dense_payload
+from fedcef.compressors import CompressorSpec, compress, dense_payload
 from fedcef.core import NonFiniteError, derive_stream
 from fedcef.metrics import prox_gradient_mapping
 from fedcef.problems import (
@@ -281,11 +281,12 @@ def test_uplink_momentum_and_error_feedback():
     st.c_known[:] = [0.0, 0.1, 0.0]
     drift = (st.z - st.x_hat[0]) / 0.2 + st.c_local[0] - st.c_known
     v_expected = 0.75 * st.v[0] + 0.25 * drift
-    (payload,) = client_uplink(st, hp, CompressorSpec("identity"), seed=0, t=0)
+    payload = client_uplink(st, hp, CompressorSpec("identity"), seed=0, t=0)
     assert np.allclose(st.v[0], v_expected)
     # identity compression: c catches v up to float rounding
     assert np.allclose(st.c_local[0], v_expected, atol=1e-12)
     assert payload.dense
+    assert np.allclose(payload.densify(), v_expected - [0.1, 0.2, 0.3], atol=1e-12)
 
 
 def test_uplink_momentum_eta_one_equals_mean_gradient():
@@ -305,16 +306,19 @@ def test_server_aggregate_cases():
     c = np.array([0.5, -0.5])
     st = RoundState.initial(z, 2)
     st.c_global = c.copy()
-    zero_payloads = [dense_payload(np.zeros(2)) for _ in range(2)]
-    z_tilde = server_aggregate(st, zero_payloads, hp)
+    zero_payload = dense_payload(np.zeros((2, 2)))
+    z_tilde = server_aggregate(st, zero_payload, hp)
     assert np.allclose(z_tilde, z - hp.beta * c)
     assert np.allclose(st.c_global, c)
-    with pytest.raises(ValueError, match="payloads"):
-        server_aggregate(st, zero_payloads[:1], hp)
+    # the payload must cover the whole (N, p) block; a rejected one changes nothing
+    for short in (dense_payload(np.zeros(2)), compress(CompressorSpec("topk", 1), np.ones(6))[0]):
+        with pytest.raises(ValueError, match=r"N \* p = 4"):
+            server_aggregate(st, short, hp)
+    assert np.array_equal(st.c_global, c)
     # N = 1 identity: control jumps to the transmitted v
     st1 = RoundState.initial(z, 1)
     v = np.array([3.0, -1.0])
-    server_aggregate(st1, [dense_payload(v)], hp)
+    server_aggregate(st1, dense_payload(v), hp)
     assert np.array_equal(st1.c_global, v)
 
 
@@ -404,7 +408,7 @@ def test_transcript_byte_counts_match_payloads():
         res = run_fedcef(prob, Regularizer.zero(), hp, CompressorSpec("topk", 3), seed=0)
     rows = res.series.rows
     for t, tr in enumerate(transcripts):
-        up = sum(payload_bytes(pl) for pl in tr.uplink_payloads)
+        up = payload_bytes(tr.uplink_payload)
         assert up == rows[t + 1].uplink_bytes_cum - rows[t].uplink_bytes_cum
         assert payload_bytes(tr.downlink_payload) == rows[t + 1].downlink_bytes_cum - rows[t].downlink_bytes_cum
         assert up == 4 * 3 * 8  # N clients, k entries, 8 bytes each

@@ -131,3 +131,58 @@ def test_payload_bytes_rules():
     assert payload_bytes(dense_payload(np.zeros(10))) == 40
     empty = type(sparse)(10, False, np.empty(0, dtype=np.int64), np.empty(0))
     assert payload_bytes(empty) == 0
+
+
+def _block_matches_rows(spec, x, streams=None, fresh_streams=None):
+    """compress on the (n, p) block x against one call per row: the same
+    bits in every row, indices of the flattened block strictly increasing
+    and below n*p, and the bytes of the row payloads summed."""
+    n, p = x.shape
+    payload, dense = compress(spec, x, streams)
+    assert dense.shape == x.shape and payload.dim == n * p
+    assert np.all(np.diff(payload.indices) > 0) and np.all(payload.indices < n * p)
+    row_bytes = 0
+    for i in range(n):
+        row_payload, row_dense = compress(spec, x[i], None if fresh_streams is None else fresh_streams[i])
+        assert row_dense.tobytes() == dense[i].tobytes()
+        assert np.array_equal(payload.densify()[i * p : (i + 1) * p], row_dense)
+        row_bytes += payload_bytes(row_payload)
+    assert payload_bytes(payload) == row_bytes
+    return payload
+
+
+def test_block_identity_matches_rows():
+    x = np.random.default_rng(3).standard_normal((4, 7))
+    payload = _block_matches_rows(CompressorSpec("identity"), x)
+    assert payload.dense and payload_bytes(payload) == 4 * x.size
+
+
+def test_block_topk_matches_rows_and_ties_keep_the_lowest_index():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 40))
+    # a row of tied magnitudes, long enough that an unstable sort reorders it
+    x[2] = np.tile([1.0, -3.0, 3.0, 0.5], 10)
+    for spec in (CompressorSpec("topk", 5), CompressorSpec("topk", 0.3)):
+        payload = _block_matches_rows(spec, x)
+        assert payload_bytes(payload) == 5 * spec.resolve_k(40) * 8
+    _, dense = compress(CompressorSpec("topk", 5), x)
+    assert np.flatnonzero(dense[2]).tolist() == [1, 2, 5, 6, 9]
+
+
+def test_block_randk_draws_each_row_from_its_own_stream():
+    x = np.random.default_rng(5).standard_normal((6, 11))
+    labels = [f"client/{i}/round/2/compress" for i in range(6)]
+    for spec in (CompressorSpec("randk", 3), CompressorSpec("randk", 0.25)):
+        streams = [derive_stream(8, label) for label in labels]
+        fresh = [derive_stream(8, label) for label in labels]
+        payload = _block_matches_rows(spec, x, streams, fresh)
+        assert payload.values.size == 6 * spec.resolve_k(11)
+
+
+def test_block_randk_needs_one_stream_per_row():
+    x = np.ones((3, 5))
+    spec = CompressorSpec("randk", 2)
+    for streams in (None, [], [derive_stream(0, f"r/{i}") for i in range(2)],
+                    [derive_stream(0, f"r/{i}") for i in range(4)], derive_stream(0, "r")):
+        with pytest.raises(ValueError, match="stream"):
+            compress(spec, x, streams)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedcef.algorithms import HyperParams, RoundState
-from fedcef.compressors import DENSE_ENTRY_BYTES, CompressorSpec, compress, dense_payload, payload_bytes
+from fedcef.compressors import CompressorSpec, compress, dense_payload
 from fedcef.core import derive_stream
 from fedcef.metrics import (
     MetricsRow,
@@ -326,29 +326,34 @@ def test_gradient_variance_matches_closed_form_squared_error():
 def comm_accounting(transcripts, dim, include_bootstrap=True):
     """Byte-accounting oracle: cumulative (uplink, downlink) byte series over
     recorded round transcripts, re-derived from the payloads the round loop
-    sent. Uplink sums the per-client payload costs; downlink is one dense
-    broadcast of the model per round, plus the out-of-band round-0 bootstrap
-    broadcast."""
+    sent without payload_bytes: a payload costs 8 bytes per retained value,
+    or 4 per element when it is dense. Uplink is the round's one payload of
+    every client's message; downlink is one dense broadcast of the model per
+    round, plus the out-of-band round-0 bootstrap broadcast."""
+
+    def cost(pl):
+        return 4 * pl.dim if pl.dense else 8 * pl.values.size
+
     uplink = np.zeros(len(transcripts), dtype=np.int64)
     downlink = np.zeros(len(transcripts), dtype=np.int64)
     up_cum = 0
-    down_cum = DENSE_ENTRY_BYTES * dim if include_bootstrap else 0
+    down_cum = 4 * dim if include_bootstrap else 0
     for t, tr in enumerate(transcripts):
-        up_cum += sum(payload_bytes(pl) for pl in tr.uplink_payloads)
-        down_cum += payload_bytes(tr.downlink_payload)
+        up_cum += cost(tr.uplink_payload)
+        down_cum += cost(tr.downlink_payload)
         uplink[t] = up_cum
         downlink[t] = down_cum
     return uplink, downlink
 
 
-def _transcript(round_idx, payloads, dim):
-    st = RoundState.initial(np.zeros(dim), len(payloads))
+def _transcript(round_idx, payload, n, dim):
+    st = RoundState.initial(np.zeros(dim), n)
     return RoundTranscript(
         round=round_idx,
-        gradients=np.zeros((len(payloads), 1, dim)),
+        gradients=np.zeros((n, 1, dim)),
         local=st,
         end=st,
-        uplink_payloads=payloads,
+        uplink_payload=payload,
         downlink_payload=dense_payload(np.zeros(dim)),
     )
 
@@ -359,8 +364,8 @@ def test_comm_accounting_formulas():
     spec = CompressorSpec("topk", k)
     transcripts = []
     for t in range(T):
-        payloads = [compress(spec, rng.standard_normal(p))[0] for _ in range(N)]
-        transcripts.append(_transcript(t, payloads, p))
+        payload = compress(spec, rng.standard_normal((N, p)))[0]
+        transcripts.append(_transcript(t, payload, N, p))
     up, down = comm_accounting(transcripts, p)
     assert np.array_equal(up, [800 * (t + 1) for t in range(T)])  # N * k * 8 per round
     # 4 bytes per element per round, plus the bootstrap broadcast
@@ -368,6 +373,6 @@ def test_comm_accounting_formulas():
     up_nb, down_nb = comm_accounting(transcripts, p, include_bootstrap=False)
     assert down_nb[0] == 4000
     # identity uplink is dense: 4 bytes per element
-    id_payloads = [compress(CompressorSpec("identity"), rng.standard_normal(p))[0] for _ in range(N)]
-    up_id, _ = comm_accounting([_transcript(0, id_payloads, p)], p)
+    id_payload = compress(CompressorSpec("identity"), rng.standard_normal((N, p)))[0]
+    up_id, _ = comm_accounting([_transcript(0, id_payload, N, p)], p)
     assert up_id[0] == N * p * 4
