@@ -12,23 +12,23 @@ Three optimizers are implemented over the same problem/regularizer surface:
   objective, kept outside the engine as the independent reduction oracle.
 
 The first two are a local step rule and an aggregation rule on one engine,
-`_run`. State lives in a RoundState, updated in place: (N, p) arrays, one row
-per client, for what differs between clients, and single (p,) vectors for
-the global model z and the controls every client shares. Each round every
-client runs its K local steps from z, the algorithm's aggregation rule
+`_run`. State lives in a RoundState, updated in place: (N, p) arrays, one
+row per client, for what differs between clients, and single (p,) vectors
+for the global model z and the controls every client shares. Each round
+every client runs its K local steps from z, the algorithm's aggregation rule
 (client_uplink -> server_aggregate -> client_downlink -> server_finalize for
 fedcef, model averaging for prox_fedavg) yields z^{t+1}, and the row is
-measured. One step loop, _steps, steps the block of a range of clients:
-one gradient oracle call per client and step, written into that client's
-row of one gradient block, then the step rule and the prox once on the
-block. prox_fedavg steps all N rows at once. fedcef's local_update steps
-one client's one-row block after another: the benchmark's call-count test
-pins local_update at one call per client and round, so fedcef's all-client
-pass waits for that test to count oracle work instead. The all-client block
-has a cost on large shards: each step reads every client's shard, where a
-client's K steps in a row reuse its own shard from cache. On the wide_p2000
-benchmark problem (p = 2000, 20000 samples, 320 MB of shards) prox_fedavg's
-run rose from 4.0 to 4.8 s in alternating runs on a 2-vCPU shared host.
+measured. _local_pass steps the block of a range of clients: one gradient
+oracle call per client and step, written into that client's row of one
+gradient block, then the step rule and the prox once on the block.
+prox_fedavg steps all N rows at once. fedcef's local_update steps one
+client's one-row block after another: the benchmark's call-count test pins
+local_update at one call per client and round, so fedcef's all-client pass
+waits for that test to count oracle work instead. The all-client block has a
+cost on large shards: each step reads every client's shard, where a client's
+K steps in a row reuse its own shard from cache. On the wide_p2000 benchmark
+problem (p = 2000, 20000 samples, 320 MB of shards) prox_fedavg's run rose
+from 4.0 to 4.8 s in alternating runs on a 2-vCPU shared host.
 
 Local update, per client i, round t, local steps k = 0..K-1:
 
@@ -42,7 +42,8 @@ The pre-proximal state is a linear accumulator:
 stochastic gradient up to float rounding, which is what the momentum
 estimator v_i tracks and the compressor transmits as a deviation from c_i.
 
-The uplink compresses all rows in one call and sends one payload. Every
+The uplink compresses all rows in one call and sends one payload; the
+server sums the block that payload encodes, which compress returns. Every
 batched operation is row-wise and every cross-client sum is
 core.client_sum, so the results are bit-identical to handling the clients
 one at a time; the correction is evaluated as (g + c) - c_i. Every client
@@ -179,51 +180,6 @@ def prox_sgd_step(
     return hp.alpha
 
 
-def _steps(
-    st: RoundState,
-    rows: range,
-    prob: FederatedProblem,
-    reg: Regularizer,
-    hp: HyperParams,
-    t: int,
-    step: Callable[..., float],
-    batches: dict[int, np.ndarray] | None,
-    checked: bool,
-) -> None:
-    """K local steps from z on the (len(rows), p) block of the clients in
-    `rows`; when xhat^K is finite, the block's xhat and x are stored in
-    those rows (_local_pass says why one check suffices). Each step writes
-    each client's stochastic_gradient into its row of one gradient block,
-    reused across the steps, then runs the step rule and the prox once on
-    the block: both are elementwise, so every row gets the bits it gets
-    when stepped alone. `batches` maps a client to its (K, B) sample
-    indices, or is None when no step samples. `checked` raises
-    NonFiniteError, naming the block's first client, at the first step
-    whose xhat is non-finite. x never aliases x_hat: it starts as a copy of
-    z per row, which no step writes, and then holds what prox returns,
-    always a new array."""
-    x_hat = st.z[None].repeat(len(rows), axis=0)
-    x = x_hat.copy()
-    g = np.empty_like(x_hat)
-    work = np.empty_like(x_hat)
-    c_local = st.c_local[rows.start : rows.stop]
-    c_known = st.c_known[None]  # (1, p): a (p,) operand puts a one-row block's ufuncs on numpy's slower broadcast path
-    for k in range(hp.K):
-        for j, i in enumerate(rows):
-            stochastic_gradient(prob, i, x[j], hp.B, None if batches is None else batches[i][k], out=g[j])
-        tau = step(hp, k, x_hat, x, g, c_known, c_local, work)
-        if checked and not np.isfinite(x_hat).all():
-            raise NonFiniteError(f"client {rows[0]}: non-finite state at round {t}, local step {k}")
-        x = reg.prox(tau, x_hat)
-    finite = np.isfinite(x_hat)
-    if not finite.all():
-        bad = rows[int(np.argmin(finite.all(axis=1)))]
-        _steps(st, range(bad, bad + 1), prob, reg, hp, t, step, batches, True)
-        raise NonFiniteError(f"client {bad}: non-finite state at round {t}, local step {hp.K - 1}")
-    st.x_hat[rows.start : rows.stop] = x_hat
-    st.x[rows.start : rows.stop] = x
-
-
 def _local_pass(
     st: RoundState,
     rows: range,
@@ -233,34 +189,60 @@ def _local_pass(
     seed: int,
     t: int,
     step: Callable[..., float],
+    batches: dict[int, np.ndarray] | None = None,
+    checked: bool = False,
 ) -> None:
-    """Run K local steps from z on the block of the clients in `rows` and
-    store their xhat and x. The step rule writes the next xhat into its
-    x_hat argument, given (hp, k, xhat, x, g, c_known, c_local, work), and
-    returns the prox step size. A sampling oracle draws each client's K x B
-    indices from client/{i}/round/{t}/grad in one call.
+    """Run K local steps from z on the (len(rows), p) block of the clients in
+    `rows` and store their xhat and x. The step rule writes the next xhat
+    into its x_hat argument, given (hp, k, xhat, x, g, c_known, c_local,
+    work), and returns the prox step size. Each step writes each client's
+    stochastic_gradient into its row of one gradient block, reused across
+    the steps, then runs the step rule and the prox once on the block: both
+    are elementwise, so every row gets the bits it gets when stepped alone.
+    A sampling oracle draws each client's K x B indices from
+    client/{i}/round/{t}/grad in one call, into `batches`. x never aliases
+    x_hat: it starts as a copy of z per row, which no step writes, and then
+    holds what prox returns, always a new array.
 
     Finiteness is checked once, on xhat^K. That is exact: a non-finite
     accumulator stays non-finite under both step rules (inf - finite = inf,
     inf - inf = NaN, NaN absorbs everything) and under the soft threshold
     (+-inf to +-inf, NaN to NaN), so a row of xhat^K is finite exactly when
     every xhat^k of that row was. When a row is non-finite, the lowest such
-    client's pass is replayed alone with a check after every step, from the
-    same z and controls and with the indices already drawn, so the error
+    client's pass is replayed alone, `checked` after every step, from the
+    same z and controls and with the `batches` already drawn, so the error
     names the client and its first bad step, and no stream is drawn twice.
     All runs ignore overflow and invalid operations, which would otherwise
     surface as RuntimeWarnings before the error. The rows are written only
     after the check, so a failed pass leaves every row as it was."""
-    batches = None
-    if hp.B != FULL and not prob.closed_form:
+    if batches is None and hp.B != FULL and not prob.closed_form:
         batches = {
             i: derive_stream(seed, f"client/{i}/round/{t}/grad").gen.integers(
                 0, prob.features[i].shape[0], size=(hp.K, hp.B)
             )
             for i in rows
         }
+    x_hat = st.z[None].repeat(len(rows), axis=0)
+    x = x_hat.copy()
+    g = np.empty_like(x_hat)
+    work = np.empty_like(x_hat)
+    c_local = st.c_local[rows.start : rows.stop]
+    c_known = st.c_known[None]  # (1, p): a (p,) operand puts a one-row block's ufuncs on numpy's slower broadcast path
     with np.errstate(over="ignore", invalid="ignore"):
-        _steps(st, rows, prob, reg, hp, t, step, batches, False)
+        for k in range(hp.K):
+            for j, i in enumerate(rows):
+                stochastic_gradient(prob, i, x[j], hp.B, None if batches is None else batches[i][k], out=g[j])
+            tau = step(hp, k, x_hat, x, g, c_known, c_local, work)
+            if checked and not np.isfinite(x_hat).all():
+                raise NonFiniteError(f"client {rows[0]}: non-finite state at round {t}, local step {k}")
+            x = reg.prox(tau, x_hat)
+    finite = np.isfinite(x_hat)
+    if not finite.all():
+        bad = rows[int(np.argmin(finite.all(axis=1)))]
+        _local_pass(st, range(bad, bad + 1), prob, reg, hp, seed, t, step, batches, True)
+        raise NonFiniteError(f"client {bad}: non-finite state at round {t}, local step {hp.K - 1}")
+    st.x_hat[rows.start : rows.stop] = x_hat
+    st.x[rows.start : rows.stop] = x
 
 
 def local_update(
@@ -271,10 +253,14 @@ def local_update(
     _local_pass(st, range(client, client + 1), prob, reg, hp, seed, t, decoupled_step)
 
 
-def client_uplink(st: RoundState, hp: HyperParams, spec: CompressorSpec, seed: int, t: int) -> SparsePayload:
+def client_uplink(
+    st: RoundState, hp: HyperParams, spec: CompressorSpec, seed: int, t: int
+) -> tuple[SparsePayload, np.ndarray]:
     """Momentum update of every v_i, one compress call on the (N, p) deviation
-    block, and error feedback c_i <- c_i + C(v_i - c_i). Rand-k draws row i
-    from client/{i}/round/{t}/compress. Reads z^t, so it runs before finalize."""
+    block, and error feedback c_i <- c_i + C(v_i - c_i). Returns the payload,
+    which the bytes are charged for, and the (N, p) block C(v - c_local) it
+    encodes, which the server sums. Rand-k draws row i from
+    client/{i}/round/{t}/compress. Reads z^t, so it runs before finalize."""
     drift = (st.z - st.x_hat) / (hp.alpha * hp.K) + st.c_local - st.c_known
     st.v = (1.0 - hp.eta) * st.v + hp.eta * drift
     streams = None
@@ -282,15 +268,16 @@ def client_uplink(st: RoundState, hp: HyperParams, spec: CompressorSpec, seed: i
         streams = [derive_stream(seed, f"client/{i}/round/{t}/compress") for i in range(st.n_clients)]
     payload, dense = compress(spec, st.v - st.c_local, streams)
     st.c_local += dense
-    return payload
+    return payload, dense
 
 
-def server_aggregate(st: RoundState, payload: SparsePayload, hp: HyperParams) -> np.ndarray:
-    """c <- c + (1/N) sum_i row_i(densify(payload)), then the pre-proximal
-    broadcast z_tilde = z - beta * c. The server's z stays at z^t until finalize."""
-    if payload.dim != st.c_local.size:
-        raise ValueError(f"uplink payload has dim {payload.dim}, expected N * p = {st.c_local.size}")
-    st.c_global = st.c_global + client_sum(payload.densify().reshape(st.c_local.shape)) / st.n_clients
+def server_aggregate(st: RoundState, dense: np.ndarray, hp: HyperParams) -> np.ndarray:
+    """c <- c + (1/N) sum_i dense_i over the rows of the (N, p) uplink block,
+    then the pre-proximal broadcast z_tilde = z - beta * c. The server's z
+    stays at z^t until finalize."""
+    if dense.shape != st.c_local.shape:
+        raise ValueError(f"uplink block has shape {dense.shape}, expected (N, p) = {st.c_local.shape}")
+    st.c_global = st.c_global + client_sum(dense) / st.n_clients
     return st.z - hp.beta * st.c_global
 
 
@@ -383,8 +370,8 @@ def run_fedcef(
             local_update(st, i, prob, reg, hp, seed, t)
 
     def aggregate(st: RoundState, t: int) -> tuple[int, int]:
-        payload = client_uplink(st, hp, spec, seed, t)
-        z_tilde = server_aggregate(st, payload, hp)
+        payload, dense = client_uplink(st, hp, spec, seed, t)
+        z_tilde = server_aggregate(st, dense, hp)
         client_downlink(st, z_tilde, hp)
         server_finalize(st, z_tilde, reg, hp)
         return payload_bytes(payload), DENSE_ENTRY_BYTES * p

@@ -79,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"warning: {message}", file=sys.stderr)
 
     with warnings.catch_warnings():
+        warnings.simplefilter("always", StepConditionWarning, append=True)  # every run warns; a filter already set wins
         warnings.showwarning = show_step_warning
         try:
             if args.command == "run":

@@ -10,7 +10,8 @@ q^2 ||x||^2, while for a one-hot x the error is all of ||x||^2 on a share
 
 `compress` treats each row of a block as a vector of its own and ships the
 block as one payload. No header is charged per message, so the payload
-costs exactly what its rows would cost sent one by one.
+costs exactly what its rows would cost sent one by one. It returns the
+decoded block C(x) beside the payload, so nothing decodes a payload.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def contraction_factor(spec: CompressorSpec, p: int) -> float:
 
 @dataclass(frozen=True)
 class SparsePayload:
-    """What actually crosses the wire for one compressed vector, or for an
-    (n, p) block flattened: dim = n*p, row i at indices [i*p, (i+1)*p)."""
+    """What crosses the wire and is charged for: one compressed vector, or an
+    (n, p) block flattened (dim = n*p, row i at indices [i*p, (i+1)*p))."""
 
     dim: int
     dense: bool
@@ -115,18 +116,6 @@ class SparsePayload:
         else:
             if idx.shape != vals.shape:
                 raise ValueError("sparse payload indices/values length mismatch")
-
-    def densify(self) -> np.ndarray:
-        if self.dense:
-            return self.values.copy()
-        out = np.zeros(self.dim, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
-
-
-def dense_payload(values: np.ndarray) -> SparsePayload:
-    values = np.array(values, dtype=np.float64).ravel()  # a flat copy
-    return SparsePayload(values.size, True, np.empty(0, dtype=np.int64), values)
 
 
 def payload_bytes(payload: SparsePayload) -> int:
@@ -151,7 +140,7 @@ def compress(
     n, p = np.atleast_2d(x).shape
     k = spec.resolve_k(p)
     if spec.kind == IDENTITY or k == p:
-        return dense_payload(x), x.copy()
+        return SparsePayload(x.size, True, np.empty(0, dtype=np.int64), x.flatten()), x.copy()
     if spec.kind == TOPK:
         # Stable sort on negated magnitudes: ties keep original order, so the
         # lowest index wins and replay is deterministic.
@@ -162,5 +151,6 @@ def compress(
             raise ValueError(f"rand-k needs one rng stream per row: got {len(streams)} streams for {n} rows")
         idx = np.sort([s.gen.choice(p, size=k, replace=False) for s in streams], axis=1)
     flat = (idx + p * np.arange(n)[:, None]).ravel()  # strictly increasing: row by row, each sorted
-    payload = SparsePayload(n * p, False, flat, x.ravel()[flat])  # x.ravel()[flat] is a copy
-    return payload, payload.densify().reshape(x.shape)
+    dense = np.zeros(n * p)
+    dense[flat] = x.ravel()[flat]
+    return SparsePayload(n * p, False, flat, dense[flat]), dense.reshape(x.shape)

@@ -19,13 +19,14 @@ Config files are INI-style key/value documents with six sections::
                                    seed = 0
                                    lyapunov = false
 
-`FIELDS` is the one list of keys: reading, resolving, echoing and
-overriding a key (`fedcef run --seed`, `fedcef sweep --key`) all go through
-it. Every key is optional (defaults below); unknown sections or keys, and
-any key under [DEFAULT], are hard errors. Domain rules live in the
-HyperParams, CompressorSpec, Regularizer and PartitionSpec constructors.
-`retain` is a ratio when written with a decimal point and a count when
-written as an integer.
+The fields of `RunConfig` are the one list of keys: each declares its
+section, key, reader and echo, and `FIELDS` is their view by attribute.
+Reading, resolving, echoing and overriding a key (`fedcef run --seed`,
+`fedcef sweep --key`) all go through it. Every key is optional (defaults
+below); unknown sections or keys, and any key under [DEFAULT], are hard
+errors. Domain rules live in the HyperParams, CompressorSpec, Regularizer
+and PartitionSpec constructors. `retain` is a ratio when written with a
+decimal point and a count when written as an integer.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
@@ -40,7 +41,7 @@ import configparser
 import io
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from . import compressors, regularizers
@@ -61,58 +62,6 @@ ALGORITHMS = ("fedcef", "prox_fedavg", "pgd")
 
 class ConfigError(ValueError):
     """Malformed or out-of-domain run configuration."""
-
-
-@dataclass
-class RunConfig:
-    loss: str = "logistic"
-    p: int = 20
-    samples: int = 500
-    clients: int = 10
-    partition: str = DIRICHLET
-    alpha_d: float = 0.6
-    algorithm: str = "fedcef"
-    alpha: float = 0.06  # the hyper defaults are the cifar-like preset
-    eta_g: float = 1.0
-    K: int = 30
-    eta: float = 0.1
-    B: int | str = 64
-    T: int = 400
-    reg_kind: str = "l1"
-    reg_lambda: float = 1e-5
-    comp_kind: str = "topk"
-    comp_retain: int | float | None = 0.1
-    seed: int = 0
-    lyapunov: bool = False
-
-    def hyper(self) -> HyperParams:
-        return HyperParams(alpha=self.alpha, eta_g=self.eta_g, K=self.K, eta=self.eta, B=self.B, T=self.T)
-
-    def regularizer(self) -> Regularizer:
-        return Regularizer(self.reg_kind, self.reg_lambda)
-
-    def compressor(self) -> CompressorSpec:
-        return CompressorSpec(self.comp_kind, None if self.comp_kind == IDENTITY else self.comp_retain)
-
-    def partition_spec(self) -> PartitionSpec:
-        return PartitionSpec(self.partition, self.alpha_d)
-
-    def echo(self) -> dict[str, str]:
-        """Flat section.key = value view in FIELDS order, sufficient to re-run
-        identically. A None value (retain under identity) is left out."""
-        return {
-            f"{f.section}.{f.key}": f.show(value)
-            for f in FIELDS
-            if (value := getattr(self, f.attr)) is not None
-        }
-
-
-HYPER_PRESETS = {
-    # cifar-like is RunConfig's hyper defaults, which mirror the larger
-    # benchmark setting; mnist-like mirrors the smaller one.
-    "cifar-like": {f.name: getattr(RunConfig, f.name) for f in fields(HyperParams)},
-    "mnist-like": {"alpha": 0.1, "eta_g": 1.0, "K": 10, "eta": 0.1, "B": 64, "T": 65},
-}
 
 
 def _fmt(x: float) -> str:
@@ -163,48 +112,85 @@ def _choice(options) -> Callable[[str], str]:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """One config key: its section and name, the RunConfig attribute it sets,
-    how its text is read and how its value is echoed."""
+    """One config key: its section and name, how its text is read and echoed."""
 
     section: str
     key: str
-    attr: str
     read: Callable[[str], object]
     show: Callable[[object], str] = str
 
 
-# Every key a config may set, in echo order. retain is echoed last, after the
-# run section, as CSVs have always had it.
-FIELDS = (
-    Field("problem", "loss", "loss", _choice(LOSS_VARIANTS)),
-    Field("problem", "p", "p", _count),
-    Field("problem", "samples", "samples", _count),
-    Field("problem", "clients", "clients", _count),
-    Field("problem", "partition", "partition", str),
-    Field("problem", "alpha_d", "alpha_d", _float, _fmt),
-    Field("algorithm", "name", "algorithm", _choice(ALGORITHMS)),
-    Field("hyper", "alpha", "alpha", _float, _fmt),
-    Field("hyper", "eta_g", "eta_g", _float, _fmt),
-    Field("hyper", "K", "K", int),
-    Field("hyper", "eta", "eta", _float, _fmt),
-    Field("hyper", "B", "B", _batch),
-    Field("hyper", "T", "T", int),
-    Field("regularizer", "kind", "reg_kind", _choice(regularizers.KINDS)),
-    Field("regularizer", "lambda", "reg_lambda", _float, _fmt),
-    Field("compressor", "kind", "comp_kind", _choice(compressors.KINDS)),
-    Field("run", "seed", "seed", int),
-    Field("run", "lyapunov", "lyapunov", _bool, lambda b: str(b).lower()),
-    Field("compressor", "retain", "comp_retain", _retain),
-)
+def _key(default, section: str, key: str, read: Callable[[str], object], show: Callable[[object], str] = str):
+    """A RunConfig field that config key `section.key` sets."""
+    return field(default=default, metadata={"cfg": Field(section, key, read, show)})
+
+
+@dataclass
+class RunConfig:
+    """A run's configuration. Its fields are the config table: each declares
+    the key that sets it, in echo order. retain is echoed last, after the run
+    section, as CSVs have always had it."""
+
+    loss: str = _key("logistic", "problem", "loss", _choice(LOSS_VARIANTS))
+    p: int = _key(20, "problem", "p", _count)
+    samples: int = _key(500, "problem", "samples", _count)
+    clients: int = _key(10, "problem", "clients", _count)
+    partition: str = _key(DIRICHLET, "problem", "partition", str)
+    alpha_d: float = _key(0.6, "problem", "alpha_d", _float, _fmt)
+    algorithm: str = _key("fedcef", "algorithm", "name", _choice(ALGORITHMS))
+    alpha: float = _key(0.06, "hyper", "alpha", _float, _fmt)  # the hyper defaults are the cifar-like preset
+    eta_g: float = _key(1.0, "hyper", "eta_g", _float, _fmt)
+    K: int = _key(30, "hyper", "K", int)
+    eta: float = _key(0.1, "hyper", "eta", _float, _fmt)
+    B: int | str = _key(64, "hyper", "B", _batch)
+    T: int = _key(400, "hyper", "T", int)
+    reg_kind: str = _key("l1", "regularizer", "kind", _choice(regularizers.KINDS))
+    reg_lambda: float = _key(1e-5, "regularizer", "lambda", _float, _fmt)
+    comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
+    seed: int = _key(0, "run", "seed", int)
+    lyapunov: bool = _key(False, "run", "lyapunov", _bool, lambda b: str(b).lower())
+    comp_retain: int | float | None = _key(0.1, "compressor", "retain", _retain)
+
+    def hyper(self) -> HyperParams:
+        return HyperParams(alpha=self.alpha, eta_g=self.eta_g, K=self.K, eta=self.eta, B=self.B, T=self.T)
+
+    def regularizer(self) -> Regularizer:
+        return Regularizer(self.reg_kind, self.reg_lambda)
+
+    def compressor(self) -> CompressorSpec:
+        return CompressorSpec(self.comp_kind, None if self.comp_kind == IDENTITY else self.comp_retain)
+
+    def partition_spec(self) -> PartitionSpec:
+        return PartitionSpec(self.partition, self.alpha_d)
+
+    def echo(self) -> dict[str, str]:
+        """Flat section.key = value view in field order, sufficient to re-run
+        identically. A None value (retain under identity) is left out."""
+        return {
+            f"{f.section}.{f.key}": f.show(value)
+            for name, f in FIELDS.items()
+            if (value := getattr(self, name)) is not None
+        }
+
+
+# Every key a config may set: RunConfig attribute -> Field, in echo order.
+FIELDS = {f.name: f.metadata["cfg"] for f in fields(RunConfig)}
+
+HYPER_PRESETS = {
+    # cifar-like is RunConfig's hyper defaults, which mirror the larger
+    # benchmark setting; mnist-like mirrors the smaller one.
+    "cifar-like": {f.name: getattr(RunConfig, f.name) for f in fields(HyperParams)},
+    "mnist-like": {"alpha": 0.1, "eta_g": 1.0, "K": 10, "eta": 0.1, "B": 64, "T": 65},
+}
 
 # hyper.preset sets several attributes at once, under the explicit keys, and
 # is not echoed: the echo carries the values it set.
-PRESET = Field("hyper", "preset", "", _choice(tuple(HYPER_PRESETS)))
+PRESET = Field("hyper", "preset", _choice(tuple(HYPER_PRESETS)))
 
 
 # Built once, so a lookup is one dict hit; configparser lowercases keys.
-_LOOKUP = {(f.section, f.key.lower()): f for f in FIELDS + (PRESET,)}
-_SECTIONS = frozenset(f.section for f in FIELDS)
+_LOOKUP = {(f.section, f.key.lower()): (name, f) for name, f in [*FIELDS.items(), ("preset", PRESET)]}
+_SECTIONS = frozenset(f.section for f in FIELDS.values())
 
 
 def _check_section(section: str) -> None:
@@ -212,12 +198,13 @@ def _check_section(section: str) -> None:
         raise ConfigError(f"unknown section [{section}]")
 
 
-def _field(section: str, key: str) -> Field:
-    f = _LOOKUP.get((section, key.lower()))
-    if f is None:
+def _field(section: str, key: str) -> tuple[str, Field]:
+    """The RunConfig attribute a key sets ("preset" for hyper.preset) and its Field."""
+    entry = _LOOKUP.get((section, key.lower()))
+    if entry is None:
         _check_section(section)
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    return f
+    return entry
 
 
 def read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -234,7 +221,7 @@ def read_sections(text: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         _check_section(section)
-        sections[section] = {_field(section, key).key: value for key, value in parser.items(section)}
+        sections[section] = {_field(section, key)[1].key: value for key, value in parser.items(section)}
     return sections
 
 
@@ -242,7 +229,7 @@ def set_key(sections: dict[str, dict[str, str]], dotted: str, raw: str) -> str:
     """Set `section.key` in raw sections as a config line would; returns the
     canonical dotted key (hyper.k -> hyper.K)."""
     section, _, key = dotted.partition(".")
-    f = _field(section, key)
+    f = _field(section, key)[1]
     sections.setdefault(section, {})[f.key] = raw
     return f"{section}.{f.key}"
 
@@ -250,22 +237,17 @@ def set_key(sections: dict[str, dict[str, str]], dotted: str, raw: str) -> str:
 def resolve_config(sections: dict[str, dict[str, str]]) -> RunConfig:
     """Second parse stage: read every value through its field, apply the
     preset and then the explicit keys over the defaults, and check domains."""
-    values: dict[Field, object] = {}
+    values: dict[str, object] = {}
     for section, entries in sections.items():
         _check_section(section)
         for key, raw in entries.items():
-            f = _field(section, key)
+            name, f = _field(section, key)
             try:
-                values[f] = f.read(raw)
+                values[name] = f.read(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {f.key} = {raw!r}: {exc}") from None
-    cfg = RunConfig()
-    preset = values.pop(PRESET, None)
-    if preset is not None:
-        for attr, value in HYPER_PRESETS[preset].items():
-            setattr(cfg, attr, value)
-    for f, value in values.items():
-        setattr(cfg, f.attr, value)
+    preset = HYPER_PRESETS.get(values.pop("preset", None), {})
+    cfg = RunConfig(**{**preset, **values})
     if cfg.comp_kind == IDENTITY:
         cfg.comp_retain = None
     if cfg.samples < cfg.clients and cfg.loss != HETERO_QUADRATIC:
@@ -274,7 +256,7 @@ def resolve_config(sections: dict[str, dict[str, str]]) -> RunConfig:
         ("problem", cfg.partition_spec),
         ("hyper", cfg.hyper),
         ("regularizer", cfg.regularizer),
-        ("compressor", cfg.compressor),
+        ("compressor", lambda: cfg.compressor().resolve_k(cfg.p)),
     ):
         try:
             build()

@@ -20,7 +20,7 @@ import numpy as np
 
 from fedcef import algorithms
 from fedcef.algorithms import RoundState
-from fedcef.compressors import SparsePayload, dense_payload
+from fedcef.compressors import SparsePayload
 
 PHASES = ("local_update", "stochastic_gradient", "client_uplink", "server_aggregate", "server_finalize")
 
@@ -60,13 +60,13 @@ def recording():
 
     def client_uplink(st, hp, spec, seed, t):
         local = copy.deepcopy(st)
-        payload = originals["client_uplink"](st, hp, spec, seed, t)
+        payload, dense = originals["client_uplink"](st, hp, spec, seed, t)
         pending.update(round=t, local=local, uplink=payload)
-        return payload
+        return payload, dense
 
-    def server_aggregate(st, payload, hp):
-        z_tilde = originals["server_aggregate"](st, payload, hp)
-        pending["downlink"] = dense_payload(z_tilde)
+    def server_aggregate(st, dense, hp):
+        z_tilde = originals["server_aggregate"](st, dense, hp)
+        pending["downlink"] = SparsePayload(z_tilde.size, True, np.empty(0, dtype=np.int64), z_tilde.copy())
         return z_tilde
 
     def server_finalize(st, z_tilde, reg, hp):

@@ -24,7 +24,7 @@ from fedcef.algorithms import (
     server_aggregate,
     server_finalize,
 )
-from fedcef.compressors import CompressorSpec, compress, dense_payload
+from fedcef.compressors import CompressorSpec
 from fedcef.core import NonFiniteError, derive_stream
 from fedcef.metrics import prox_gradient_mapping
 from fedcef.problems import (
@@ -38,6 +38,7 @@ from fedcef.problems import (
 )
 from fedcef.regularizers import Regularizer
 from tests._transcripts import PHASES, recording
+from tests.test_compressors import assert_encodes
 
 
 def lasso_problem(seed=7, p=20, samples=100, N=1):
@@ -281,12 +282,35 @@ def test_uplink_momentum_and_error_feedback():
     st.c_known[:] = [0.0, 0.1, 0.0]
     drift = (st.z - st.x_hat[0]) / 0.2 + st.c_local[0] - st.c_known
     v_expected = 0.75 * st.v[0] + 0.25 * drift
-    payload = client_uplink(st, hp, CompressorSpec("identity"), seed=0, t=0)
+    payload, dense = client_uplink(st, hp, CompressorSpec("identity"), seed=0, t=0)
     assert np.allclose(st.v[0], v_expected)
     # identity compression: c catches v up to float rounding
     assert np.allclose(st.c_local[0], v_expected, atol=1e-12)
     assert payload.dense
-    assert np.allclose(payload.densify(), v_expected - [0.1, 0.2, 0.3], atol=1e-12)
+    assert np.allclose(payload.values, v_expected - [0.1, 0.2, 0.3], atol=1e-12)
+    assert np.array_equal(dense[0], payload.values)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CompressorSpec("identity"), CompressorSpec("topk", 3), CompressorSpec("randk", 0.3)],
+    ids=["identity", "topk", "randk"],
+)
+def test_uplink_charges_exactly_the_block_it_applies(spec):
+    """The server sums the block client_uplink returns and never decodes the
+    payload, so the charged payload must encode exactly that block, and the
+    block must be what error feedback added to c_local."""
+    rng = np.random.default_rng(11)
+    hp = HyperParams(alpha=0.1, K=2, eta=0.5)
+    st = RoundState.initial(rng.standard_normal(9), 4)
+    st.x_hat = rng.standard_normal((4, 9))
+    st.c_local = rng.standard_normal((4, 9))
+    before = st.c_local.copy()
+    payload, dense = client_uplink(st, hp, spec, seed=3, t=5)
+    assert dense.shape == (4, 9)
+    assert_encodes(payload, dense)
+    assert np.array_equal(st.c_local, before + dense)
+    assert payload.values.size == (36 if spec.kind == "identity" else 4 * spec.resolve_k(9))
 
 
 def test_uplink_momentum_eta_one_equals_mean_gradient():
@@ -306,20 +330,19 @@ def test_server_aggregate_cases():
     c = np.array([0.5, -0.5])
     st = RoundState.initial(z, 2)
     st.c_global = c.copy()
-    zero_payload = dense_payload(np.zeros((2, 2)))
-    z_tilde = server_aggregate(st, zero_payload, hp)
+    z_tilde = server_aggregate(st, np.zeros((2, 2)), hp)
     assert np.allclose(z_tilde, z - hp.beta * c)
     assert np.allclose(st.c_global, c)
-    # the payload must cover the whole (N, p) block; a rejected one changes nothing
-    for short in (dense_payload(np.zeros(2)), compress(CompressorSpec("topk", 1), np.ones(6))[0]):
-        with pytest.raises(ValueError, match=r"N \* p = 4"):
-            server_aggregate(st, short, hp)
+    # the uplink block must be (N, p); a rejected one changes nothing
+    for wrong in (np.zeros(2), np.zeros(4), np.zeros((1, 2)), np.zeros((2, 3)), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match=r"expected \(N, p\) = \(2, 2\)"):
+            server_aggregate(st, wrong, hp)
     assert np.array_equal(st.c_global, c)
     # N = 1 identity: control jumps to the transmitted v
     st1 = RoundState.initial(z, 1)
-    v = np.array([3.0, -1.0])
-    server_aggregate(st1, dense_payload(v), hp)
-    assert np.array_equal(st1.c_global, v)
+    v = np.array([[3.0, -1.0]])
+    server_aggregate(st1, v, hp)
+    assert np.array_equal(st1.c_global, v[0])
 
 
 def test_client_downlink_reconstruction():

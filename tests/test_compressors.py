@@ -5,7 +5,6 @@ from fedcef.compressors import (
     CompressorSpec,
     compress,
     contraction_factor,
-    dense_payload,
     payload_bytes,
 )
 from fedcef.core import derive_stream
@@ -128,24 +127,38 @@ def test_retain_domain_errors():
 def test_payload_bytes_rules():
     sparse = compress(CompressorSpec("topk", 3), np.arange(10.0) + 1)[0]
     assert payload_bytes(sparse) == 24
-    assert payload_bytes(dense_payload(np.zeros(10))) == 40
+    assert payload_bytes(compress(CompressorSpec("identity"), np.zeros(10))[0]) == 40
     empty = type(sparse)(10, False, np.empty(0, dtype=np.int64), np.empty(0))
     assert payload_bytes(empty) == 0
+
+
+def assert_encodes(payload, dense):
+    """The charged payload encodes exactly the block that is applied: a dense
+    payload carries every entry of the block in order; a sparse one carries
+    the block's entries at its indices, and the block is zero elsewhere."""
+    flat = dense.ravel()
+    assert payload.dim == flat.size
+    if payload.dense:
+        assert payload.indices.size == 0 and payload.values.tobytes() == flat.tobytes()
+    else:
+        assert payload.values.tobytes() == flat[payload.indices].tobytes()
+        assert not np.delete(flat, payload.indices).any()
 
 
 def _block_matches_rows(spec, x, streams=None, fresh_streams=None):
     """compress on the (n, p) block x against one call per row: the same
     bits in every row, indices of the flattened block strictly increasing
-    and below n*p, and the bytes of the row payloads summed."""
+    and below n*p, a payload that encodes the block, and the bytes of the
+    row payloads summed."""
     n, p = x.shape
     payload, dense = compress(spec, x, streams)
     assert dense.shape == x.shape and payload.dim == n * p
     assert np.all(np.diff(payload.indices) > 0) and np.all(payload.indices < n * p)
+    assert_encodes(payload, dense)
     row_bytes = 0
     for i in range(n):
         row_payload, row_dense = compress(spec, x[i], None if fresh_streams is None else fresh_streams[i])
         assert row_dense.tobytes() == dense[i].tobytes()
-        assert np.array_equal(payload.densify()[i * p : (i + 1) * p], row_dense)
         row_bytes += payload_bytes(row_payload)
     assert payload_bytes(payload) == row_bytes
     return payload

@@ -65,9 +65,12 @@ def reference_fedcef(prob, reg, hp, spec, seed):
             payload, dense = compress(spec, cs["v"] - cs["c_local"], cstream)
             cs["c_local"] = cs["c_local"] + dense
             payloads.append(payload)
-        total = np.zeros(p)
+        total = np.zeros(p)  # decoded here from the payloads, not taken from compress
         for pl in payloads:
-            total += pl.densify()
+            if pl.dense:
+                total += pl.values
+            else:
+                total[pl.indices] += pl.values
         c = c + total / N
         z_tilde = z - hp.beta * c
         for cs in clients:

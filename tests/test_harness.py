@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fedcef
 from fedcef import compressors, regularizers
-from fedcef.algorithms import HyperParams, run_fedcef
+from fedcef.algorithms import HyperParams, StepConditionWarning, run_fedcef
 from fedcef.cli import main as cli_main
 from fedcef.harness import (
     ALGORITHMS,
@@ -410,6 +410,7 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[compressor]\nkind = topk\nretain = 1.5\n",
         "[compressor]\nkind = identity\nretain = 1.5\n",
         "[compressor]\nkind = randk\nretain = 0\n",
+        "[compressor]\nkind = randk\nretain = 21\n",
         "[compressor]\nkind = sign\n",
         "[hyper]\nK = 0\n",
         "[hyper]\nT = 0\n",
@@ -454,14 +455,14 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @st.composite
 def run_configs(draw):
-    clients = draw(st.integers(1, 50))
+    clients, p = draw(st.integers(1, 50)), draw(st.integers(1, 10**6))
     comp_kind = draw(st.sampled_from(compressors.KINDS))
-    retain = draw(st.integers(1, 10**6) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    retain = draw(st.integers(1, p) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     alpha, eta_g, K = draw(_positive), draw(_positive), draw(st.integers(1, 10**4))
     assume(0 < alpha * eta_g * K < math.inf)  # beta, which HyperParams requires finite and positive
     return RunConfig(
         loss=draw(st.sampled_from(LOSS_VARIANTS)),
-        p=draw(st.integers(1, 10**6)),
+        p=p,
         samples=draw(st.integers(clients, 10**7)),
         clients=clients,
         partition=draw(st.sampled_from((IID, DIRICHLET))),
@@ -511,6 +512,18 @@ def test_sweep_key_goes_through_the_table(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_retain_count_above_p_is_rejected_before_running(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"^\[compressor\] retain count 100 exceeds dimension 8$"):
+        parse_config(BASE_CONFIG.replace("retain = 0.25", "retain = 100"))
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BASE_CONFIG)
+    out_dir = tmp_path / "sweep"
+    args = ["sweep", "--config", str(cfg_path), "--key", "compressor.retain", "--values", "2,100"]
+    assert cli_main(args + ["--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: [compressor] retain count 100 exceeds dimension 8\n"
+    assert not out_dir.exists()
+
+
 def test_sweep_rejects_a_repeated_value_before_running(tmp_path, capsys):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(BASE_CONFIG)
@@ -531,26 +544,48 @@ def test_compare_rejects_a_non_finite_threshold(threshold, capsys):
     assert captured.err == f"error: threshold {threshold!r} must be finite\n" and not captured.out
 
 
-def test_cli_prints_the_step_condition_warning_as_one_line(tmp_path):
+STEP_WARNING = "warning: step sizes violate the sufficient convergence conditions; proceeding\n"
+
+
+def _run_cli(*args):
+    """`python -m fedcef <args>` on demo.ini in a fresh interpreter, whose
+    warning filters are Python's defaults."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedcef.__file__)))
     config = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "configs", "demo.ini")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "demo.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedcef", "run", "--config", config, "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "fedcef", args[0], "--config", config, *args[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_cli_prints_the_step_condition_warning_as_one_line(tmp_path):
+    out = tmp_path / "demo.csv"
+    proc = _run_cli("run", "--out", str(out))
     assert proc.returncode == 0
-    assert proc.stderr == "warning: step sizes violate the sufficient convergence conditions; proceeding\n"
+    assert proc.stderr == STEP_WARNING
     assert proc.stdout == f"wrote {out}\n"
 
 
-def test_cli_leaves_other_warnings_to_the_filters(tmp_path, monkeypatch):
-    # the suite's "error" filter still turns any other warning into an error
+def test_cli_sweep_prints_the_step_condition_warning_once_per_run(tmp_path):
+    """Every run of demo.ini violates the step conditions, so a sweep over
+    three values warns three times, although Python's default filter shows
+    a warning once per source line."""
+    values = ["0.01", "0.1", "1.0"]
+    proc = _run_cli("sweep", "--key", "compressor.retain", "--values", ",".join(values), "--out-dir", str(tmp_path))
+    assert proc.returncode == 0
+    assert proc.stderr == STEP_WARNING * 3
+    assert proc.stdout == "".join(f"wrote {tmp_path / f'compressor.retain={v}.csv'}\n" for v in values)
+
+
+def test_cli_leaves_other_warnings_to_the_filters(tmp_path, monkeypatch, capsys):
+    # the suite's "ignore" filter for the step-condition warning still wins,
+    # and its "error" filter still turns any other warning into an error
     def warn_and_run(cfg, out):
+        warnings.warn("step sizes violate", StepConditionWarning)
         warnings.warn("some other warning", UserWarning)
 
     monkeypatch.setattr("fedcef.cli.run_experiment", warn_and_run)
@@ -558,6 +593,7 @@ def test_cli_leaves_other_warnings_to_the_filters(tmp_path, monkeypatch):
     cfg_path.write_text(BASE_CONFIG)
     with pytest.raises(UserWarning, match="^some other warning$"):
         cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_rejects_runs_of_different_rounds(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedcef.algorithms import HyperParams, RoundState
-from fedcef.compressors import CompressorSpec, compress, dense_payload
+from fedcef.compressors import CompressorSpec, compress
 from fedcef.core import derive_stream
 from fedcef.metrics import (
     MetricsRow,
@@ -354,7 +354,7 @@ def _transcript(round_idx, payload, n, dim):
         local=st,
         end=st,
         uplink_payload=payload,
-        downlink_payload=dense_payload(np.zeros(dim)),
+        downlink_payload=compress(CompressorSpec("identity"), np.zeros(dim))[0],
     )
 
 

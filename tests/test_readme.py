@@ -2,20 +2,45 @@
 
 import os
 import re
+import shlex
+import shutil
+import subprocess
+import sys
+
+import fedcef
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _python_block(heading: str) -> str:
-    """The first fenced python block under the README's `## <heading>`."""
+def _fenced_block(heading: str, lang: str) -> str:
+    """The first fenced `lang` block under the README's `## <heading>`."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         section = fh.read().split(f"\n## {heading}\n", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_library_surface_example_runs():
     """A renamed or removed public name fails here, not only for a reader."""
     namespace: dict = {}
-    exec(compile(_python_block("Library surface"), "README.md", "exec"), namespace)
+    exec(compile(_fenced_block("Library surface", "python"), "README.md", "exec"), namespace)
     result = namespace["result"]
     assert len(result.series.rows) == namespace["hp"].T + 1
+
+
+def test_command_line_example_runs(tmp_path):
+    """Each line of the command-line block, with `python -m fedcef` for the
+    installed script and its optional `[...]` arguments given, exits 0 in a
+    directory holding a copy of configs/."""
+    shutil.copytree(os.path.join(ROOT, "configs"), tmp_path / "configs")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedcef.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    lines = _fenced_block("Command line", "bash").splitlines()
+    assert [line.split()[:2] for line in lines] == [["fedcef", "run"], ["fedcef", "sweep"], ["fedcef", "compare"]]
+    for line in lines:
+        args = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedcef", *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (line, proc.stderr)
+    assert "# cfg run.seed = 7\n" in (tmp_path / "run.csv").read_text()
+    assert proc.stdout.startswith("run A: sweep/compressor.retain=0.01.csv\n")
