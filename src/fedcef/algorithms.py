@@ -303,36 +303,34 @@ def _run(
     z0: np.ndarray | None,
     local: Callable[[RoundState, int], None],
     aggregate: Callable[[RoundState, int], tuple[int, int]],
-    q: float,
     condition_ok: bool,
-    lyapunov: bool,
+    q: float | None,
 ) -> tuple[list[MetricsRow], list[np.ndarray]]:
     """The round loop both federated algorithms share: the algorithm's local
     phase (every client's K steps from z^t), its aggregation rule (which
     returns the round's uplink and downlink bytes), measurement. Returns rows
-    0..T and z^0..z^T. The client gradients a row measures at z^t are kept
-    for the next row's Lyapunov term, which needs them at its z_prev = z^t."""
+    0..T and z^0..z^T. Given the compression factor q, rows record the
+    Lyapunov potential: F(z^0) at row 0, then the diagnostic of the row's F,
+    the v_i and c_i, and the client gradients the previous row measured at
+    z^t, where the round started. q = None leaves the column empty."""
     z = np.zeros(prob.dim) if z0 is None else np.array(z0, dtype=np.float64, copy=True)
     st = RoundState.initial(z, prob.n_clients)
     uplink_cum = 0
     downlink_cum = DENSE_ENTRY_BYTES * prob.dim  # bootstrap broadcast of z^0
-
-    def measure(t: int, z_prev: np.ndarray | None, z_prev_grads: np.ndarray | None):
-        row, grads = measure_row(prob, reg, hp.beta, t, st.z, uplink_cum, downlink_cum, condition_ok)
-        if lyapunov:
-            row.lyapunov = lyapunov_diagnostic(prob, reg, hp, q, st.z, z_prev, st.v, st.c_local, row.F, z_prev_grads)
-        return row, grads
-
-    row, grads = measure(0, None, None)
+    row, grads = measure_row(prob, reg, hp.beta, 0, st.z, uplink_cum, downlink_cum, condition_ok)
+    if q is not None:
+        row.lyapunov = row.F
     rows = [row]
     z_hist = [st.z.copy()]
     for t in range(hp.T):
-        z_round = st.z
         local(st, t)
         up, down = aggregate(st, t)
         uplink_cum += up
         downlink_cum += down
-        row, grads = measure(t + 1, z_round, grads)
+        row, next_grads = measure_row(prob, reg, hp.beta, t + 1, st.z, uplink_cum, downlink_cum, condition_ok)
+        if q is not None:
+            row.lyapunov = lyapunov_diagnostic(hp, q, row.F, st.v, st.c_local, grads)
+        grads = next_grads
         rows.append(row)
         z_hist.append(st.z.copy())
     return rows, z_hist
@@ -376,7 +374,7 @@ def run_fedcef(
         server_finalize(st, z_tilde, reg, hp)
         return payload_bytes(payload), DENSE_ENTRY_BYTES * p
 
-    rows, z_hist = _run(prob, reg, hp, z0, local, aggregate, q, report.all_ok, lyapunov)
+    rows, z_hist = _run(prob, reg, hp, z0, local, aggregate, report.all_ok, q if lyapunov else None)
     series = MetricsSeries("fedcef", seed, prob.smoothness, q * q, hp.beta, report, rows)
     return RunResult(series, z_hist)
 
@@ -401,7 +399,7 @@ def run_prox_fedavg(
         st.z = client_sum(st.x) / st.n_clients
         return st.n_clients * DENSE_ENTRY_BYTES * p, DENSE_ENTRY_BYTES * p
 
-    rows, z_hist = _run(prob, reg, hp, z0, local, average, 0.0, report.all_ok, False)
+    rows, z_hist = _run(prob, reg, hp, z0, local, average, report.all_ok, None)
     series = MetricsSeries("prox_fedavg", seed, prob.smoothness, 0.0, hp.beta, report, rows)
     return RunResult(series, z_hist)
 

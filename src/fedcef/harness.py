@@ -26,7 +26,9 @@ Reading, resolving, echoing and overriding a key (`fedcef run --seed`,
 below); unknown sections or keys, and any key under [DEFAULT], are hard
 errors. Domain rules live in the HyperParams, CompressorSpec, Regularizer
 and PartitionSpec constructors. `retain` is a ratio when written with a
-decimal point and a count when written as an integer.
+decimal point and a count when written as an integer. `lyapunov = true`
+fills fedcef's Lyapunov column, as the potential is built from its v_i and
+c_i; the other algorithms log that they leave the column empty.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
@@ -281,6 +283,8 @@ def run_experiment(cfg: RunConfig, out_path: str) -> MetricsSeries:
     prob = build_problem(cfg)
     reg = cfg.regularizer()
     hp = cfg.hyper()
+    if cfg.lyapunov and cfg.algorithm != "fedcef":
+        logger.info("run.lyapunov is fedcef's; the lyapunov column of algorithm=%s stays empty", cfg.algorithm)
     if cfg.algorithm == "fedcef":
         series = run_fedcef(prob, reg, hp, cfg.compressor(), cfg.seed, lyapunov=cfg.lyapunov).series
     elif cfg.algorithm == "prox_fedavg":

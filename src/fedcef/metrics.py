@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import client_sum
+from .core import NonFiniteError, client_sum
 from .problems import (
     FULL,
     FederatedProblem,
@@ -87,20 +87,32 @@ def prox_gradient_mapping(
 def measure_row(
     prob: FederatedProblem, reg, beta: float, t: int, z: np.ndarray, up: int, down: int, condition_ok: bool
 ) -> tuple[MetricsRow, np.ndarray]:
-    """The row of model z after round t: F, ||G_beta(z)||^2, the cumulative
-    byte counters and nnz, and the (N, p) block of client gradients at z.
+    """Row t, which measures the model z that round t - 1 produced (the
+    initial model at t = 0): F, ||G_beta(z)||^2, the cumulative byte counters
+    and nnz, and the (N, p) block of client gradients at z.
 
     F and the gradient block share one margin pass over the shards, so each
     shard is read twice (a_i @ z, then a_i^T w); on hetero_quadratic the
     margins, the gradients and the N objectives are each one operation on
     the block. The Lyapunov column is left to the caller, and the block is
     returned for it: the next row's diagnostic needs exactly these gradients,
-    at its z_prev, and takes them instead of recomputing them."""
-    margins = client_margins(prob, z)
-    grads = client_gradients(prob, z, margins)
-    G = prox_gradient_mapping(prob, reg, z, beta, grads)
-    F = objective_value(prob, reg, z, margins)
-    row = MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
+    at the model the next round starts from.
+
+    A diverging run stops at its first non-finite row: with overflow and
+    invalid-operation warnings off, a non-finite F, ||G||^2 or global
+    gradient raises NonFiniteError naming row t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = client_margins(prob, z)
+        grads = client_gradients(prob, z, margins)
+        F = objective_value(prob, reg, z, margins)
+        try:
+            G = prox_gradient_mapping(prob, reg, z, beta, grads)
+        except NonFiniteError as exc:  # from full_global_gradient, which names no row
+            raise NonFiniteError(f"non-finite measurement at row {t}: F = {F}, {exc}") from None
+        G_sq = float(np.sum(G * G))
+    if not (math.isfinite(F) and math.isfinite(G_sq)):
+        raise NonFiniteError(f"non-finite measurement at row {t}: F = {F}, ||G||^2 = {G_sq}")
+    row = MetricsRow(t, F, G_sq, up, down, int(np.count_nonzero(z)), None, condition_ok)
     return row, grads
 
 
@@ -134,41 +146,25 @@ def check_step_conditions(hp: "HyperParams", L: float, q: float) -> StepConditio
 
 
 def lyapunov_diagnostic(
-    prob: FederatedProblem,
-    reg,
-    hp: "HyperParams",
-    q: float,
-    z: np.ndarray,
-    z_prev: np.ndarray | None,
-    client_vs: Sequence[np.ndarray],
-    client_cs: Sequence[np.ndarray],
-    F: float | None = None,
-    grads: np.ndarray | None = None,
+    hp: "HyperParams", q: float, F: float, vs: np.ndarray, cs: np.ndarray, grads: np.ndarray
 ) -> float:
-    """Single-trajectory Lyapunov potential at the current round.
+    """Single-trajectory Lyapunov potential after a round, from its inputs.
 
     Psi = F(z) + (70 eta beta / (1-q)^2) * avg_i ||v_i - grad f_i(z_prev)||^2
             + (8 beta / eta) * ||vbar - grad f(z_prev)||^2
             + (17 beta / (1-q)) * avg_i ||v_i - c_i||^2
 
-    with expectations replaced by realized values. z_prev = None marks the
-    initial round, where only F(z) is available. F, when given, is F(z)
-    already evaluated by the caller; grads, when given, is the (N, p) block
-    client_gradients(prob, z_prev), which the previous row's measure_row
-    returned. Without it the block is recomputed.
+    with expectations replaced by realized values. F is F(z) at the new
+    model; vs and cs are the (N, p) blocks of the v_i and c_i; grads is the
+    (N, p) block of grad f_i(z_prev) at the round's starting model, which the
+    previous row's measure_row returned. Before the first round only F(z) is
+    defined, and the engine records it as Psi.
 
     The per-client squared norms are taken on (N, p) blocks, one row each,
     and every sum over clients is client_sum, so gbar is the fold
     full_global_gradient makes: the same bits as a loop over the clients.
     """
-    if F is None:
-        F = objective_value(prob, reg, z)
-    if z_prev is None:
-        return F
-    if grads is None:
-        grads = client_gradients(prob, z_prev)
-    vs, cs = np.asarray(client_vs), np.asarray(client_cs)
-    N = prob.n_clients
+    N = grads.shape[0]
     beta, eta = hp.beta, hp.eta
     # np.sum along the rows of a C-contiguous block reduces each row as it
     # would the row alone, pairwise: each client's squared norm, bit for bit

@@ -23,7 +23,9 @@ from fedcef.problems import (
     FULL,
     PartitionSpec,
     client_gradient,
+    client_gradients,
     generate_synthetic,
+    objective_value,
 )
 from fedcef.regularizers import Regularizer
 from tests._transcripts import recording
@@ -214,8 +216,8 @@ def test_criterion_5_sublinear_trend_and_theorem_bound(hetero_bundle):
     min800 = g2[: 800 + 1].min()
     # Psi^0 with v = c = 0 and z^{-1} = z^0
     z0 = np.zeros(prob.dim)
-    zeros = [np.zeros(prob.dim) for _ in range(prob.n_clients)]
-    psi0 = lyapunov_diagnostic(prob, reg, hp, 0.0, z0, z0, zeros, zeros)
+    zeros = np.zeros((prob.n_clients, prob.dim))
+    psi0 = lyapunov_diagnostic(hp, 0.0, objective_value(prob, reg, z0), zeros, zeros, client_gradients(prob, z0))
     bound_ok = True
     for T in range(1, hp.T + 1):
         mean_g2 = g2[:T].mean()  # rows 0..T-1 hold z^0..z^{T-1}

@@ -221,6 +221,21 @@ def test_block_pass_names_the_lowest_diverging_client_and_keeps_every_row(closed
     assert checked == [(3, prob.dim)] + [(1, prob.dim)] * 4  # the block once, then client 1's steps 0..3
 
 
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "row_oracle"])
+@pytest.mark.parametrize("run", [run_fedcef, run_prox_fedavg])
+def test_a_diverging_local_pass_stops_the_run_naming_client_round_and_step(run, closed_form):
+    """End to end: from z0 = ones the local pass overflows in round 0, before
+    any row can, and the run stops with the pass's message, warning-free."""
+    prob = diverging_problem(closed_form)
+    hp = HyperParams(alpha=DIVERGING_ALPHA[closed_form], K=6, B=FULL if closed_form else 2, T=3)
+    args = (CompressorSpec("identity"),) if run is run_fedcef else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", StepConditionWarning)
+        with pytest.raises(NonFiniteError, match=r"^client 0: non-finite state at round 0, local step 3$"):
+            run(prob, Regularizer.l1(1e-10), hp, *args, seed=0, z0=np.ones(prob.dim))
+
+
 def test_finite_pass_checks_finiteness_once(monkeypatch):
     prob = lasso_problem(p=6, samples=30)
     hp = HyperParams(alpha=0.01, K=5, B=4)

@@ -7,7 +7,9 @@ time, kept here as the oracle the engine must match bit for bit.
 
 import dataclasses
 import importlib.util
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +20,16 @@ from fedcef.compressors import CompressorSpec, compress, contraction_factor, pay
 from fedcef.core import NonFiniteError, derive_stream
 from fedcef.harness import parse_config, run_experiment
 from fedcef.metrics import lyapunov_diagnostic
-from fedcef.problems import FULL, FederatedProblem, LossKind, PartitionSpec, generate_synthetic, stochastic_gradient
+from fedcef.problems import (
+    FULL,
+    FederatedProblem,
+    LossKind,
+    PartitionSpec,
+    client_gradient,
+    generate_synthetic,
+    objective_value,
+    stochastic_gradient,
+)
 from fedcef.regularizers import Regularizer
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,7 +52,7 @@ def test_csv_matches_golden_bytes(name, config, algorithm, tmp_path):
 def reference_fedcef(prob, reg, hp, spec, seed):
     """local_update -> client_uplink -> server_aggregate -> client_downlink,
     one client at a time; returns z^0..z^T, per-round uplink bytes and the
-    Lyapunov value of rows 1..T."""
+    Lyapunov value of rows 1..T, from F and client gradients computed here."""
     N, p = prob.n_clients, prob.dim
     q = float(np.sqrt(contraction_factor(spec, p)))
     z, c = np.zeros(p), np.zeros(p)
@@ -79,8 +90,9 @@ def reference_fedcef(prob, reg, hp, spec, seed):
         z_round, z = z, reg.prox(hp.beta, z_tilde)
         z_hist.append(z.copy())
         up.append(sum(payload_bytes(pl) for pl in payloads))
-        vs, cl = [cs["v"] for cs in clients], [cs["c_local"] for cs in clients]
-        lyap.append(lyapunov_diagnostic(prob, reg, hp, q, z, z_round, vs, cl))
+        vs, cl = np.array([cs["v"] for cs in clients]), np.array([cs["c_local"] for cs in clients])
+        grads = np.array([client_gradient(prob, i, z_round) for i in range(N)])
+        lyap.append(lyapunov_diagnostic(hp, q, objective_value(prob, reg, z), vs, cl, grads))
     return z_hist, up, lyap
 
 
@@ -155,6 +167,7 @@ def test_engine_matches_per_client_loop_bitwise(case):
     cum = [r.uplink_bytes_cum for r in res.series.rows]
     assert np.diff(cum).tolist() == up_ref
     assert [r.lyapunov for r in res.series.rows[1:]] == lyap_ref
+    assert res.series.rows[0].lyapunov == res.series.rows[0].F
 
     base = run_prox_fedavg(prob, reg, hp, seed=9)
     for a, b in zip(base.z_history, reference_prox_fedavg(prob, reg, hp, seed=9), strict=True):
@@ -277,10 +290,16 @@ def test_streams_are_derived_only_when_drawn_from(case, monkeypatch):
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
 @pytest.mark.parametrize("run", [run_fedcef, run_prox_fedavg])
 @pytest.mark.parametrize("variant", ["squared_error", "hetero_quadratic"])
-def test_divergence_names_client_round_and_step(run, variant):
+def test_divergence_stops_at_the_first_non_finite_row(run, variant):
+    """F overflows rows before any local pass does. The run stops at that row,
+    without a RuntimeWarning (the suite turns warnings into errors), and
+    every earlier row is finite: T one round shorter completes."""
     prob = generate_synthetic(variant, 20, 100, 3, PartitionSpec("iid"), derive_stream(7, "problem"))
     hp = HyperParams(alpha=5.0, eta_g=1.0, K=10, eta=1.0, B=FULL, T=100)
     args = (CompressorSpec("identity"),) if run is run_fedcef else ()
-    with np.errstate(all="ignore"):
-        with pytest.raises(NonFiniteError, match=r"^client \d+: non-finite state at round [1-9]\d*, local step \d+$"):
-            run(prob, Regularizer.zero(), hp, *args, seed=0)
+    with pytest.raises(NonFiniteError, match=r"^non-finite measurement at row \d+: F = inf, ") as exc:
+        run(prob, Regularizer.zero(), hp, *args, seed=0)
+    row = int(re.match(r"non-finite measurement at row (\d+)", str(exc.value))[1])
+    assert row > 1
+    rows = run(prob, Regularizer.zero(), dataclasses.replace(hp, T=row - 1), *args, seed=0).series.rows
+    assert all(math.isfinite(r.F) and math.isfinite(r.prox_grad_sq) for r in rows)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -217,6 +218,14 @@ def test_pgd_ignores_compressor(tmp_path, caplog):
     assert series.algorithm == "pgd"
     assert all(r.uplink_bytes_cum == 0 for r in series.rows)
     assert any("compressor" in rec.message for rec in caplog.records)
+    # run.lyapunov is fedcef's too: the other algorithms log that they ignore it
+    assert not any("lyapunov" in rec.message for rec in caplog.records)
+    for name in ("pgd", "prox_fedavg"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedcef.harness"):
+            series = run_experiment(dataclasses.replace(cfg, algorithm=name, lyapunov=True), str(tmp_path / "x.csv"))
+        assert all(r.lyapunov is None for r in series.rows)
+        assert any(rec.message.startswith("run.lyapunov is fedcef's") for rec in caplog.records)
 
 
 def test_prox_fedavg_via_harness(tmp_path):
@@ -614,10 +623,11 @@ def test_cli_reports_a_diverging_run(tmp_path, capsys):
         "[compressor]\nkind = identity\n"
     )
     out = tmp_path / "x.csv"
-    with np.errstate(all="ignore"):
-        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    # F overflows at row 18, before any local pass does; the suite's "error"
+    # filter fails this test on any RuntimeWarning the measurement lets out
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: client ") and "non-finite state at round" in err
+    assert re.fullmatch(r"error: non-finite measurement at row 18: F = inf, \|\|G\|\|\^2 = \S+\n", err), err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fedcef.algorithms import HyperParams, RoundState
 from fedcef.compressors import CompressorSpec, compress
-from fedcef.core import derive_stream
+from fedcef.core import NonFiniteError, derive_stream
 from fedcef.metrics import (
     MetricsRow,
     StepConditionReport,
@@ -185,9 +185,7 @@ def test_block_measurement_is_bitwise_the_per_client_loop(variant, z, z_prev, se
         assert np.array_equal(grads, [client_gradient(prob, i, z) for i in range(prob.n_clients)])
         _, prev_grads = measure_row(prob, reg, 0.3, 3, z_prev, 0, 0, True)
         want = per_client_lyapunov(prob, reg, hp, 0.4, z, z_prev, vs, cs)
-        assert lyapunov_diagnostic(prob, reg, hp, 0.4, z, z_prev, vs, cs) == want
-        assert lyapunov_diagnostic(prob, reg, hp, 0.4, z, z_prev, vs, cs, row.F, prev_grads) == want
-        assert lyapunov_diagnostic(prob, reg, hp, 0.4, z, z_prev, list(vs), list(cs)) == want
+        assert lyapunov_diagnostic(hp, 0.4, row.F, vs, cs, prev_grads) == want
 
 
 def test_measure_row_reads_each_shard_twice():
@@ -205,6 +203,22 @@ def test_measure_row_reads_each_shard_twice():
     prob.features = [a.view(Shard) for a in prob.features]
     measure_row(prob, Regularizer.l1(0.01), 0.5, 1, np.linspace(-1.0, 1.0, prob.dim), 0, 0, True)
     assert len(passes) == 2 * prob.n_clients
+
+
+def test_measure_row_names_the_first_non_finite_row_without_warnings():
+    # the suite turns any warning into an error
+    def problem(a):
+        return FederatedProblem(LossKind("squared_error"), 1, [np.array([[a]])] * 2, [np.zeros(1)] * 2, smoothness=1.0)
+
+    # margins 1e110: F = 5e219 is finite, but each gradient a.T @ w overflows
+    with pytest.raises(
+        NonFiniteError,
+        match=r"^non-finite measurement at row 7: F = 5e\+219, non-finite result produced by full_global_gradient$",
+    ):
+        measure_row(problem(1e200), Regularizer.zero(), 0.5, 7, np.array([1e-90]), 0, 0, True)
+    # margins 1e160: the gradient is finite, F and ||G||^2 are not
+    with pytest.raises(NonFiniteError, match=r"^non-finite measurement at row 3: F = inf, \|\|G\|\|\^2 = inf$"):
+        measure_row(problem(1.0), Regularizer.zero(), 0.5, 3, np.array([1e160]), 0, 0, True)
 
 
 def test_step_condition_bounds():
@@ -275,25 +289,20 @@ def test_lyapunov_dominates_objective_and_degenerates_cleanly():
     reg = Regularizer.l1(0.01)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.5, B="full", T=1)
     rng = np.random.default_rng(2)
-    from fedcef.problems import client_gradient, objective_value
+    from fedcef.problems import client_gradients, objective_value
 
     for _ in range(20):
         z = rng.standard_normal(prob.dim)
         zp = rng.standard_normal(prob.dim)
-        vs = [rng.standard_normal(prob.dim) for _ in range(prob.n_clients)]
-        cs = [rng.standard_normal(prob.dim) for _ in range(prob.n_clients)]
-        psi = lyapunov_diagnostic(prob, reg, hp, 0.3, z, zp, vs, cs)
-        assert psi >= objective_value(prob, reg, z)
+        vs = np.array([rng.standard_normal(prob.dim) for _ in range(prob.n_clients)])
+        cs = np.array([rng.standard_normal(prob.dim) for _ in range(prob.n_clients)])
+        F = objective_value(prob, reg, z)
+        assert lyapunov_diagnostic(hp, 0.3, F, vs, cs, client_gradients(prob, zp)) >= F
     # all penalty terms vanish when v_i = grad f_i(z_prev) = c_i and vbar = grad f
     z = rng.standard_normal(prob.dim)
-    zp = z.copy()
-    vs = [client_gradient(prob, i, zp) for i in range(prob.n_clients)]
-    psi = lyapunov_diagnostic(prob, reg, hp, 0.0, z, zp, vs, [v.copy() for v in vs])
+    vs = client_gradients(prob, z)
+    psi = lyapunov_diagnostic(hp, 0.0, objective_value(prob, reg, z), vs, vs.copy(), vs.copy())
     assert psi == pytest.approx(objective_value(prob, reg, z), rel=1e-12)
-    # initial round: objective only
-    assert lyapunov_diagnostic(prob, reg, hp, 0.0, z, None, [], []) == pytest.approx(
-        objective_value(prob, reg, z)
-    )
 
 
 def test_gradient_variance_estimate():
