@@ -20,7 +20,8 @@ every client runs its K local steps from z, the algorithm's aggregation rule
 fedcef, model averaging for prox_fedavg) yields z^{t+1}, and the row is
 measured. _local_pass steps the block of a range of clients: one gradient
 oracle call per client and step, written into that client's row of one
-gradient block, then the step rule and the prox once on the block.
+gradient block, then the step rule and the prox once on the block. It is
+the one place a minibatch is drawn: K x B indices per client and pass.
 prox_fedavg steps all N rows at once. fedcef's local_update steps one
 client's one-row block after another: the benchmark's call-count test pins
 local_update at one call per client and round, so fedcef's all-client pass
@@ -199,7 +200,7 @@ def _local_pass(
     stochastic_gradient into its row of one gradient block, reused across
     the steps, then runs the step rule and the prox once on the block: both
     are elementwise, so every row gets the bits it gets when stepped alone.
-    A sampling oracle draws each client's K x B indices from
+    A client's K x B sample indices are drawn from
     client/{i}/round/{t}/grad in one call, into `batches`. x never aliases
     x_hat: it starts as a copy of z per row, which no step writes, and then
     holds what prox returns, always a new array.

@@ -20,6 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -125,11 +126,12 @@ def payload_bytes(payload: SparsePayload) -> int:
 
 
 def compress(
-    spec: CompressorSpec, x: np.ndarray, rng: RngStream | list[RngStream] | None = None
+    spec: CompressorSpec, x: np.ndarray, streams: Sequence[RngStream] | None = None
 ) -> tuple[SparsePayload, np.ndarray]:
     """Apply the operator to each row of an (n, p) block or a (p,) vector;
     returns the flattened block's payload (see SparsePayload) and C(x), shaped
-    like x. Rand-k draws row i from rng[i], or a vector from rng, one stream.
+    like x. Rand-k draws row i from streams[i], one stream per row, so a (p,)
+    vector, the one-row case, takes [stream]; the other operators draw nothing.
 
     Full retention (identity, or k == p) is transmitted dense: it carries the
     whole vector anyway and dense elements are cheaper (4 vs 8 bytes), so
@@ -146,9 +148,8 @@ def compress(
         # lowest index wins and replay is deterministic.
         idx = np.sort(np.argsort(-np.abs(x.reshape(n, p)), axis=1, kind="stable")[:, :k], axis=1)
     else:  # RANDK
-        streams = [rng] if isinstance(rng, RngStream) else list(rng or ())
-        if len(streams) != n:
-            raise ValueError(f"rand-k needs one rng stream per row: got {len(streams)} streams for {n} rows")
+        if len(streams or ()) != n:
+            raise ValueError(f"rand-k needs one rng stream per row: got {len(streams or ())} streams for {n} rows")
         idx = np.sort([s.gen.choice(p, size=k, replace=False) for s in streams], axis=1)
     flat = (idx + p * np.arange(n)[:, None]).ravel()  # strictly increasing: row by row, each sorted
     dense = np.zeros(n * p)

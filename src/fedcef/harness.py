@@ -402,13 +402,16 @@ class ComparisonSummary:
     threshold: float | None
 
     @property
-    def uplink_savings_pct(self) -> float:
-        """Relative uplink saving of run a against run b at the final round."""
+    def uplink_savings_pct(self) -> float | None:
+        """Relative uplink saving of run a against run b at the final round;
+        0.0 when neither sent uplink bytes, None (undefined) when only a did."""
         if self.b.uplink_bytes == 0:
-            return 0.0
+            return 0.0 if self.a.uplink_bytes == 0 else None
         return 100.0 * (self.b.uplink_bytes - self.a.uplink_bytes) / self.b.uplink_bytes
 
     def render(self) -> str:
+        pct = self.uplink_savings_pct
+        saves = "n/a vs B: B sent none" if pct is None else f"{pct:.1f}% vs B"
         lines = [
             f"run A: {self.a.path}",
             f"run B: {self.b.path}",
@@ -416,7 +419,7 @@ class ComparisonSummary:
             f"final ||G||^2:   A={_fmt(self.a.final_prox_grad_sq)} B={_fmt(self.b.final_prox_grad_sq)}",
             f"total bytes:     A={self.a.total_bytes} B={self.b.total_bytes}",
             f"uplink bytes:    A={self.a.uplink_bytes} B={self.b.uplink_bytes}"
-            f" (A saves {self.uplink_savings_pct:.1f}% vs B)",
+            f" (A saves {saves})",
         ]
         if self.threshold is not None:
             for name, s in (("A", self.a), ("B", self.b)):

@@ -156,14 +156,10 @@ def client_margins(prob: FederatedProblem, x: np.ndarray) -> np.ndarray | list[n
     return [a @ x for a in prob.features]
 
 
-def client_objectives(
-    prob: FederatedProblem, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
-) -> list[float]:
-    """[f_1(x), ..., f_N(x)]; `margins` is client_margins(prob, x) when already
-    computed. hetero_quadratic takes every f_i in one pass over the (N, p)
+def client_objectives(prob: FederatedProblem, margins: np.ndarray | Sequence[np.ndarray]) -> list[float]:
+    """[f_1(x), ..., f_N(x)] from the margins client_margins(prob, x)
+    returned. hetero_quadratic takes every f_i in one pass over the (N, p)
     block; a data loss's f_i is the mean of its per-sample losses."""
-    if margins is None:
-        margins = client_margins(prob, x)
     if prob.closed_form:
         return (0.5 * np.sum((prob.loss.curvatures * margins) * margins, axis=1)).tolist()
     return [float(np.mean(_per_sample_losses(prob.loss, m, y))) for m, y in zip(margins, prob.labels)]
@@ -175,7 +171,7 @@ def client_gradient(
     """Exact gradient of f_i at x; `margins` is row i of client_margins(prob, x)
     when already computed. With `out`, the gradient is written there and
     `out` is returned, the same bits."""
-    if prob.loss.variant == HETERO_QUADRATIC:
+    if prob.closed_form:
         d = x - prob.loss.centers[client] if margins is None else margins
         return np.multiply(prob.loss.curvatures[client], d, out=out)
     a = prob.features[client]
@@ -185,18 +181,16 @@ def client_gradient(
     return np.divide(a.T @ w, a.shape[0], out=out)
 
 
-def client_gradients(
-    prob: FederatedProblem, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
-) -> np.ndarray:
-    """The (N, p) block whose row i is grad f_i(x); `margins` is
-    client_margins(prob, x) when already computed. hetero_quadratic is
-    one product on the block; the data losses fill row i by client_gradient,
-    the same bits as calling it per client."""
+def client_gradients(prob: FederatedProblem, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    """The (N, p) block whose row i is grad f_i(x), from the margins
+    client_margins(prob, x) returned. hetero_quadratic is one product on the
+    block; the data losses fill row i by client_gradient, the same bits as
+    calling it per client."""
     if prob.closed_form:
-        return prob.loss.curvatures * (x - prob.loss.centers if margins is None else margins)
+        return prob.loss.curvatures * margins
     out = np.empty((prob.n_clients, prob.dim))
     for i in range(prob.n_clients):
-        client_gradient(prob, i, x, None if margins is None else margins[i], out=out[i])
+        client_gradient(prob, i, x, margins[i], out=out[i])
     return out
 
 
@@ -205,16 +199,16 @@ def stochastic_gradient(
     client: int,
     x: np.ndarray,
     B: int | str,
-    rng: RngStream | np.ndarray | None,
+    idx: np.ndarray | None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Mini-batch gradient estimate, B i.i.d. samples drawn with replacement.
+    """Mini-batch gradient estimate over `idx`, the B sample indices the
+    caller drew from the client's shard; the oracle draws nothing.
 
     B = FULL returns the exact gradient. hetero_quadratic is deterministic,
-    so any B returns the exact gradient there too. `rng` is the stream to
-    draw the B sample indices from, or those indices already drawn. With
-    `out`, the estimate is written there and `out` is returned, the same
-    bits.
+    so any B returns the exact gradient there too; both ignore `idx`, which
+    may be None. Otherwise `idx` must have shape (B,). With `out`, the
+    estimate is written there and `out` is returned, the same bits.
     """
     if not 0 <= client < prob.n_clients:
         raise ValueError(f"client index {client} out of range")
@@ -222,20 +216,18 @@ def stochastic_gradient(
         return client_gradient(prob, client, x, out=out)
     if type(B) is not int or B < 1:  # count's Integral test costs 1 us a call
         B = count(B, "batch size must be a positive integer or FULL")
-    if rng is None:
-        raise ValueError("mini-batch sampling requires an rng stream")
-    a = prob.features[client]
-    idx = rng if isinstance(rng, np.ndarray) else rng.gen.integers(0, a.shape[0], size=B)
-    rows = a[idx]
+    if np.shape(idx) != (B,):
+        raise ValueError(f"batch size {B} needs an index array of shape ({B},), got shape {np.shape(idx)}")
+    rows = prob.features[client][idx]
     w = _per_sample_grad_weights(prob.loss, rows @ x, prob.labels[client][idx])
     return np.divide(rows.T @ w, B, out=out)
 
 
 def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
     """(1/N) sum_i grad f_i(x), the rows added by client_sum; `grads` is
-    client_gradients(prob, x) when already computed."""
+    client_gradients(prob, x, margins) when already computed."""
     if grads is None:
-        grads = client_gradients(prob, x)
+        grads = client_gradients(prob, x, client_margins(prob, x))
     return ensure_finite(client_sum(grads) / prob.n_clients, "full_global_gradient")
 
 
@@ -244,7 +236,9 @@ def objective_value(
 ) -> float:
     """F(x) = (1/N) sum_i f_i(x) + h(x), the client_objectives added by
     client_sum; `margins` is client_margins(prob, x) when already computed."""
-    return client_sum(client_objectives(prob, x, margins)) / prob.n_clients + reg.evaluate(x)
+    if margins is None:
+        margins = client_margins(prob, x)
+    return client_sum(client_objectives(prob, margins)) / prob.n_clients + reg.evaluate(x)
 
 
 def _exact_gram_top_eigenvalue(a: np.ndarray, op: str) -> float:

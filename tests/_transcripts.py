@@ -1,19 +1,23 @@
 """Round transcripts of fedcef runs, recorded from outside the engine.
 
-`recording()` wraps the phase functions `local_update`, `client_uplink`,
-`server_aggregate` and `server_finalize`, and the gradient oracle
-`stochastic_gradient`, in the `fedcef.algorithms` namespace, where the engine
-looks them up at call time, as `bench/tracer.py` does. A transcript
-therefore comes from a real engine run: the wrappers pass every argument and
-result through unchanged and only copy what they see. The oracle writes into
-a gradient block the pass reuses, so each gradient is copied when it is
-returned. The originals are put back on exit, also when the body raises.
+`recording()` wraps the gradient oracle `stochastic_gradient` and the phase
+functions `client_uplink`, `server_aggregate` and `server_finalize` in the
+`fedcef.algorithms` namespace, where the engine looks them up at call time,
+as `bench/tracer.py` does. A transcript therefore comes from a real engine
+run: the wrappers pass every argument and result through unchanged and only
+copy what they see. The oracle writes into a gradient block the pass reuses,
+so each gradient is copied when it is returned, into the list of the client
+it names; how the engine groups the clients into passes does not matter.
+Only fedcef rounds end in server_finalize, which takes the round's
+gradients, so record fedcef runs alone. The originals are put back on exit,
+also when the body raises.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +26,7 @@ from fedcef import algorithms
 from fedcef.algorithms import RoundState
 from fedcef.compressors import SparsePayload
 
-PHASES = ("local_update", "stochastic_gradient", "client_uplink", "server_aggregate", "server_finalize")
+PHASES = ("stochastic_gradient", "client_uplink", "server_aggregate", "server_finalize")
 
 
 @dataclass
@@ -45,17 +49,12 @@ def recording():
     the block, in order."""
     transcripts: list[RoundTranscript] = []
     originals = {name: getattr(algorithms, name) for name in PHASES}
-    gradients: dict[int, list[np.ndarray]] = {}
+    gradients: defaultdict[int, list[np.ndarray]] = defaultdict(list)
     pending: dict[str, object] = {}
-
-    def local_update(st, client, *args):
-        gradients[client] = []
-        originals["local_update"](st, client, *args)
 
     def stochastic_gradient(prob, client, *args, **kwargs):
         g = originals["stochastic_gradient"](prob, client, *args, **kwargs)
-        if client in gradients:  # inside fedcef's local_update of that client
-            gradients[client].append(g.copy())
+        gradients[client].append(g.copy())
         return g
 
     def client_uplink(st, hp, spec, seed, t):
@@ -71,6 +70,9 @@ def recording():
 
     def server_finalize(st, z_tilde, reg, hp):
         originals["server_finalize"](st, z_tilde, reg, hp)
+        counts = {i: len(gradients[i]) for i in sorted(gradients)}
+        if counts != {i: hp.K for i in range(st.n_clients)}:
+            raise AssertionError(f"round {pending['round']}: expected {hp.K} gradients per client, got {counts}")
         grads = np.array([gradients[i] for i in range(st.n_clients)])
         transcripts.append(
             RoundTranscript(
@@ -80,7 +82,7 @@ def recording():
         gradients.clear()
 
     try:
-        for wrapper in (local_update, stochastic_gradient, client_uplink, server_aggregate, server_finalize):
+        for wrapper in (stochastic_gradient, client_uplink, server_aggregate, server_finalize):
             setattr(algorithms, wrapper.__name__, wrapper)
         yield transcripts
     finally:

@@ -24,6 +24,7 @@ from fedcef.problems import (
     PartitionSpec,
     client_gradient,
     client_gradients,
+    client_margins,
     generate_synthetic,
     objective_value,
 )
@@ -161,7 +162,7 @@ def test_criterion_3_contraction_property():
             stream = derive_stream(55, f"{p}/{spec.kind}/{spec.retain}")
             for i in range(n_draws):
                 x = rng.standard_normal(p)
-                _, dense = compress(spec, x, stream)
+                _, dense = compress(spec, x, [stream])
                 err = float(np.sum((dense - x) ** 2))
                 total = float(np.sum(x * x))
                 if spec.kind in ("identity", "topk"):
@@ -217,7 +218,8 @@ def test_criterion_5_sublinear_trend_and_theorem_bound(hetero_bundle):
     # Psi^0 with v = c = 0 and z^{-1} = z^0
     z0 = np.zeros(prob.dim)
     zeros = np.zeros((prob.n_clients, prob.dim))
-    psi0 = lyapunov_diagnostic(hp, 0.0, objective_value(prob, reg, z0), zeros, zeros, client_gradients(prob, z0))
+    grads0 = client_gradients(prob, z0, client_margins(prob, z0))
+    psi0 = lyapunov_diagnostic(hp, 0.0, objective_value(prob, reg, z0), zeros, zeros, grads0)
     bound_ok = True
     for T in range(1, hp.T + 1):
         mean_g2 = g2[:T].mean()  # rows 0..T-1 hold z^0..z^{T-1}

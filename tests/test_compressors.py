@@ -89,7 +89,7 @@ def test_randk_is_contractive_and_unscaled():
     errs = []
     for i in range(2000):
         stream = derive_stream(9, f"draw/{i}")
-        payload, dense = compress(spec, x, stream)
+        payload, dense = compress(spec, x, [stream])
         assert payload.indices.size == 2
         assert np.array_equal(np.unique(payload.indices), payload.indices)
         # retained entries are copied verbatim, never rescaled
@@ -157,7 +157,7 @@ def _block_matches_rows(spec, x, streams=None, fresh_streams=None):
     assert_encodes(payload, dense)
     row_bytes = 0
     for i in range(n):
-        row_payload, row_dense = compress(spec, x[i], None if fresh_streams is None else fresh_streams[i])
+        row_payload, row_dense = compress(spec, x[i], None if fresh_streams is None else [fresh_streams[i]])
         assert row_dense.tobytes() == dense[i].tobytes()
         row_bytes += payload_bytes(row_payload)
     assert payload_bytes(payload) == row_bytes
@@ -196,6 +196,9 @@ def test_block_randk_needs_one_stream_per_row():
     x = np.ones((3, 5))
     spec = CompressorSpec("randk", 2)
     for streams in (None, [], [derive_stream(0, f"r/{i}") for i in range(2)],
-                    [derive_stream(0, f"r/{i}") for i in range(4)], derive_stream(0, "r")):
+                    [derive_stream(0, f"r/{i}") for i in range(4)]):
         with pytest.raises(ValueError, match="stream"):
             compress(spec, x, streams)
+    # a bare stream is not a sequence of them, even for a (p,) vector
+    with pytest.raises(TypeError):
+        compress(spec, x[0], derive_stream(0, "r"))

@@ -49,6 +49,13 @@ def test_csv_matches_golden_bytes(name, config, algorithm, tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def draw(stream, prob, i, B):
+    """One step's B sample indices of client i's shard, drawn from the
+    client's round stream step by step, not as the engine's one (K, B)
+    draw; None under B = FULL."""
+    return None if B == FULL else stream.gen.integers(0, prob.features[i].shape[0], size=B)
+
+
 def reference_fedcef(prob, reg, hp, spec, seed):
     """local_update -> client_uplink -> server_aggregate -> client_downlink,
     one client at a time; returns z^0..z^T, per-round uplink bytes and the
@@ -67,13 +74,13 @@ def reference_fedcef(prob, reg, hp, spec, seed):
             x_hat = cs["z_prev"].copy()
             x = x_hat.copy()
             for k in range(hp.K):
-                g = stochastic_gradient(prob, i, x, hp.B, gstream)
+                g = stochastic_gradient(prob, i, x, hp.B, draw(gstream, prob, i, hp.B))
                 x_hat = x_hat - hp.alpha * (g + cs["c_known"] - cs["c_local"])
                 x = reg.prox((k + 1) * hp.alpha, x_hat)
             drift = (cs["z_prev"] - x_hat) / (hp.alpha * hp.K) + cs["c_local"] - cs["c_known"]
             cs["v"] = (1.0 - hp.eta) * cs["v"] + hp.eta * drift
             cstream = derive_stream(seed, f"client/{i}/round/{t}/compress")
-            payload, dense = compress(spec, cs["v"] - cs["c_local"], cstream)
+            payload, dense = compress(spec, cs["v"] - cs["c_local"], [cstream])
             cs["c_local"] = cs["c_local"] + dense
             payloads.append(payload)
         total = np.zeros(p)  # decoded here from the payloads, not taken from compress
@@ -105,7 +112,7 @@ def reference_prox_fedavg(prob, reg, hp, seed):
             rng = derive_stream(seed, f"client/{i}/round/{t}/grad")
             x = z.copy()
             for k in range(hp.K):
-                x = reg.prox(hp.alpha, x - hp.alpha * stochastic_gradient(prob, i, x, hp.B, rng))
+                x = reg.prox(hp.alpha, x - hp.alpha * stochastic_gradient(prob, i, x, hp.B, draw(rng, prob, i, hp.B)))
             acc += x
         z = acc / prob.n_clients
         z_hist.append(z.copy())

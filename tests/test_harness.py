@@ -248,6 +248,16 @@ def test_compare_identical_runs_zero_savings(tmp_path):
     assert summary.a.total_bytes == summary.b.total_bytes
 
 
+def test_compare_says_n_a_when_only_run_b_sent_no_uplink_bytes():
+    fedcef, pgd = (os.path.join(GOLDEN, f"demo-{name}.csv") for name in ("fedcef", "pgd"))
+    summary = compare_runs(fedcef, pgd)
+    assert summary.a.uplink_bytes > 0 and summary.b.uplink_bytes == 0
+    assert summary.uplink_savings_pct is None
+    assert f"uplink bytes:    A={summary.a.uplink_bytes} B=0 (A saves n/a vs B: B sent none)" in summary.render()
+    # the other way round the saving is defined: all of A's bytes
+    assert compare_runs(pgd, fedcef).uplink_savings_pct == 100.0
+
+
 def test_compare_threshold_not_reached(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     a = tmp_path / "a.csv"

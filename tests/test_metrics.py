@@ -289,7 +289,7 @@ def test_lyapunov_dominates_objective_and_degenerates_cleanly():
     reg = Regularizer.l1(0.01)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.5, B="full", T=1)
     rng = np.random.default_rng(2)
-    from fedcef.problems import client_gradients, objective_value
+    from fedcef.problems import client_gradients, client_margins, objective_value
 
     for _ in range(20):
         z = rng.standard_normal(prob.dim)
@@ -297,10 +297,10 @@ def test_lyapunov_dominates_objective_and_degenerates_cleanly():
         vs = np.array([rng.standard_normal(prob.dim) for _ in range(prob.n_clients)])
         cs = np.array([rng.standard_normal(prob.dim) for _ in range(prob.n_clients)])
         F = objective_value(prob, reg, z)
-        assert lyapunov_diagnostic(hp, 0.3, F, vs, cs, client_gradients(prob, zp)) >= F
+        assert lyapunov_diagnostic(hp, 0.3, F, vs, cs, client_gradients(prob, zp, client_margins(prob, zp))) >= F
     # all penalty terms vanish when v_i = grad f_i(z_prev) = c_i and vbar = grad f
     z = rng.standard_normal(prob.dim)
-    vs = client_gradients(prob, z)
+    vs = client_gradients(prob, z, client_margins(prob, z))
     psi = lyapunov_diagnostic(hp, 0.0, objective_value(prob, reg, z), vs, vs.copy(), vs.copy())
     assert psi == pytest.approx(objective_value(prob, reg, z), rel=1e-12)
 

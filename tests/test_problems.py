@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,12 @@ def client_loss(prob, i, x, margins=None):
     return float(np.mean(_sigmoid(-y * z)))
 
 
+def draw(stream, prob, i, B):
+    """B sample indices of client i's shard, drawn with replacement from the
+    stream, as the engine draws one step's batch; None under B = FULL."""
+    return None if B == FULL else stream.gen.integers(0, prob.features[i].shape[0], size=B)
+
+
 def fd_gradient(f, x, h=1e-6):
     g = np.zeros_like(x)
     for j in range(x.size):
@@ -108,22 +115,30 @@ def test_hetero_gradient_and_stationary_point():
     x = np.linspace(-1, 1, prob.dim)
     for i in range(prob.n_clients):
         assert np.array_equal(client_gradient(prob, i, x), H[i] * (x - m[i]))
-        # any batch size: the loss is deterministic
-        assert np.array_equal(
-            stochastic_gradient(prob, i, x, 4, derive_stream(0, "s")), H[i] * (x - m[i])
-        )
+        # any batch size: the loss is deterministic and reads no indices
+        assert np.array_equal(stochastic_gradient(prob, i, x, 4, None), H[i] * (x - m[i]))
     xstar = (H * m).sum(axis=0) / H.sum(axis=0)
     assert np.max(np.abs(full_global_gradient(prob, xstar))) <= 1e-12
 
 
-def test_predrawn_indices_match_drawing_from_the_stream():
+def test_oracle_takes_exactly_b_drawn_indices():
     prob = small_problem("logistic")
     x = np.linspace(-1, 1, prob.dim)
-    n = prob.features[1].shape[0]
-    drawn = derive_stream(4, "s").gen.integers(0, n, size=(3, 5))
-    rng = derive_stream(4, "s")
-    for row in drawn:
-        assert np.array_equal(stochastic_gradient(prob, 1, x, 5, row), stochastic_gradient(prob, 1, x, 5, rng))
+    idx = np.array([1, 2])
+    # the mean over the indices given, written out
+    a, y = prob.features[0][idx], prob.labels[0][idx]
+    expected = a.T @ (-y * _sigmoid(-y * (a @ x))) / 2
+    assert np.allclose(stochastic_gradient(prob, 0, x, 2, idx), expected, rtol=1e-14, atol=0)
+    for B, bad in ((5, idx), (1, idx), (2, np.array([[1, 2], [2, 1]])), (4, np.array([[1, 2], [2, 1]])),
+                   (2, np.array(1)), (2, None)):
+        message = f"batch size {B} needs an index array of shape ({B},), got shape {np.shape(bad)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stochastic_gradient(prob, 0, x, B, bad)
+    # B = FULL and the closed form read no sample, so they ignore idx
+    hetero = hetero_problem()
+    for bad in (idx, np.array([[1, 2], [2, 1]]), None):
+        assert np.array_equal(stochastic_gradient(prob, 0, x, FULL, bad), client_gradient(prob, 0, x))
+        assert np.array_equal(stochastic_gradient(hetero, 0, x[:6], 5, bad), client_gradient(hetero, 0, x[:6]))
 
 
 @pytest.mark.parametrize("B", [FULL, 5])
@@ -133,23 +148,24 @@ def test_oracle_writes_the_same_bits_into_a_row_of_a_block(variant, B):
     x = np.linspace(-1, 1, prob.dim)
     block = np.full((prob.n_clients, prob.dim), np.nan)
     for i in range(prob.n_clients):
-        plain = stochastic_gradient(prob, i, x, B, derive_stream(4, f"s{i}"))
+        idx = draw(derive_stream(4, f"s{i}"), prob, i, B)
+        plain = stochastic_gradient(prob, i, x, B, idx)
         row = block[i]
-        assert stochastic_gradient(prob, i, x, B, derive_stream(4, f"s{i}"), out=row) is row
+        assert stochastic_gradient(prob, i, x, B, idx, out=row) is row
         assert row.tobytes() == plain.tobytes()
 
 
 def test_numpy_integer_batch_size_gives_the_same_bits():
     prob = small_problem("logistic")
     x = np.linspace(-1, 1, prob.dim)
-    g = stochastic_gradient(prob, 0, x, np.int64(2), derive_stream(4, "s"))
-    assert np.array_equal(g, stochastic_gradient(prob, 0, x, 2, derive_stream(4, "s")))
+    idx = draw(derive_stream(4, "s"), prob, 0, 2)
+    assert np.array_equal(stochastic_gradient(prob, 0, x, np.int64(2), idx), stochastic_gradient(prob, 0, x, 2, idx))
 
 
 @pytest.mark.parametrize("B", [0, -1, 2.0, True, np.bool_(True)])
 def test_batch_size_must_be_a_positive_integer(B):
     with pytest.raises(ValueError, match="^batch size must be a positive integer or FULL$"):
-        stochastic_gradient(small_problem("logistic"), 0, np.zeros(8), B, derive_stream(4, "s"))
+        stochastic_gradient(small_problem("logistic"), 0, np.zeros(8), B, np.zeros(2, dtype=np.int64))
 
 
 def test_hetero_smoothness_is_max_diagonal():
@@ -282,7 +298,7 @@ def test_minibatch_unbiasedness_monte_carlo():
     rng = derive_stream(123, "mc")
     acc = np.zeros(6)
     for _ in range(draws):
-        acc += stochastic_gradient(prob, 0, x, B, rng)
+        acc += stochastic_gradient(prob, 0, x, B, draw(rng, prob, 0, B))
     mean = acc / draws
     # per-coordinate std of the single-sample logistic gradients -y sigmoid(-y a @ x) a
     a, y = prob.features[0], prob.labels[0]
@@ -301,7 +317,7 @@ def test_minibatch_variance_scales_inversely_with_batch():
         rng = derive_stream(99, f"var/{B}")
         sq = 0.0
         for _ in range(draws):
-            g = stochastic_gradient(prob, 0, x, B, rng)
+            g = stochastic_gradient(prob, 0, x, B, draw(rng, prob, 0, B))
             sq += float(np.sum((g - full) ** 2))
         trace[B] = sq / draws
     for B in (4, 16):
@@ -374,7 +390,7 @@ def test_objective_additivity_and_resummation():
     assert objective_value(prob, reg, x) - f_only == pytest.approx(reg.evaluate(x))
     # two-pass recomputation
     per_client = [client_loss(prob, i, x) for i in range(prob.n_clients)]
-    assert client_objectives(prob, x) == per_client
+    assert client_objectives(prob, client_margins(prob, x)) == per_client
     total = 0.0
     for f_i in per_client:
         total += f_i
@@ -390,9 +406,10 @@ def test_block_oracles_match_the_per_client_oracles(variant):
     for i in range(prob.n_clients):
         assert np.array_equal(margins[i], client_margin(prob, i, x))
     expected = [client_loss(prob, i, x) for i in range(prob.n_clients)]
-    assert client_objectives(prob, x) == pytest.approx(expected, rel=1e-12)
-    # precomputed margins give the same values as the function's own pass
-    assert client_objectives(prob, x, margins) == client_objectives(prob, x)
+    assert client_objectives(prob, margins) == pytest.approx(expected, rel=1e-12)
+    # precomputed margins give the same F as objective_value's own pass
+    reg = Regularizer.l1(0.3)
+    assert objective_value(prob, reg, x, margins) == objective_value(prob, reg, x)
 
 
 def test_hetero_objective_zero_at_center():
