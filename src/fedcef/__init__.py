@@ -9,7 +9,7 @@ from .algorithms import (
     run_prox_fedavg,
 )
 from .compressors import CompressorSpec, SparsePayload, compress, contraction_factor, payload_bytes
-from .core import RngStream, derive_stream
+from .core import derive_stream
 from .harness import RunConfig, compare_runs, parse_config, run_experiment
 from .metrics import (
     MetricsRow,
@@ -44,7 +44,6 @@ __all__ = [
     "MetricsSeries",
     "PartitionSpec",
     "Regularizer",
-    "RngStream",
     "RunConfig",
     "RunResult",
     "SparsePayload",

@@ -218,7 +218,7 @@ def _local_pass(
     after the check, so a failed pass leaves every row as it was."""
     if batches is None and hp.B != FULL and not prob.closed_form:
         batches = {
-            i: derive_stream(seed, f"client/{i}/round/{t}/grad").gen.integers(
+            i: derive_stream(seed, f"client/{i}/round/{t}/grad").integers(
                 0, prob.features[i].shape[0], size=(hp.K, hp.B)
             )
             for i in rows

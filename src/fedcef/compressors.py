@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RngStream, ensure_finite
+from .core import ensure_finite
 
 IDENTITY = "identity"
 TOPK = "topk"
@@ -126,7 +126,7 @@ def payload_bytes(payload: SparsePayload) -> int:
 
 
 def compress(
-    spec: CompressorSpec, x: np.ndarray, streams: Sequence[RngStream] | None = None
+    spec: CompressorSpec, x: np.ndarray, streams: Sequence[np.random.Generator] | None = None
 ) -> tuple[SparsePayload, np.ndarray]:
     """Apply the operator to each row of an (n, p) block or a (p,) vector;
     returns the flattened block's payload (see SparsePayload) and C(x), shaped
@@ -150,7 +150,7 @@ def compress(
     else:  # RANDK
         if len(streams or ()) != n:
             raise ValueError(f"rand-k needs one rng stream per row: got {len(streams or ())} streams for {n} rows")
-        idx = np.sort([s.gen.choice(p, size=k, replace=False) for s in streams], axis=1)
+        idx = np.sort([s.choice(p, size=k, replace=False) for s in streams], axis=1)
     flat = (idx + p * np.arange(n)[:, None]).ravel()  # strictly increasing: row by row, each sorted
     dense = np.zeros(n * p)
     dense[flat] = x.ravel()[flat]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,13 +66,13 @@ def _entropy_words(seed: int, label: str) -> np.ndarray:
     return np.frombuffer((int(seed) & ((1 << 64) - 1)).to_bytes(16, "little") + digest, dtype="<u4")
 
 
-@dataclass
-class RngStream:
+def derive_stream(seed: int, label: str) -> np.random.Generator:
     """A named, replayable random stream.
 
-    The underlying generator is Philox (counter based) keyed by the 64-bit
-    seed plus a hash of the label, so streams with distinct labels are
-    statistically independent and any stream can be re-derived from scratch.
+    The generator is Philox (counter based) keyed by the 64-bit seed plus a
+    hash of the label, so streams with distinct labels are statistically
+    independent and any stream can be re-derived from scratch. A sub-stream
+    is the stream of the label `<label>/<sublabel>`.
 
     The SeedSequence gets one entropy array, [seed_lo, seed_hi, 0, 0,
     label_w0..label_w3]. That is the same pool, Philox key and draws as
@@ -82,21 +81,7 @@ class RngStream:
     appends a spawn key, and the seed takes at most two words. numpy takes
     a uint32 array as it is, where it converts Python ints word by word.
     """
-
-    seed: int
-    label: str
-    gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("rng stream label must be nonempty")
-        ss = np.random.SeedSequence(entropy=_entropy_words(self.seed, self.label))
-        self.gen = np.random.Generator(np.random.Philox(ss))
-
-    def child(self, sublabel: str) -> "RngStream":
-        """Derive an independent stream labelled `<label>/<sublabel>`."""
-        return RngStream(self.seed, f"{self.label}/{sublabel}")
-
-
-def derive_stream(seed: int, label: str) -> RngStream:
-    return RngStream(seed, label)
+    if not label:
+        raise ValueError("rng stream label must be nonempty")
+    ss = np.random.SeedSequence(entropy=_entropy_words(seed, label))
+    return np.random.Generator(np.random.Philox(ss))

@@ -26,9 +26,10 @@ Reading, resolving, echoing and overriding a key (`fedcef run --seed`,
 below); unknown sections or keys, and any key under [DEFAULT], are hard
 errors. Domain rules live in the HyperParams, CompressorSpec, Regularizer
 and PartitionSpec constructors. `retain` is a ratio when written with a
-decimal point and a count when written as an integer. `lyapunov = true`
-fills fedcef's Lyapunov column, as the potential is built from its v_i and
-c_i; the other algorithms log that they leave the column empty.
+decimal point or an exponent (`1e-1` is 0.1) and a count when written as an
+integer. `lyapunov = true` fills fedcef's Lyapunov column, as the potential
+is built from its v_i and c_i; the other algorithms log that they leave the
+column empty.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
@@ -49,7 +50,7 @@ from typing import Callable
 from . import compressors, regularizers
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
 from .compressors import IDENTITY, TOPK, CompressorSpec
-from .core import count, derive_stream
+from .core import count
 from .metrics import MetricsRow, MetricsSeries, check_step_conditions, measure_row
 from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
 from .regularizers import Regularizer
@@ -272,10 +273,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig):
-    rng = derive_stream(cfg.seed, "problem")
-    return generate_synthetic(
-        cfg.loss, cfg.p, cfg.samples, cfg.clients, cfg.partition_spec(), rng
-    )
+    return generate_synthetic(cfg.loss, cfg.p, cfg.samples, cfg.clients, cfg.partition_spec(), cfg.seed)
 
 
 def run_experiment(cfg: RunConfig, out_path: str) -> MetricsSeries:

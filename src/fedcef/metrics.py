@@ -185,14 +185,15 @@ def theorem_residual_bound(
     hp: "HyperParams",
     L: float,
     q: float,
-    B_h: float,
+    B_h_sq: float,
     sigma_sq: float,
     N: int,
     Psi0: float,
     T: int,
 ) -> float:
     """Right-hand side of the convergence theorem: the ceiling on the running
-    mean of ||G_beta||^2 after T rounds. gamma = 0.15."""
+    mean of ||G_beta||^2 after T rounds. gamma = 0.15. B_h_sq bounds the
+    squared norm of h's subgradients, as Regularizer.subgradient_bound does."""
     gamma = 0.15
     eta = hp.eta
     beta = hp.beta
@@ -201,7 +202,7 @@ def theorem_residual_bound(
     bound = Psi0 / (gamma * beta * T)
     if hp.B != FULL and sigma_sq > 0:
         bound += c_stoc * sigma_sq / (hp.K * hp.B)
-    bound += c_approx * (L * beta / hp.eta_g) ** 2 * B_h**2
+    bound += c_approx * (L * beta / hp.eta_g) ** 2 * B_h_sq
     return bound
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RngStream, client_sum, count, ensure_finite
+from .core import client_sum, count, derive_stream, ensure_finite
 
 SQUARED_ERROR = "squared_error"
 LOGISTIC = "logistic"
@@ -34,14 +34,6 @@ DIRICHLET = "dirichlet"
 
 # Batch-size sentinel: use the exact local gradient instead of sampling.
 FULL = "full"
-
-# Curvature factors multiplying the data spectral norm lambda_max(A^T A)/n.
-# logistic: max sigmoid' = 1/4; sigmoid_nonconvex: max |sigmoid''| = 1/(6*sqrt(3)).
-_CURVATURE_FACTOR = {
-    SQUARED_ERROR: 1.0,
-    LOGISTIC: 0.25,
-    SIGMOID_NONCONVEX: 1.0 / (6.0 * math.sqrt(3.0)),
-}
 
 # Lanczos stops once the top Ritz pair's residual is below this share of its value.
 _LANCZOS_RESIDUAL_RTOL = 1e-5
@@ -124,27 +116,20 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
-def _per_sample_losses(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample losses from the margins z = a @ x."""
-    if loss.variant == SQUARED_ERROR:
-        return 0.5 * (z - y) ** 2
-    if loss.variant == LOGISTIC:
-        return np.logaddexp(0.0, -y * z)
-    if loss.variant == SIGMOID_NONCONVEX:
-        return _sigmoid(-y * z)
-    raise ValueError(loss.variant)
+def _sigmoid_grad_weights(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    s = _sigmoid(-y * z)
+    return -y * s * (1.0 - s)
 
 
-def _per_sample_grad_weights(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample gradient is w_s * a_s; returns the weights w from the margins z = a @ x."""
-    if loss.variant == SQUARED_ERROR:
-        return z - y
-    if loss.variant == LOGISTIC:
-        return -y * _sigmoid(-y * z)
-    if loss.variant == SIGMOID_NONCONVEX:
-        s = _sigmoid(-y * z)
-        return -y * s * (1.0 - s)
-    raise ValueError(loss.variant)
+# Each data loss from the margins z = a @ x: (per-sample losses, weights w
+# with per-sample gradient w_s * a_s, curvature factor multiplying the data
+# spectral norm lambda_max(A^T A)/n).
+# logistic: max sigmoid' = 1/4; sigmoid_nonconvex: max |sigmoid''| = 1/(6*sqrt(3)).
+_DATA_LOSSES = {
+    SQUARED_ERROR: (lambda z, y: 0.5 * (z - y) ** 2, lambda z, y: z - y, 1.0),
+    LOGISTIC: (lambda z, y: np.logaddexp(0.0, -y * z), lambda z, y: -y * _sigmoid(-y * z), 0.25),
+    SIGMOID_NONCONVEX: (lambda z, y: _sigmoid(-y * z), _sigmoid_grad_weights, 1.0 / (6.0 * math.sqrt(3.0))),
+}
 
 
 def client_margins(prob: FederatedProblem, x: np.ndarray) -> np.ndarray | list[np.ndarray]:
@@ -162,7 +147,7 @@ def client_objectives(prob: FederatedProblem, margins: np.ndarray | Sequence[np.
     block; a data loss's f_i is the mean of its per-sample losses."""
     if prob.closed_form:
         return (0.5 * np.sum((prob.loss.curvatures * margins) * margins, axis=1)).tolist()
-    return [float(np.mean(_per_sample_losses(prob.loss, m, y))) for m, y in zip(margins, prob.labels)]
+    return [float(np.mean(_DATA_LOSSES[prob.loss.variant][0](m, y))) for m, y in zip(margins, prob.labels)]
 
 
 def client_gradient(
@@ -177,7 +162,7 @@ def client_gradient(
     a = prob.features[client]
     if margins is None:
         margins = a @ x
-    w = _per_sample_grad_weights(prob.loss, margins, prob.labels[client])
+    w = _DATA_LOSSES[prob.loss.variant][1](margins, prob.labels[client])
     return np.divide(a.T @ w, a.shape[0], out=out)
 
 
@@ -219,7 +204,7 @@ def stochastic_gradient(
     if np.shape(idx) != (B,):
         raise ValueError(f"batch size {B} needs an index array of shape ({B},), got shape {np.shape(idx)}")
     rows = prob.features[client][idx]
-    w = _per_sample_grad_weights(prob.loss, rows @ x, prob.labels[client][idx])
+    w = _DATA_LOSSES[prob.loss.variant][1](rows @ x, prob.labels[client][idx])
     return np.divide(rows.T @ w, B, out=out)
 
 
@@ -300,8 +285,7 @@ def estimate_smoothness(prob: FederatedProblem) -> float:
     69 steps per shard), by at most 1.2e-11 on the golden configs."""
     if prob.loss.variant == HETERO_QUADRATIC:
         return float(np.max(prob.loss.curvatures))
-    factor = _CURVATURE_FACTOR[prob.loss.variant]
-    return factor * max(
+    return _DATA_LOSSES[prob.loss.variant][2] * max(
         _gram_top_eigenvalue(a, f"the smoothness estimate of client {i}") for i, a in enumerate(prob.features)
     )
 
@@ -316,7 +300,7 @@ def _largest_remainder_counts(props: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def dirichlet_partition(labels: np.ndarray, N: int, alpha_d: float, rng: RngStream) -> np.ndarray:
+def dirichlet_partition(labels: np.ndarray, N: int, alpha_d: float, rng: np.random.Generator) -> np.ndarray:
     """Per-sample shard index: class proportions drawn Dir(alpha_d) per class,
     rounded by largest remainder. Resamples until every client is nonempty
     (up to 100 tries)."""
@@ -330,9 +314,9 @@ def dirichlet_partition(labels: np.ndarray, N: int, alpha_d: float, rng: RngStre
     for _ in range(100):
         for cls in classes:
             idx = np.flatnonzero(labels == cls)
-            props = rng.gen.dirichlet(np.full(N, alpha_d))
+            props = rng.dirichlet(np.full(N, alpha_d))
             counts = _largest_remainder_counts(props, idx.size)
-            shuffled = rng.gen.permutation(idx)
+            shuffled = rng.permutation(idx)
             start = 0
             for client, cnt in enumerate(counts):
                 assign[shuffled[start : start + cnt]] = client
@@ -342,8 +326,8 @@ def dirichlet_partition(labels: np.ndarray, N: int, alpha_d: float, rng: RngStre
     raise PartitionError(f"dirichlet partition left a client empty after 100 tries (N={N})")
 
 
-def _iid_partition(n: int, N: int, rng: RngStream) -> np.ndarray:
-    perm = rng.gen.permutation(n)
+def _iid_partition(n: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    perm = rng.permutation(n)
     assign = np.empty(n, dtype=np.int64)
     for client in range(N):
         assign[perm[client::N]] = client
@@ -356,7 +340,7 @@ def generate_synthetic(
     samples: int,
     N: int,
     part: PartitionSpec,
-    rng: RngStream,
+    seed: int,
     label_noise: float = 0.1,
     curvature_range: tuple[float, float] = (0.1, 10.0),
     center_scale: float = 10.0,
@@ -367,7 +351,8 @@ def generate_synthetic(
     sparse model (support size max(1, p//5)); squared-error labels are pure
     noise. hetero_quadratic ignores `samples` and draws per-client diagonal
     curvatures log-uniform over curvature_range and centers uniform in
-    [-center_scale, center_scale].
+    [-center_scale, center_scale]. Each draw comes from the stream of `seed`
+    labelled problem/hetero, /features, /labels, /model or /partition.
     """
     if p < 1:
         raise ValueError("dimension must be >= 1")
@@ -378,9 +363,9 @@ def generate_synthetic(
         lo, hi = curvature_range
         if not 0 < lo <= hi:
             raise ValueError("curvature range must be positive")
-        hstream = rng.child("hetero")
-        H = np.exp(hstream.gen.uniform(math.log(lo), math.log(hi), size=(N, p)))
-        m = hstream.gen.uniform(-center_scale, center_scale, size=(N, p))
+        hstream = derive_stream(seed, "problem/hetero")
+        H = np.exp(hstream.uniform(math.log(lo), math.log(hi), size=(N, p)))
+        m = hstream.uniform(-center_scale, center_scale, size=(N, p))
         loss = LossKind(HETERO_QUADRATIC, curvatures=H, centers=m)
         # Placeholder one-row shards keep the shard interface uniform; the
         # gradient oracle never reads them for this variant.
@@ -390,28 +375,26 @@ def generate_synthetic(
 
     if samples < N:
         raise ValueError("need at least one sample per client")
-    a = rng.child("features").gen.standard_normal((samples, p))
+    a = derive_stream(seed, "problem/features").standard_normal((samples, p))
     x_true = None
     if variant == SQUARED_ERROR:
-        y = rng.child("labels").gen.standard_normal(samples)
+        y = derive_stream(seed, "problem/labels").standard_normal(samples)
         classes = np.where(y >= 0, 1.0, -1.0)  # partition key for continuous labels
     elif variant in (LOGISTIC, SIGMOID_NONCONVEX):
-        mstream = rng.child("model")
-        support = np.sort(mstream.gen.choice(p, size=max(1, p // 5), replace=False))
+        mstream = derive_stream(seed, "problem/model")
+        support = np.sort(mstream.choice(p, size=max(1, p // 5), replace=False))
         x_true = np.zeros(p)
-        x_true[support] = mstream.gen.uniform(1.0, 2.0, size=support.size) * mstream.gen.choice(
-            [-1.0, 1.0], size=support.size
-        )
-        margins = a @ x_true + label_noise * rng.child("labels").gen.standard_normal(samples)
+        x_true[support] = mstream.uniform(1.0, 2.0, size=support.size) * mstream.choice([-1.0, 1.0], size=support.size)
+        margins = a @ x_true + label_noise * derive_stream(seed, "problem/labels").standard_normal(samples)
         y = np.where(margins >= 0, 1.0, -1.0)
         classes = y
     else:
         raise ValueError(f"unknown loss variant {variant!r}")
 
     if part.mode == DIRICHLET:
-        assign = dirichlet_partition(classes, N, part.alpha_d, rng.child("partition"))
+        assign = dirichlet_partition(classes, N, part.alpha_d, derive_stream(seed, "problem/partition"))
     else:
-        assign = _iid_partition(samples, N, rng.child("partition"))
+        assign = _iid_partition(samples, N, derive_stream(seed, "problem/partition"))
 
     # One matrix, client-major: a stable sort keeps each client's rows in
     # drawn order, so shard i is bitwise a[assign == i], here a row view.

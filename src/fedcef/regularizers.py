@@ -68,7 +68,7 @@ class Regularizer:
         return float(self.lam * np.sum(np.abs(x)))
 
     def subgradient_bound(self, p: int) -> float:
-        """Tight bound B_h on the squared norm of any subgradient in dimension p."""
+        """Tight bound B_h_sq on the squared norm of any subgradient in dimension p."""
         if p < 1:
             raise ValueError("dimension must be >= 1")
         return self.lam * self.lam * p

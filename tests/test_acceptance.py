@@ -57,7 +57,7 @@ def _condition_satisfying_steps(L: float, q: float, K: int, eta: float) -> tuple
 def hetero_bundle():
     prob = generate_synthetic(
         "hetero_quadratic", 10, 10, 5, PartitionSpec("iid"),
-        derive_stream(11, "problem"), curvature_range=(0.3, 3.0),
+        11, curvature_range=(0.3, 3.0),
     )
     reg = Regularizer.zero()
     alpha, eta_g = _condition_satisfying_steps(prob.smoothness, 0.0, 10, 1.0)
@@ -73,7 +73,7 @@ def test_criterion_1_pgd_reduction():
     worst = 0.0
     for variant, samples, seed in (("squared_error", 100, 7), ("sigmoid_nonconvex", 200, 8)):
         prob = generate_synthetic(
-            variant, 20, samples, 1, PartitionSpec("iid"), derive_stream(seed, "problem")
+            variant, 20, samples, 1, PartitionSpec("iid"), seed
         )
         beta = 1.0 / (25 * prob.smoothness)
         hp = HyperParams(alpha=beta, eta_g=1.0, K=1, eta=1.0, B=FULL, T=50)
@@ -111,7 +111,7 @@ def test_criterion_2_accumulator_and_reconstruction_identities():
         if N not in prob_cache:
             prob_cache[N] = generate_synthetic(
                 "logistic", 12, 240, N, PartitionSpec("dirichlet", 0.5),
-                derive_stream(100 + N, "problem"),
+                100 + N,
             )
         prob = prob_cache[N]
         hp = HyperParams(alpha=0.02, eta_g=1.0, K=K, eta=eta, B=B, T=6)
@@ -261,7 +261,7 @@ def test_criterion_6_residual_control_via_batch_size(logistic_bundle):
 def logistic_bundle():
     prob = generate_synthetic(
         "logistic", 20, 1000, 5, PartitionSpec("dirichlet", 0.5),
-        derive_stream(42, "problem"), label_noise=0.5,
+        42, label_noise=0.5,
     )
     reg = Regularizer.l1(1e-5)
     alpha = 1.0 / (8 * 10 * prob.smoothness)
@@ -353,11 +353,11 @@ def test_criterion_10_gradient_correctness():
     for variant in ("squared_error", "logistic", "sigmoid_nonconvex", "hetero_quadratic"):
         if variant == "hetero_quadratic":
             prob = generate_synthetic(
-                variant, 8, 4, 4, PartitionSpec("iid"), derive_stream(1, "problem")
+                variant, 8, 4, 4, PartitionSpec("iid"), 1
             )
         else:
             prob = generate_synthetic(
-                variant, 8, 60, 3, PartitionSpec("iid"), derive_stream(2, "problem")
+                variant, 8, 60, 3, PartitionSpec("iid"), 2
             )
         h = 1e-6
         for _ in range(20):

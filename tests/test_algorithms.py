@@ -43,7 +43,7 @@ from tests.test_compressors import assert_encodes
 
 def lasso_problem(seed=7, p=20, samples=100, N=1):
     return generate_synthetic(
-        "squared_error", p, samples, N, PartitionSpec("iid"), derive_stream(seed, "problem")
+        "squared_error", p, samples, N, PartitionSpec("iid"), seed
     )
 
 
@@ -259,7 +259,7 @@ def test_block_pass_holds_one_gradient_block():
     peak stays below what keeping every step's block, K * N * p * 8 bytes,
     would take."""
     N, p, K = 20, 200, 10
-    prob = generate_synthetic("hetero_quadratic", p, N, N, PartitionSpec("iid"), derive_stream(0, "problem"))
+    prob = generate_synthetic("hetero_quadratic", p, N, N, PartitionSpec("iid"), 0)
     hp = HyperParams(alpha=1e-3, K=K)
     st = RoundState.initial(np.ones(p), N)
     tracemalloc.start()
@@ -273,7 +273,7 @@ def test_block_pass_holds_one_gradient_block():
 
 def test_accumulator_identity_on_random_runs():
     prob = generate_synthetic(
-        "logistic", 20, 200, 3, PartitionSpec("dirichlet", 0.5), derive_stream(17, "problem")
+        "logistic", 20, 200, 3, PartitionSpec("dirichlet", 0.5), 17
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=30, eta=0.4, B=8, T=6)
     with recording() as transcripts:
@@ -397,7 +397,7 @@ def test_fedcef_reduces_to_centralized_pgd():
 
 def test_topk_full_retention_equals_identity_series():
     prob = generate_synthetic(
-        "logistic", 8, 60, 2, PartitionSpec("iid"), derive_stream(19, "problem")
+        "logistic", 8, 60, 2, PartitionSpec("iid"), 19
     )
     reg = Regularizer.l1(1e-3)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.6, B=4, T=8)
@@ -419,7 +419,7 @@ def test_zero_gradients_fixed_point():
 
 def test_determinism_bit_identical_series():
     prob = generate_synthetic(
-        "logistic", 10, 80, 3, PartitionSpec("dirichlet", 0.6), derive_stream(23, "problem")
+        "logistic", 10, 80, 3, PartitionSpec("dirichlet", 0.6), 23
     )
     reg = Regularizer.l1(1e-4)
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=6, eta=0.3, B=2, T=10)
@@ -439,7 +439,7 @@ def test_transcript_byte_counts_match_payloads():
     from fedcef.compressors import payload_bytes
 
     prob = generate_synthetic(
-        "logistic", 10, 80, 4, PartitionSpec("iid"), derive_stream(31, "problem")
+        "logistic", 10, 80, 4, PartitionSpec("iid"), 31
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=3, eta=0.5, B=FULL, T=5)
     with recording() as transcripts:
@@ -454,7 +454,7 @@ def test_transcript_byte_counts_match_payloads():
 
 def test_transcripts_copy_the_state_and_leave_the_run_unchanged():
     prob = generate_synthetic(
-        "logistic", 8, 60, 3, PartitionSpec("dirichlet", 0.5), derive_stream(37, "problem")
+        "logistic", 8, 60, 3, PartitionSpec("dirichlet", 0.5), 37
     )
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=3, eta=0.5, B=4, T=5)
     reg, spec = Regularizer.l1(1e-3), CompressorSpec("topk", 0.25)
@@ -484,7 +484,7 @@ def test_recording_puts_every_phase_back_when_the_block_raises():
 
 def test_control_consistency_debug_checks():
     prob = generate_synthetic(
-        "logistic", 12, 90, 3, PartitionSpec("iid"), derive_stream(29, "problem")
+        "logistic", 12, 90, 3, PartitionSpec("iid"), 29
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=5, eta=0.5, B=FULL, T=12)
     # every round the server control equals the mean of the client controls
@@ -534,7 +534,7 @@ def test_prox_fedavg_single_client_is_centralized_prox_sgd():
 
 def test_prox_fedavg_k1_full_is_parallel_gd():
     prob = generate_synthetic(
-        "squared_error", 5, 40, 4, PartitionSpec("iid"), derive_stream(37, "problem")
+        "squared_error", 5, 40, 4, PartitionSpec("iid"), 37
     )
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=1, eta=1.0, B=FULL, T=10)
     res = run_prox_fedavg(prob, Regularizer.zero(), hp, seed=0)
@@ -547,7 +547,7 @@ def test_prox_fedavg_k1_full_is_parallel_gd():
 
 def test_prox_fedavg_hetero_fixed_point_matches_closed_form():
     prob = generate_synthetic(
-        "hetero_quadratic", 6, 5, 5, PartitionSpec("iid"), derive_stream(41, "problem"),
+        "hetero_quadratic", 6, 5, 5, PartitionSpec("iid"), 41,
         curvature_range=(0.5, 2.0),
     )
     H, m = prob.loss.curvatures, prob.loss.centers

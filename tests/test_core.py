@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedcef.core import NonFiniteError, RngStream, client_sum, derive_stream, ensure_finite
+from fedcef.core import NonFiniteError, client_sum, derive_stream, ensure_finite
 
 
 def test_non_finite_result_names_the_operation():
@@ -58,35 +58,42 @@ def test_client_sum_of_negative_zeros_is_positive_zero():
 
 
 def test_stream_is_deterministic():
-    draws_a = derive_stream(42, "a").gen.random(100)
-    draws_b = derive_stream(42, "a").gen.random(100)
+    draws_a = derive_stream(42, "a").random(100)
+    draws_b = derive_stream(42, "a").random(100)
     assert np.array_equal(draws_a, draws_b)
 
 
 def test_distinct_labels_give_distinct_streams():
     hits = 0
     for i in range(1000):
-        x = derive_stream(42, f"pair/{i}/x").gen.random()
-        y = derive_stream(42, f"pair/{i}/y").gen.random()
+        x = derive_stream(42, f"pair/{i}/x").random()
+        y = derive_stream(42, f"pair/{i}/y").random()
         hits += x != y
     assert hits == 1000
 
 
 def test_distinct_seeds_give_distinct_streams():
-    a = derive_stream(42, "a").gen.random(10)
-    b = derive_stream(43, "a").gen.random(10)
+    a = derive_stream(42, "a").random(10)
+    b = derive_stream(43, "a").random(10)
     assert not np.array_equal(a, b)
 
 
 def test_child_stream_matches_rederivation():
-    parent = derive_stream(7, "client/3")
-    child = parent.child("round/7")
+    # a sub-stream is the stream of the label "<label>/<sublabel>", nothing more
+    child = derive_stream(7, "/".join(("client/3", "round/7")))
     again = derive_stream(7, "client/3/round/7")
-    assert np.array_equal(child.gen.random(16), again.gen.random(16))
+    assert np.array_equal(child.random(16), again.random(16))
+    assert not np.array_equal(derive_stream(7, "client/3").random(16), derive_stream(7, "client/3/round/7").random(16))
+
+
+def test_stream_is_a_plain_numpy_generator():
+    stream = derive_stream(0, "problem/features")
+    assert type(stream) is np.random.Generator
+    assert type(stream.bit_generator) is np.random.Philox
 
 
 def test_empty_label_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="label must be nonempty"):
         derive_stream(0, "")
 
 
@@ -96,7 +103,7 @@ def _label_words(label):
 
 
 def spawn_key_philox(seed, label):
-    """The seed-plus-spawn-key construction RngStream replaced, kept as its oracle."""
+    """The seed-plus-spawn-key construction derive_stream replaced, kept as its oracle."""
     ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=_label_words(label))
     return np.random.Philox(ss)
 
@@ -107,13 +114,13 @@ def spawn_key_philox(seed, label):
 )
 def test_stream_equals_the_spawn_key_construction(seed, label):
     want = spawn_key_philox(seed, label)
-    got = RngStream(seed, label).gen
+    got = derive_stream(seed, label)
     assert np.array_equal(got.bit_generator.state["state"]["key"], want.state["state"]["key"])
     assert np.array_equal(got.random(16), np.random.Generator(want).random(16))
 
 
 def test_stream_keys_are_pinned():
     # fails loudly if numpy ever changes how SeedSequence mixes its entropy
-    key = lambda label: RngStream(0, label).gen.bit_generator.state["state"]["key"].tolist()
+    key = lambda label: derive_stream(0, label).bit_generator.state["state"]["key"].tolist()
     assert key("problem") == [16474797391453484009, 4287957084332759251]
     assert key("client/3/round/7/compress") == [2365003788389370405, 4735189110066603015]

@@ -53,7 +53,7 @@ def draw(stream, prob, i, B):
     """One step's B sample indices of client i's shard, drawn from the
     client's round stream step by step, not as the engine's one (K, B)
     draw; None under B = FULL."""
-    return None if B == FULL else stream.gen.integers(0, prob.features[i].shape[0], size=B)
+    return None if B == FULL else stream.integers(0, prob.features[i].shape[0], size=B)
 
 
 def reference_fedcef(prob, reg, hp, spec, seed):
@@ -121,7 +121,7 @@ def reference_prox_fedavg(prob, reg, hp, seed):
 
 def _logistic_topk():
     prob = generate_synthetic(
-        "logistic", 10, 120, 4, PartitionSpec("dirichlet", 0.5), derive_stream(5, "problem")
+        "logistic", 10, 120, 4, PartitionSpec("dirichlet", 0.5), 5
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=6, eta=0.4, B=8, T=12)
     return prob, Regularizer.l1(1e-3), hp, CompressorSpec("topk", 0.3)
@@ -129,7 +129,7 @@ def _logistic_topk():
 
 def _hetero_randk():
     prob = generate_synthetic(
-        "hetero_quadratic", 9, 9, 5, PartitionSpec("iid"), derive_stream(6, "problem")
+        "hetero_quadratic", 9, 9, 5, PartitionSpec("iid"), 6
     )
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=4, eta=0.7, B=4, T=12)  # any B is exact here
     return prob, Regularizer.l1(0.01), hp, CompressorSpec("randk", 0.3)
@@ -138,13 +138,13 @@ def _hetero_randk():
 def _logistic_p1():
     # p = 1: every cross-client sum adds an (N, 1) block, which np.sum would
     # add pairwise, not in client order
-    prob = generate_synthetic("logistic", 1, 200, 10, PartitionSpec("iid"), derive_stream(5, "problem"))
+    prob = generate_synthetic("logistic", 1, 200, 10, PartitionSpec("iid"), 5)
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=6, eta=0.4, B=8, T=12)
     return prob, Regularizer.l1(1e-3), hp, CompressorSpec("topk", 0.5)
 
 
 def _hetero_p1():
-    prob = generate_synthetic("hetero_quadratic", 1, 10, 10, PartitionSpec("iid"), derive_stream(6, "problem"))
+    prob = generate_synthetic("hetero_quadratic", 1, 10, 10, PartitionSpec("iid"), 6)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=4, eta=0.7, B=4, T=12)
     return prob, Regularizer.l1(0.01), hp, CompressorSpec("randk", 1.0)
 
@@ -301,7 +301,7 @@ def test_divergence_stops_at_the_first_non_finite_row(run, variant):
     """F overflows rows before any local pass does. The run stops at that row,
     without a RuntimeWarning (the suite turns warnings into errors), and
     every earlier row is finite: T one round shorter completes."""
-    prob = generate_synthetic(variant, 20, 100, 3, PartitionSpec("iid"), derive_stream(7, "problem"))
+    prob = generate_synthetic(variant, 20, 100, 3, PartitionSpec("iid"), 7)
     hp = HyperParams(alpha=5.0, eta_g=1.0, K=10, eta=1.0, B=FULL, T=100)
     args = (CompressorSpec("identity"),) if run is run_fedcef else ()
     with pytest.raises(NonFiniteError, match=r"^non-finite measurement at row \d+: F = inf, ") as exc:

@@ -117,6 +117,10 @@ def test_retain_count_vs_ratio():
     assert parse_config("[compressor]\nkind = topk\nretain = 4\n").comp_retain == 4
     assert parse_config("[compressor]\nkind = topk\nretain = 0.5\n").comp_retain == 0.5
     assert parse_config("[compressor]\nkind = identity\n").comp_retain is None
+    # an exponent makes a ratio, as a decimal point does
+    assert parse_config("[compressor]\nkind = topk\nretain = 1e-1\n").comp_retain == 0.1
+    with pytest.raises(ConfigError, match=r"retain ratio must lie in \(0, 1\]"):
+        parse_config("[compressor]\nkind = topk\nretain = 5e2\n")
 
 
 # With the demo and hetero_randk goldens of tests/test_engine.py these cover

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fedcef.algorithms import HyperParams, RoundState
 from fedcef.compressors import CompressorSpec, compress
-from fedcef.core import NonFiniteError, derive_stream
+from fedcef.core import NonFiniteError
 from fedcef.metrics import (
     MetricsRow,
     StepConditionReport,
@@ -38,7 +38,7 @@ from tests.test_regularizers import grid_prox_l1
 
 def logistic_problem(seed=3, p=6, samples=80, N=3):
     return generate_synthetic(
-        "logistic", p, samples, N, PartitionSpec("iid"), derive_stream(seed, "problem")
+        "logistic", p, samples, N, PartitionSpec("iid"), seed
     )
 
 
@@ -68,7 +68,7 @@ def test_mapping_one_dimensional_lasso():
 
 def test_mapping_vanishes_at_hetero_optimum():
     prob = generate_synthetic(
-        "hetero_quadratic", 6, 4, 4, PartitionSpec("iid"), derive_stream(8, "problem")
+        "hetero_quadratic", 6, 4, 4, PartitionSpec("iid"), 8
     )
     H, m = prob.loss.curvatures, prob.loss.centers
     xstar = (H * m).sum(axis=0) / H.sum(axis=0)
@@ -106,7 +106,7 @@ def test_mapping_invariant_to_objective_shift():
 def test_measure_row_matches_the_three_pass_reference(variant):
     # measure_row shares one margin pass between F and G; without margins,
     # objective_value and prox_gradient_mapping each read the shards anew
-    prob = generate_synthetic(variant, 9, 120, 4, PartitionSpec(DIRICHLET, 0.5), derive_stream(11, "problem"))
+    prob = generate_synthetic(variant, 9, 120, 4, PartitionSpec(DIRICHLET, 0.5), 11)
     reg = Regularizer.l1(0.05)
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -164,7 +164,7 @@ def per_client_lyapunov(prob, reg, hp, q, z, z_prev, client_vs, client_cs):
 
 # ten clients: numpy sums eight or more values pairwise, not in order
 BLOCK_PROBLEMS = {
-    variant: generate_synthetic(variant, 9, 300, 10, PartitionSpec(DIRICHLET, 0.5), derive_stream(11, "problem"))
+    variant: generate_synthetic(variant, 9, 300, 10, PartitionSpec(DIRICHLET, 0.5), 11)
     for variant in LOSS_VARIANTS
 }
 _models = hnp.arrays(np.float64, 9, elements=st.floats(-20.0, 20.0) | st.just(0.0))
@@ -284,6 +284,17 @@ def test_residual_bound_structure():
     assert theorem_residual_bound(hp_full, 1.0, 0.0, 0.0, 5.0, 1, 0.0, 100) == 0.0
 
 
+def test_residual_bound_carries_the_squared_subgradient_bound_once():
+    # B_h_sq is what Regularizer.subgradient_bound returns, lambda^2 p, and
+    # enters unsquared: c_approx (L beta / eta_g)^2 B_h_sq
+    hp = HyperParams(alpha=0.01, eta_g=1.0, K=10, eta=0.3, B="full", T=1)
+    B_h_sq = Regularizer.l1(1e-5).subgradient_bound(20)
+    term = theorem_residual_bound(hp, 1.0, 0.0, B_h_sq, 0.0, 1, 0.0, 100)
+    c_approx = (18.4 / 0.15) * (16.0 + 161.0 * 0.3**2)
+    assert term == pytest.approx(c_approx * (1.0 * 0.1 / 1.0) ** 2 * 2e-9)
+    assert term == pytest.approx(7.48e-8, rel=1e-3)
+
+
 def test_lyapunov_dominates_objective_and_degenerates_cleanly():
     prob = logistic_problem(seed=6)
     reg = Regularizer.l1(0.01)
@@ -311,7 +322,7 @@ def test_gradient_variance_estimate():
     sigma_sq = estimate_gradient_variance(prob, z)
     assert sigma_sq > 0
     hetero = generate_synthetic(
-        "hetero_quadratic", 4, 3, 3, PartitionSpec("iid"), derive_stream(1, "problem")
+        "hetero_quadratic", 4, 3, 3, PartitionSpec("iid"), 1
     )
     assert estimate_gradient_variance(hetero, z[:4]) == 0.0
 
@@ -320,7 +331,7 @@ def test_gradient_variance_matches_closed_form_squared_error():
     """sigma^2 on squared error from the closed-form single-sample gradients
     a_s (a_s @ z - b_s), the worst client's mean squared deviation."""
     prob = generate_synthetic(
-        "squared_error", 5, 40, 3, PartitionSpec("iid"), derive_stream(6, "problem")
+        "squared_error", 5, 40, 3, PartitionSpec("iid"), 6
     )
     z = np.random.default_rng(3).standard_normal(prob.dim)
     worst = 0.0

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -39,13 +40,13 @@ DATA_VARIANTS = ("squared_error", "logistic", "sigmoid_nonconvex")
 
 def small_problem(variant, seed=5, p=8, samples=60, N=3):
     return generate_synthetic(
-        variant, p, samples, N, PartitionSpec(IID), derive_stream(seed, "problem")
+        variant, p, samples, N, PartitionSpec(IID), seed
     )
 
 
 def hetero_problem(seed=5, p=6, N=4, curv=(0.1, 10.0)):
     return generate_synthetic(
-        HETERO_QUADRATIC, p, N, N, PartitionSpec(IID), derive_stream(seed, "problem"),
+        HETERO_QUADRATIC, p, N, N, PartitionSpec(IID), seed,
         curvature_range=curv,
     )
 
@@ -74,7 +75,7 @@ def client_loss(prob, i, x, margins=None):
 def draw(stream, prob, i, B):
     """B sample indices of client i's shard, drawn with replacement from the
     stream, as the engine draws one step's batch; None under B = FULL."""
-    return None if B == FULL else stream.gen.integers(0, prob.features[i].shape[0], size=B)
+    return None if B == FULL else stream.integers(0, prob.features[i].shape[0], size=B)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -189,7 +190,7 @@ def test_smoothness_is_estimated_only_when_left_unset():
 
 def test_logistic_smoothness_vs_dense_eigensolve():
     prob = generate_synthetic(
-        "logistic", 10, 100, 1, PartitionSpec(IID), derive_stream(3, "problem")
+        "logistic", 10, 100, 1, PartitionSpec(IID), 3
     )
     a = prob.features[0]
     exact = 0.25 * float(np.linalg.eigvalsh(a.T @ a / a.shape[0])[-1])
@@ -363,7 +364,7 @@ def test_partition_failure_raises():
 
 def test_iid_single_client_gets_everything():
     prob = generate_synthetic(
-        "squared_error", 4, 30, 1, PartitionSpec(IID), derive_stream(2, "problem")
+        "squared_error", 4, 30, 1, PartitionSpec(IID), 2
     )
     assert prob.features[0].shape == (30, 4)
     # with one client the global gradient is that client's full gradient
@@ -375,7 +376,7 @@ def test_iid_single_client_gets_everything():
 
 def test_dirichlet_generation_produces_nonempty_shards():
     prob = generate_synthetic(
-        "logistic", 6, 200, 5, PartitionSpec(DIRICHLET, 0.6), derive_stream(4, "problem")
+        "logistic", 6, 200, 5, PartitionSpec(DIRICHLET, 0.6), 4
     )
     assert sorted(f.shape[0] for f in prob.features)[0] >= 1
     assert sum(f.shape[0] for f in prob.features) == 200
@@ -423,7 +424,7 @@ def test_hetero_objective_zero_at_center():
 
 def test_planted_model_recovery_via_pgd():
     prob = generate_synthetic(
-        "logistic", 20, 500, 1, PartitionSpec(IID), derive_stream(31, "problem")
+        "logistic", 20, 500, 1, PartitionSpec(IID), 31
     )
     reg = Regularizer.l1(1e-3)
     step = 1.0 / prob.smoothness
@@ -438,7 +439,7 @@ def test_planted_model_recovery_via_pgd():
 
 def test_generate_preconditions():
     with pytest.raises(ValueError):
-        generate_synthetic("logistic", 4, 2, 3, PartitionSpec(IID), derive_stream(0, "x"))
+        generate_synthetic("logistic", 4, 2, 3, PartitionSpec(IID), 0)
     with pytest.raises(ValueError):
         stochastic_gradient(small_problem("logistic"), 99, np.zeros(8), FULL, None)
 
@@ -490,7 +491,7 @@ SHARD_CASES = [
 
 @pytest.mark.parametrize("variant, part", SHARD_CASES)
 def test_shards_are_consecutive_row_views_of_one_matrix(variant, part):
-    prob = generate_synthetic(variant, 7, 150, 5, part, derive_stream(2, "problem"))
+    prob = generate_synthetic(variant, 7, 150, 5, part, 2)
     for shards in (prob.features, prob.labels):
         base = shards[0].base
         assert base is not None and base.shape[0] == 150
@@ -504,23 +505,34 @@ def test_shards_are_consecutive_row_views_of_one_matrix(variant, part):
 
 @pytest.mark.parametrize("variant, part", SHARD_CASES)
 def test_shards_equal_the_masked_rows_of_the_drawn_data(variant, part):
-    # recomputed from the streams generate_synthetic draws from
-    rng = derive_stream(4, "problem")
+    # recomputed from the streams generate_synthetic draws from, which pins
+    # their labels
+    seed = 4
     p, samples, N = 7, 150, 5
-    prob = generate_synthetic(variant, p, samples, N, part, rng)
-    a = rng.child("features").gen.standard_normal((samples, p))
-    noise = rng.child("labels").gen.standard_normal(samples)
+    prob = generate_synthetic(variant, p, samples, N, part, seed)
+    a = derive_stream(seed, "problem/features").standard_normal((samples, p))
+    noise = derive_stream(seed, "problem/labels").standard_normal(samples)
     if variant == "squared_error":
         y, classes = noise, np.where(noise >= 0, 1.0, -1.0)
     else:
+        support = np.sort(derive_stream(seed, "problem/model").choice(p, size=max(1, p // 5), replace=False))
+        assert np.array_equal(np.flatnonzero(prob.ground_truth), support)
         y = classes = np.where(a @ prob.ground_truth + 0.1 * noise >= 0, 1.0, -1.0)
     if part.mode == DIRICHLET:
-        assign = dirichlet_partition(classes, N, part.alpha_d, rng.child("partition"))
+        assign = dirichlet_partition(classes, N, part.alpha_d, derive_stream(seed, "problem/partition"))
     else:
-        assign = _iid_partition(samples, N, rng.child("partition"))
+        assign = _iid_partition(samples, N, derive_stream(seed, "problem/partition"))
     for i in range(N):
         assert np.array_equal(prob.features[i], a[assign == i])
         assert np.array_equal(prob.labels[i], y[assign == i])
+
+
+def test_hetero_quadratic_draws_from_its_problem_stream():
+    prob = generate_synthetic(HETERO_QUADRATIC, 6, 4, 4, PartitionSpec(IID), 9)
+    hstream = derive_stream(9, "problem/hetero")
+    H = np.exp(hstream.uniform(math.log(0.1), math.log(10.0), size=(4, 6)))
+    assert np.array_equal(prob.loss.curvatures, H)
+    assert np.array_equal(prob.loss.centers, hstream.uniform(-10.0, 10.0, size=(4, 6)))
 
 
 def test_generation_holds_one_copy_of_the_features():
@@ -529,7 +541,7 @@ def test_generation_holds_one_copy_of_the_features():
     p, samples = 500, 4000
     tracemalloc.start()
     try:
-        generate_synthetic("logistic", p, samples, 10, PartitionSpec(DIRICHLET, 0.6), derive_stream(0, "problem"))
+        generate_synthetic("logistic", p, samples, 10, PartitionSpec(DIRICHLET, 0.6), 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
