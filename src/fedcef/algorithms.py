@@ -260,12 +260,13 @@ def client_uplink(
     """Momentum update of every v_i, one compress call on the (N, p) deviation
     block, and error feedback c_i <- c_i + C(v_i - c_i). Returns the payload,
     which the bytes are charged for, and the (N, p) block C(v - c_local) it
-    encodes, which the server sums. Rand-k draws row i from
-    client/{i}/round/{t}/compress. Reads z^t, so it runs before finalize."""
+    encodes, which the server sums. Rand-k with k < p draws row i from
+    client/{i}/round/{t}/compress; at k = p it sends the block dense and
+    draws nothing. Reads z^t, so it runs before finalize."""
     drift = (st.z - st.x_hat) / (hp.alpha * hp.K) + st.c_local - st.c_known
     st.v = (1.0 - hp.eta) * st.v + hp.eta * drift
     streams = None
-    if spec.kind == RANDK:
+    if spec.kind == RANDK and spec.resolve_k(st.z.size) < st.z.size:
         streams = [derive_stream(seed, f"client/{i}/round/{t}/compress") for i in range(st.n_clients)]
     payload, dense = compress(spec, st.v - st.c_local, streams)
     st.c_local += dense
@@ -376,7 +377,7 @@ def run_fedcef(
         return payload_bytes(payload), DENSE_ENTRY_BYTES * p
 
     rows, z_hist = _run(prob, reg, hp, z0, local, aggregate, report.all_ok, q if lyapunov else None)
-    series = MetricsSeries("fedcef", seed, prob.smoothness, q * q, hp.beta, report, rows)
+    series = MetricsSeries("fedcef", prob.smoothness, q * q, hp.beta, report, rows)
     return RunResult(series, z_hist)
 
 
@@ -401,7 +402,7 @@ def run_prox_fedavg(
         return st.n_clients * DENSE_ENTRY_BYTES * p, DENSE_ENTRY_BYTES * p
 
     rows, z_hist = _run(prob, reg, hp, z0, local, average, report.all_ok, None)
-    series = MetricsSeries("prox_fedavg", seed, prob.smoothness, 0.0, hp.beta, report, rows)
+    series = MetricsSeries("prox_fedavg", prob.smoothness, 0.0, hp.beta, report, rows)
     return RunResult(series, z_hist)
 
 

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from . import compressors, regularizers
+from . import compressors
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
 from .compressors import IDENTITY, TOPK, CompressorSpec
 from .core import count
@@ -62,6 +62,7 @@ CSV_COLUMNS = "t,F,prox_grad_sq,uplink_bytes_cum,downlink_bytes_cum,nnz,lyapunov
 N_COLUMNS = CSV_COLUMNS.count(",") + 1
 
 ALGORITHMS = ("fedcef", "prox_fedavg", "pgd")
+REGULARIZER_KINDS = ("zero", "l1")
 
 class ConfigError(ValueError):
     """Malformed or out-of-domain run configuration."""
@@ -147,7 +148,7 @@ class RunConfig:
     eta: float = _key(0.1, "hyper", "eta", _float, _fmt)
     B: int | str = _key(64, "hyper", "B", _batch)
     T: int = _key(400, "hyper", "T", int)
-    reg_kind: str = _key("l1", "regularizer", "kind", _choice(regularizers.KINDS))
+    reg_kind: str = _key("l1", "regularizer", "kind", _choice(REGULARIZER_KINDS))
     reg_lambda: float = _key(1e-5, "regularizer", "lambda", _float, _fmt)
     comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
     seed: int = _key(0, "run", "seed", int)
@@ -158,7 +159,9 @@ class RunConfig:
         return HyperParams(alpha=self.alpha, eta_g=self.eta_g, K=self.K, eta=self.eta, B=self.B, T=self.T)
 
     def regularizer(self) -> Regularizer:
-        return Regularizer(self.reg_kind, self.reg_lambda)
+        # lambda is checked under either kind, and kind = zero drops it
+        reg = Regularizer(self.reg_lambda)
+        return Regularizer() if self.reg_kind == "zero" else reg
 
     def compressor(self) -> CompressorSpec:
         return CompressorSpec(self.comp_kind, None if self.comp_kind == IDENTITY else self.comp_retain)
@@ -289,16 +292,16 @@ def run_experiment(cfg: RunConfig, out_path: str) -> MetricsSeries:
         series = run_prox_fedavg(prob, reg, hp, cfg.seed).series
     else:  # pgd
         logger.info("algorithm=pgd has no uplink; the compressor section is ignored")
-        series = _pgd_series(prob, reg, hp, cfg.seed)
+        series = _pgd_series(prob, reg, hp)
     write_metrics_csv(out_path, series, cfg.echo())
     return series
 
 
-def _pgd_series(prob, reg, hp: HyperParams, seed: int) -> MetricsSeries:
+def _pgd_series(prob, reg, hp: HyperParams) -> MetricsSeries:
     traj = run_centralized_pgd(prob, reg, hp.beta, hp.T)
     report = check_step_conditions(hp, prob.smoothness, 0.0)
     rows = [measure_row(prob, reg, hp.beta, t, z, 0, 0, report.all_ok)[0] for t, z in enumerate(traj)]
-    return MetricsSeries("pgd", seed, prob.smoothness, 0.0, hp.beta, report, rows)
+    return MetricsSeries("pgd", prob.smoothness, 0.0, hp.beta, report, rows)
 
 
 def write_metrics_csv(path: str, series: MetricsSeries, cfg_echo: dict[str, str]) -> None:

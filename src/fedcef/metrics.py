@@ -49,7 +49,6 @@ class MetricsRow:
 @dataclass
 class MetricsSeries:
     algorithm: str
-    seed: int
     smoothness: float
     contraction: float  # q^2 of the uplink compressor (0 when uncompressed)
     beta: float

@@ -1,8 +1,8 @@
-"""Non-smooth penalty terms and their proximal maps.
+"""The non-smooth penalty h and its proximal map.
 
-Only the zero penalty and the l1 penalty are shipped; the three-method
-surface (prox / evaluate / subgradient_bound) is the extension point for
-anything richer.
+The one penalty shipped is h(x) = lam * ||x||_1, and lam = 0 is h = 0. The
+three-method surface (prox / evaluate / subgradient_bound) is the extension
+point for anything richer.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-ZERO = "zero"
-L1 = "l1"
-KINDS = (ZERO, L1)
 
 
 def soft_threshold(x: np.ndarray, thresh: float) -> np.ndarray:
@@ -30,31 +26,18 @@ def soft_threshold(x: np.ndarray, thresh: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Penalty h(x): either identically zero or lam * ||x||_1."""
+    """Penalty h(x) = lam * ||x||_1; Regularizer() is h = 0."""
 
-    kind: str = ZERO
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if not 0 <= self.lam < math.inf:
             raise ValueError("regularizer weight must be nonnegative and finite")
-        if self.kind == ZERO:
-            object.__setattr__(self, "lam", 0.0)
-
-    @classmethod
-    def zero(cls) -> "Regularizer":
-        return cls(ZERO, 0.0)
-
-    @classmethod
-    def l1(cls, lam: float) -> "Regularizer":
-        return cls(L1, float(lam))
 
     def prox(self, tau: float, x: np.ndarray) -> np.ndarray:
         """argmin_u h(u) + ||u - x||^2 / (2 tau); componentwise soft threshold.
 
-        tau == 0 (or the zero penalty) returns a copy of x unchanged.
+        tau == 0 (or lam == 0) returns a copy of x unchanged.
         """
         if not 0 <= tau < math.inf:
             raise ValueError("prox step size must be nonnegative and finite")

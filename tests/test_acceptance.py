@@ -59,7 +59,7 @@ def hetero_bundle():
         "hetero_quadratic", 10, 10, 5, PartitionSpec("iid"),
         11, curvature_range=(0.3, 3.0),
     )
-    reg = Regularizer.zero()
+    reg = Regularizer()
     alpha, eta_g = _condition_satisfying_steps(prob.smoothness, 0.0, 10, 1.0)
     hp = HyperParams(alpha=alpha, eta_g=eta_g, K=10, eta=1.0, B=FULL, T=HETERO_T)
     fed = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=1, lyapunov=True)
@@ -69,7 +69,7 @@ def hetero_bundle():
 
 def test_criterion_1_pgd_reduction():
     t0 = time.time()
-    reg = Regularizer.l1(0.01)
+    reg = Regularizer(0.01)
     worst = 0.0
     for variant, samples, seed in (("squared_error", 100, 7), ("sigmoid_nonconvex", 200, 8)):
         prob = generate_synthetic(
@@ -116,7 +116,7 @@ def test_criterion_2_accumulator_and_reconstruction_identities():
         prob = prob_cache[N]
         hp = HyperParams(alpha=0.02, eta_g=1.0, K=K, eta=eta, B=B, T=6)
         with recording() as transcripts:
-            run_fedcef(prob, Regularizer.l1(1e-4), hp, spec, seed=cfg_idx)
+            run_fedcef(prob, Regularizer(1e-4), hp, spec, seed=cfg_idx)
         for tr in transcripts:
             local, end = tr.local, tr.end
             c_sum = np.zeros(prob.dim)
@@ -263,7 +263,7 @@ def logistic_bundle():
         "logistic", 20, 1000, 5, PartitionSpec("dirichlet", 0.5),
         42, label_noise=0.5,
     )
-    reg = Regularizer.l1(1e-5)
+    reg = Regularizer(1e-5)
     alpha = 1.0 / (8 * 10 * prob.smoothness)
     return prob, reg, alpha
 

@@ -88,7 +88,7 @@ def test_hyper_params_need_finite_steps_and_a_finite_positive_beta(steps, field)
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
 def test_centralized_pgd_needs_a_finite_positive_step(step):
     with pytest.raises(ValueError, match="^step must be positive and finite$"):
-        run_centralized_pgd(lasso_problem(p=4, samples=20), Regularizer.l1(0.1), step, 2)
+        run_centralized_pgd(lasso_problem(p=4, samples=20), Regularizer(0.1), step, 2)
 
 
 def recorded_gradients(monkeypatch):
@@ -111,7 +111,7 @@ def test_local_update_single_gradient_step(monkeypatch):
     z = np.linspace(-1, 1, 6)
     st = RoundState.initial(z, 1)
     gradients = recorded_gradients(monkeypatch)
-    local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
+    local_update(st, 0, prob, Regularizer(), hp, seed=0, t=0)
     g = client_gradient(prob, 0, z)
     assert np.allclose(st.x_hat[0], z - 0.05 * g)
     assert np.array_equal(gradients[0], g)
@@ -127,7 +127,7 @@ def test_local_update_constant_correction_telescopes():
     st.c_local[0] = [0.5, 0.0, -0.5, 1.0]
     c_global = np.array([1.0, 1.0, 1.0, 1.0])
     st.c_known[:] = c_global
-    local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
+    local_update(st, 0, prob, Regularizer(), hp, seed=0, t=0)
     expected = z - 7 * 0.1 * (c_global - st.c_local[0])
     assert np.allclose(st.x_hat[0], expected, atol=1e-14)
     assert np.allclose(st.x[0], expected, atol=1e-14)
@@ -139,7 +139,7 @@ def test_local_update_rejects_nonfinite_state():
     z = np.ones(4)
     st = RoundState.initial(z, 1)
     with pytest.raises(FloatingPointError, match="local step"):
-        local_update(st, 0, prob, Regularizer.zero(), hp, seed=0, t=0)
+        local_update(st, 0, prob, Regularizer(), hp, seed=0, t=0)
 
 
 def diverging_problem(closed_form, p=3, N=2, finite=()):
@@ -180,7 +180,7 @@ def test_nonfinite_pass_names_the_first_bad_step_and_keeps_the_rows(step, closed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=r"^client 1: non-finite state at round 7, local step 3$"):
-            _local_pass(st, range(1, 2), prob, Regularizer.l1(1e-10), hp, 0, 7, step)
+            _local_pass(st, range(1, 2), prob, Regularizer(1e-10), hp, 0, 7, step)
     for name in ("x_hat", "x", "c_local", "v", "z", "c_known", "c_global"):
         assert np.array_equal(getattr(st, name), getattr(before, name)), name
     # the replay steps from the indices the first run drew
@@ -214,7 +214,7 @@ def test_block_pass_names_the_lowest_diverging_client_and_keeps_every_row(closed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=r"^client 1: non-finite state at round 7, local step 3$"):
-            _local_pass(st, range(3), prob, Regularizer.l1(1e-10), hp, 0, 7, prox_sgd_step)
+            _local_pass(st, range(3), prob, Regularizer(1e-10), hp, 0, 7, prox_sgd_step)
     for name in ("x_hat", "x", "c_local", "v", "z", "c_known", "c_global"):
         assert np.array_equal(getattr(st, name), getattr(before, name)), name
     assert labels == ([] if closed_form else [f"client/{i}/round/7/grad" for i in range(3)])
@@ -233,7 +233,7 @@ def test_a_diverging_local_pass_stops_the_run_naming_client_round_and_step(run, 
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", StepConditionWarning)
         with pytest.raises(NonFiniteError, match=r"^client 0: non-finite state at round 0, local step 3$"):
-            run(prob, Regularizer.l1(1e-10), hp, *args, seed=0, z0=np.ones(prob.dim))
+            run(prob, Regularizer(1e-10), hp, *args, seed=0, z0=np.ones(prob.dim))
 
 
 def test_finite_pass_checks_finiteness_once(monkeypatch):
@@ -249,7 +249,7 @@ def test_finite_pass_checks_finiteness_once(monkeypatch):
 
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
     gradients = recorded_gradients(monkeypatch)
-    local_update(st, 0, prob, Regularizer.l1(1e-3), hp, seed=0, t=0)
+    local_update(st, 0, prob, Regularizer(1e-3), hp, seed=0, t=0)
     assert len(gradients) == hp.K and calls == [(1, 6)]
 
 
@@ -264,7 +264,7 @@ def test_block_pass_holds_one_gradient_block():
     st = RoundState.initial(np.ones(p), N)
     tracemalloc.start()
     try:
-        _local_pass(st, range(N), prob, Regularizer.l1(1e-5), hp, 0, 0, prox_sgd_step)
+        _local_pass(st, range(N), prob, Regularizer(1e-5), hp, 0, 0, prox_sgd_step)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -277,7 +277,7 @@ def test_accumulator_identity_on_random_runs():
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=30, eta=0.4, B=8, T=6)
     with recording() as transcripts:
-        run_fedcef(prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.2), seed=5)
+        run_fedcef(prob, Regularizer(1e-4), hp, CompressorSpec("topk", 0.2), seed=5)
     for tr in transcripts:
         st = tr.local
         for i in range(st.n_clients):
@@ -332,7 +332,7 @@ def test_uplink_momentum_eta_one_equals_mean_gradient():
     prob = lasso_problem(p=5, samples=25, N=2)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=4, eta=1.0, B=FULL, T=1)
     with recording() as transcripts:
-        run_fedcef(prob, Regularizer.zero(), hp, CompressorSpec("identity"), seed=2)
+        run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=2)
     tr = transcripts[0]
     for i in range(prob.n_clients):
         mean_grad = np.mean(tr.gradients[i], axis=0)
@@ -363,7 +363,7 @@ def test_server_aggregate_cases():
 def test_client_downlink_reconstruction():
     hp = HyperParams(alpha=0.2, eta_g=1.0, K=5, eta=1.0, B=FULL, T=1)
     rng = np.random.default_rng(0)
-    reg = Regularizer.l1(0.05)
+    reg = Regularizer(0.05)
     for _ in range(200):
         z_prev = rng.standard_normal(6)
         c_true = rng.standard_normal(6)
@@ -376,7 +376,7 @@ def test_client_downlink_reconstruction():
         assert np.array_equal(st.z, reg.prox(hp.beta, z_tilde))
     # h = 0: new global model is the broadcast itself
     st = RoundState.initial(np.ones(3), 1)
-    server_finalize(st, np.full(3, 0.5), Regularizer.zero(), hp)
+    server_finalize(st, np.full(3, 0.5), Regularizer(), hp)
     assert np.array_equal(st.z, np.full(3, 0.5))
     # unchanged broadcast reconstructs a zero control
     st = RoundState.initial(np.ones(3), 1)
@@ -386,7 +386,7 @@ def test_client_downlink_reconstruction():
 
 def test_fedcef_reduces_to_centralized_pgd():
     prob = lasso_problem()
-    reg = Regularizer.l1(0.01)
+    reg = Regularizer(0.01)
     beta = 1.0 / (25 * prob.smoothness)
     hp = HyperParams(alpha=beta, eta_g=1.0, K=1, eta=1.0, B=FULL, T=50)
     res = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=3)
@@ -399,7 +399,7 @@ def test_topk_full_retention_equals_identity_series():
     prob = generate_synthetic(
         "logistic", 8, 60, 2, PartitionSpec("iid"), 19
     )
-    reg = Regularizer.l1(1e-3)
+    reg = Regularizer(1e-3)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.6, B=4, T=8)
     a = run_fedcef(prob, reg, hp, CompressorSpec("topk", 1.0), seed=4)
     b = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=4)
@@ -412,7 +412,7 @@ def test_zero_gradients_fixed_point():
     prob = zero_gradient_problem()
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=3, eta=0.5, B=FULL, T=5)
     z0 = np.array([1.0, -2.0, 3.0, 0.5])
-    res = run_fedcef(prob, Regularizer.zero(), hp, CompressorSpec("identity"), seed=1, z0=z0)
+    res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=1, z0=z0)
     for z in res.z_history:
         assert np.array_equal(z, z0)
 
@@ -421,7 +421,7 @@ def test_determinism_bit_identical_series():
     prob = generate_synthetic(
         "logistic", 10, 80, 3, PartitionSpec("dirichlet", 0.6), 23
     )
-    reg = Regularizer.l1(1e-4)
+    reg = Regularizer(1e-4)
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=6, eta=0.3, B=2, T=10)
     spec = CompressorSpec("randk", 0.3)
     a = run_fedcef(prob, reg, hp, spec, seed=11)
@@ -443,7 +443,7 @@ def test_transcript_byte_counts_match_payloads():
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=3, eta=0.5, B=FULL, T=5)
     with recording() as transcripts:
-        res = run_fedcef(prob, Regularizer.zero(), hp, CompressorSpec("topk", 3), seed=0)
+        res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("topk", 3), seed=0)
     rows = res.series.rows
     for t, tr in enumerate(transcripts):
         up = payload_bytes(tr.uplink_payload)
@@ -457,7 +457,7 @@ def test_transcripts_copy_the_state_and_leave_the_run_unchanged():
         "logistic", 8, 60, 3, PartitionSpec("dirichlet", 0.5), 37
     )
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=3, eta=0.5, B=4, T=5)
-    reg, spec = Regularizer.l1(1e-3), CompressorSpec("topk", 0.25)
+    reg, spec = Regularizer(1e-3), CompressorSpec("topk", 0.25)
     with recording() as transcripts:
         res = run_fedcef(prob, reg, hp, spec, seed=4)
     plain = run_fedcef(prob, reg, hp, spec, seed=4)
@@ -490,7 +490,7 @@ def test_control_consistency_debug_checks():
     # every round the server control equals the mean of the client controls
     # and every client's reconstruction equals the server control
     with recording() as transcripts:
-        run_fedcef(prob, Regularizer.l1(1e-4), hp, CompressorSpec("topk", 0.25), seed=6)
+        run_fedcef(prob, Regularizer(1e-4), hp, CompressorSpec("topk", 0.25), seed=6)
     for tr in transcripts:
         st = tr.end
         assert np.max(np.abs(st.c_global - st.c_local.mean(axis=0))) <= 1e-10
@@ -502,14 +502,14 @@ def test_step_condition_warning_emitted_and_recorded():
     prob = lasso_problem(p=5, samples=25)
     hp = HyperParams(alpha=10.0 / prob.smoothness / 8, eta_g=1.0, K=1, eta=1.0, B=FULL, T=1)
     with pytest.warns(StepConditionWarning):
-        res = run_fedcef(prob, Regularizer.zero(), hp, CompressorSpec("identity"), seed=0)
+        res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=0)
     assert not res.series.conditions.all_ok
     assert not res.series.rows[0].condition_ok
 
 
 def test_sparsity_transfer_exact_zeros():
     prob = lasso_problem(p=20, samples=100)
-    reg = Regularizer.l1(0.5)
+    reg = Regularizer(0.5)
     beta = 1.0 / (25 * prob.smoothness)
     hp = HyperParams(alpha=beta / 5, eta_g=1.0, K=5, eta=1.0, B=FULL, T=300)
     res = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=2)
@@ -522,7 +522,7 @@ def test_sparsity_transfer_exact_zeros():
 
 def test_prox_fedavg_single_client_is_centralized_prox_sgd():
     prob = lasso_problem(p=6, samples=40, N=1)
-    reg = Regularizer.l1(0.01)
+    reg = Regularizer(0.01)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=4, eta=1.0, B=FULL, T=15)
     res = run_prox_fedavg(prob, reg, hp, seed=3)
     z = np.zeros(6)
@@ -537,7 +537,7 @@ def test_prox_fedavg_k1_full_is_parallel_gd():
         "squared_error", 5, 40, 4, PartitionSpec("iid"), 37
     )
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=1, eta=1.0, B=FULL, T=10)
-    res = run_prox_fedavg(prob, Regularizer.zero(), hp, seed=0)
+    res = run_prox_fedavg(prob, Regularizer(), hp, seed=0)
     z = np.zeros(5)
     for t in range(10):
         grads = [client_gradient(prob, i, z) for i in range(4)]
@@ -553,7 +553,7 @@ def test_prox_fedavg_hetero_fixed_point_matches_closed_form():
     H, m = prob.loss.curvatures, prob.loss.centers
     K, alpha = 10, 0.01
     hp = HyperParams(alpha=alpha, eta_g=1.0, K=K, eta=1.0, B=FULL, T=4000)
-    res = run_prox_fedavg(prob, Regularizer.zero(), hp, seed=0)
+    res = run_prox_fedavg(prob, Regularizer(), hp, seed=0)
     w = 1.0 - (1.0 - alpha * H) ** K  # per-client averaging weights
     fixed = (w * m).sum(axis=0) / w.sum(axis=0)
     assert np.max(np.abs(res.z_history[-1] - fixed)) <= 1e-10
@@ -568,13 +568,13 @@ def test_pgd_unit_quadratic_one_step():
     prob = FederatedProblem(
         LossKind("hetero_quadratic", H, m), 3, [np.zeros((1, 3))], [np.zeros(1)]
     )
-    traj = run_centralized_pgd(prob, Regularizer.zero(), 1.0, 1, z0=np.array([3.0, -2.0, 5.0]))
+    traj = run_centralized_pgd(prob, Regularizer(), 1.0, 1, z0=np.array([3.0, -2.0, 5.0]))
     assert np.array_equal(traj[1], np.zeros(3))
 
 
 def test_pgd_lasso_converges_and_descends():
     prob = lasso_problem()
-    reg = Regularizer.l1(0.05)
+    reg = Regularizer(0.05)
     step = 1.0 / prob.smoothness
     traj = run_centralized_pgd(prob, reg, step, 10_000)
     G = prox_gradient_mapping(prob, reg, traj[-1], step)

@@ -17,6 +17,7 @@ from fedcef.algorithms import HyperParams, StepConditionWarning, run_fedcef
 from fedcef.cli import main as cli_main
 from fedcef.harness import (
     ALGORITHMS,
+    REGULARIZER_KINDS,
     ConfigError,
     RunConfig,
     compare_runs,
@@ -364,7 +365,7 @@ def test_a_flat_problem_runs_and_its_infinite_bounds_round_trip(tmp_path):
     prob = FederatedProblem(LossKind("squared_error"), 4, [np.zeros((3, 4))] * 2, [np.ones(3)] * 2)
     assert prob.smoothness == 0.0
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=2, eta=1.0, B=FULL, T=3)
-    series = run_fedcef(prob, regularizers.Regularizer.l1(0.1), hp, compressors.CompressorSpec("topk", 2), 0).series
+    series = run_fedcef(prob, regularizers.Regularizer(0.1), hp, compressors.CompressorSpec("topk", 2), 0).series
     assert series.conditions.all_ok and series.conditions.beta_bound == math.inf
     path = tmp_path / "flat.csv"
     write_metrics_csv(str(path), series, {})
@@ -380,6 +381,15 @@ def test_runconfig_helpers_validate():
     cfg = RunConfig(comp_kind="topk", comp_retain=2.0)
     with pytest.raises(ValueError):
         cfg.compressor()
+
+
+@pytest.mark.parametrize("kind, reg", [("zero", regularizers.Regularizer()), ("l1", regularizers.Regularizer(3.0))])
+def test_regularizer_kind_builds_its_weight(kind, reg):
+    # kind = zero keeps lambda in the echo but builds h = 0; a negative
+    # lambda is rejected under either kind (see test_rejected_configs_stay_rejected)
+    cfg = parse_config(f"[regularizer]\nkind = {kind}\nlambda = 3\n")
+    assert cfg.reg_lambda == 3.0 and cfg.echo()["regularizer.lambda"] == "3"
+    assert cfg.regularizer() == reg
 
 
 def test_hetero_quadratic_via_config(tmp_path):
@@ -446,6 +456,7 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[hyper]\nB = abc\n",
         "[hyper]\npreset = imagenet-like\n",
         "[regularizer]\nlambda = -1\n",
+        "[regularizer]\nkind = zero\nlambda = -1\n",
         "[regularizer]\nkind = l2\n",
         "[problem]\npartition = iid\nalpha_d = 0\n",
         "[problem]\npartition = shards\n",
@@ -497,7 +508,7 @@ def run_configs(draw):
         eta=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         B=draw(st.just("full") | st.integers(1, 10**4)),
         T=draw(st.integers(1, 10**5)),
-        reg_kind=draw(st.sampled_from(regularizers.KINDS)),
+        reg_kind=draw(st.sampled_from(REGULARIZER_KINDS)),
         reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
         comp_kind=comp_kind,
         comp_retain=None if comp_kind == compressors.IDENTITY else retain,
@@ -513,7 +524,7 @@ def test_echo_round_trips_through_the_table_and_the_csv(cfg, tmp_path):
     rep = StepConditionReport(1e-4, False, 49.5, True, 0.016, True)
     row = MetricsRow(0, 1.0, 0.5, 0, 80, 3, None, False)
     path = tmp_path / "echo.csv"
-    write_metrics_csv(str(path), MetricsSeries("fedcef", 0, 1.0, 0.0, 1.0, rep, [row]), cfg.echo())
+    write_metrics_csv(str(path), MetricsSeries("fedcef", 1.0, 0.0, 1.0, rep, [row]), cfg.echo())
     meta, rows = read_metrics_csv(str(path))
     assert resolve_config(sections_from(meta)) == cfg
     assert rows == [row]

@@ -44,7 +44,7 @@ def logistic_problem(seed=3, p=6, samples=80, N=3):
 
 def test_mapping_equals_gradient_without_regularizer():
     prob = logistic_problem()
-    reg = Regularizer.zero()
+    reg = Regularizer()
     rng = np.random.default_rng(0)
     for _ in range(100):
         z = rng.standard_normal(prob.dim)
@@ -58,7 +58,7 @@ def test_mapping_one_dimensional_lasso():
     prob = FederatedProblem(
         LossKind("squared_error"), 1, [np.array([[1.0]])], [np.array([2.0])]
     )
-    reg = Regularizer.l1(1.0)
+    reg = Regularizer(1.0)
     G = prox_gradient_mapping(prob, reg, np.array([0.0]), 1.0)
     assert G[0] == pytest.approx(-1.0)
     # cross-check the inner prox against the grid argmin oracle
@@ -72,7 +72,7 @@ def test_mapping_vanishes_at_hetero_optimum():
     )
     H, m = prob.loss.curvatures, prob.loss.centers
     xstar = (H * m).sum(axis=0) / H.sum(axis=0)
-    G = prox_gradient_mapping(prob, Regularizer.zero(), xstar, 0.1)
+    G = prox_gradient_mapping(prob, Regularizer(), xstar, 0.1)
     assert np.max(np.abs(G)) <= 1e-10
 
 
@@ -90,7 +90,7 @@ def test_mapping_invariant_to_objective_shift():
         [np.vstack([a, a])],
         [np.concatenate([b + d, b - d])],
     )
-    reg = Regularizer.l1(0.2)
+    reg = Regularizer(0.2)
     z = rng.standard_normal(5)
     from fedcef.problems import objective_value
 
@@ -107,7 +107,7 @@ def test_measure_row_matches_the_three_pass_reference(variant):
     # measure_row shares one margin pass between F and G; without margins,
     # objective_value and prox_gradient_mapping each read the shards anew
     prob = generate_synthetic(variant, 9, 120, 4, PartitionSpec(DIRICHLET, 0.5), 11)
-    reg = Regularizer.l1(0.05)
+    reg = Regularizer(0.05)
     rng = np.random.default_rng(2)
     for _ in range(5):
         z = rng.standard_normal(prob.dim) * (rng.random(prob.dim) < 0.6)
@@ -175,7 +175,7 @@ _models = hnp.arrays(np.float64, 9, elements=st.floats(-20.0, 20.0) | st.just(0.
 @given(z=_models, z_prev=_models, seed=st.integers(0, 2**32 - 1))
 def test_block_measurement_is_bitwise_the_per_client_loop(variant, z, z_prev, seed):
     prob = BLOCK_PROBLEMS[variant]
-    reg = Regularizer.l1(0.05)
+    reg = Regularizer(0.05)
     hp = HyperParams(alpha=0.01, eta_g=1.5, K=5, eta=0.6, B="full", T=1)
     rng = np.random.default_rng(seed)
     vs, cs = rng.standard_normal((2, prob.n_clients, prob.dim))
@@ -201,7 +201,7 @@ def test_measure_row_reads_each_shard_twice():
 
     prob = logistic_problem(N=4)
     prob.features = [a.view(Shard) for a in prob.features]
-    measure_row(prob, Regularizer.l1(0.01), 0.5, 1, np.linspace(-1.0, 1.0, prob.dim), 0, 0, True)
+    measure_row(prob, Regularizer(0.01), 0.5, 1, np.linspace(-1.0, 1.0, prob.dim), 0, 0, True)
     assert len(passes) == 2 * prob.n_clients
 
 
@@ -215,10 +215,10 @@ def test_measure_row_names_the_first_non_finite_row_without_warnings():
         NonFiniteError,
         match=r"^non-finite measurement at row 7: F = 5e\+219, non-finite result produced by full_global_gradient$",
     ):
-        measure_row(problem(1e200), Regularizer.zero(), 0.5, 7, np.array([1e-90]), 0, 0, True)
+        measure_row(problem(1e200), Regularizer(), 0.5, 7, np.array([1e-90]), 0, 0, True)
     # margins 1e160: the gradient is finite, F and ||G||^2 are not
     with pytest.raises(NonFiniteError, match=r"^non-finite measurement at row 3: F = inf, \|\|G\|\|\^2 = inf$"):
-        measure_row(problem(1.0), Regularizer.zero(), 0.5, 3, np.array([1e160]), 0, 0, True)
+        measure_row(problem(1.0), Regularizer(), 0.5, 3, np.array([1e160]), 0, 0, True)
 
 
 def test_step_condition_bounds():
@@ -288,7 +288,7 @@ def test_residual_bound_carries_the_squared_subgradient_bound_once():
     # B_h_sq is what Regularizer.subgradient_bound returns, lambda^2 p, and
     # enters unsquared: c_approx (L beta / eta_g)^2 B_h_sq
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=10, eta=0.3, B="full", T=1)
-    B_h_sq = Regularizer.l1(1e-5).subgradient_bound(20)
+    B_h_sq = Regularizer(1e-5).subgradient_bound(20)
     term = theorem_residual_bound(hp, 1.0, 0.0, B_h_sq, 0.0, 1, 0.0, 100)
     c_approx = (18.4 / 0.15) * (16.0 + 161.0 * 0.3**2)
     assert term == pytest.approx(c_approx * (1.0 * 0.1 / 1.0) ** 2 * 2e-9)
@@ -297,7 +297,7 @@ def test_residual_bound_carries_the_squared_subgradient_bound_once():
 
 def test_lyapunov_dominates_objective_and_degenerates_cleanly():
     prob = logistic_problem(seed=6)
-    reg = Regularizer.l1(0.01)
+    reg = Regularizer(0.01)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.5, B="full", T=1)
     rng = np.random.default_rng(2)
     from fedcef.problems import client_gradients, client_margins, objective_value

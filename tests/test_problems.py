@@ -384,10 +384,10 @@ def test_dirichlet_generation_produces_nonempty_shards():
 
 def test_objective_additivity_and_resummation():
     prob = small_problem("logistic", seed=17)
-    reg = Regularizer.l1(0.3)
+    reg = Regularizer(0.3)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(prob.dim)
-    f_only = objective_value(prob, Regularizer.zero(), x)
+    f_only = objective_value(prob, Regularizer(), x)
     assert objective_value(prob, reg, x) - f_only == pytest.approx(reg.evaluate(x))
     # two-pass recomputation
     per_client = [client_loss(prob, i, x) for i in range(prob.n_clients)]
@@ -409,7 +409,7 @@ def test_block_oracles_match_the_per_client_oracles(variant):
     expected = [client_loss(prob, i, x) for i in range(prob.n_clients)]
     assert client_objectives(prob, margins) == pytest.approx(expected, rel=1e-12)
     # precomputed margins give the same F as objective_value's own pass
-    reg = Regularizer.l1(0.3)
+    reg = Regularizer(0.3)
     assert objective_value(prob, reg, x, margins) == objective_value(prob, reg, x)
 
 
@@ -419,14 +419,14 @@ def test_hetero_objective_zero_at_center():
     prob = FederatedProblem(
         LossKind(HETERO_QUADRATIC, H, m), 2, [np.zeros((1, 2))], [np.zeros(1)]
     )
-    assert objective_value(prob, Regularizer.zero(), m[0]) == 0.0
+    assert objective_value(prob, Regularizer(), m[0]) == 0.0
 
 
 def test_planted_model_recovery_via_pgd():
     prob = generate_synthetic(
         "logistic", 20, 500, 1, PartitionSpec(IID), 31
     )
-    reg = Regularizer.l1(1e-3)
+    reg = Regularizer(1e-3)
     step = 1.0 / prob.smoothness
     traj = run_centralized_pgd(prob, reg, step, 25_000)
     z = traj[-1]

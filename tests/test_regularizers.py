@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,13 @@ def grid_prox_l1(x, tau, lam, lo=-5.0, hi=5.0, step=1e-4):
 
 def test_prox_identity_cases():
     x = np.array([1.0, -2.0])
-    assert np.array_equal(Regularizer.zero().prox(0.5, x), x)
-    assert np.array_equal(Regularizer.l1(1.0).prox(0.0, np.array([3.0, -1.0])), [3.0, -1.0])
+    assert np.array_equal(Regularizer().prox(0.5, x), x)
+    assert np.array_equal(Regularizer(1.0).prox(0.0, np.array([3.0, -1.0])), [3.0, -1.0])
 
 
 def test_prox_soft_threshold_against_grid_argmin():
     x = np.array([3.0, -1.0, 0.5])
-    got = Regularizer.l1(1.0).prox(1.0, x)
+    got = Regularizer(1.0).prox(1.0, x)
     assert np.array_equal(got, [2.0, 0.0, 0.0])
     oracle = grid_prox_l1(x, tau=1.0, lam=1.0)
     assert np.max(np.abs(got - oracle)) <= 1e-4
@@ -35,14 +37,14 @@ def test_prox_soft_threshold_against_grid_argmin():
         x = rng.uniform(-4, 4, size=6)
         tau = rng.uniform(0.1, 2.0)
         lam = rng.uniform(0.1, 1.5)
-        got = Regularizer.l1(lam).prox(tau, x)
+        got = Regularizer(lam).prox(tau, x)
         oracle = grid_prox_l1(x, tau, lam)
         assert np.max(np.abs(got - oracle)) <= 1e-4
 
 
 @pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
 def test_tau_must_be_nonnegative_and_finite(tau):
-    for reg in (Regularizer.l1(1.0), Regularizer.zero()):
+    for reg in (Regularizer(1.0), Regularizer()):
         with pytest.raises(ValueError, match="^prox step size"):
             reg.prox(tau, np.zeros(2))
 
@@ -50,33 +52,33 @@ def test_tau_must_be_nonnegative_and_finite(tau):
 @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
 def test_regularizer_weight_must_be_nonnegative_and_finite(lam):
     with pytest.raises(ValueError, match="^regularizer weight"):
-        Regularizer.l1(lam)
+        Regularizer(lam)
 
 
 def test_evaluate():
-    assert Regularizer.l1(2.0).evaluate(np.array([1.0, -3.0])) == 8.0
-    assert Regularizer.zero().evaluate(np.array([5.0, 5.0])) == 0.0
+    assert Regularizer(2.0).evaluate(np.array([1.0, -3.0])) == 8.0
+    assert Regularizer().evaluate(np.array([5.0, 5.0])) == 0.0
     rng = np.random.default_rng(1)
     x = rng.standard_normal(50)
     lam = 1e-5
     resummed = sum(lam * abs(float(v)) for v in x)
-    assert Regularizer.l1(lam).evaluate(x) == pytest.approx(resummed, rel=1e-12)
+    assert Regularizer(lam).evaluate(x) == pytest.approx(resummed, rel=1e-12)
 
 
 def test_subgradient_bound_matches_corner_enumeration():
-    assert Regularizer.zero().subgradient_bound(100) == 0.0
-    assert Regularizer.l1(1.0).subgradient_bound(4) == 4.0
-    assert Regularizer.l1(1e-5).subgradient_bound(20) == pytest.approx(2e-9)
+    assert Regularizer().subgradient_bound(100) == 0.0
+    assert Regularizer(1.0).subgradient_bound(4) == 4.0
+    assert Regularizer(1e-5).subgradient_bound(20) == pytest.approx(2e-9)
     # brute force: max ||g||^2 over sign corners of [-lam, lam]^4
     lam = 0.7
     corners = np.array(np.meshgrid(*[[-lam, lam]] * 4)).reshape(4, -1).T
     brute = max(float(np.sum(c * c)) for c in corners)
-    assert Regularizer.l1(lam).subgradient_bound(4) == pytest.approx(brute)
+    assert Regularizer(lam).subgradient_bound(4) == pytest.approx(brute)
 
 
 def test_prox_is_nonexpansive():
     rng = np.random.default_rng(2)
-    reg = Regularizer.l1(0.8)
+    reg = Regularizer(0.8)
     for _ in range(1000):
         x = rng.standard_normal(8)
         y = rng.standard_normal(8)
@@ -88,7 +90,7 @@ def test_prox_is_nonexpansive():
 def test_prox_kkt_and_moreau():
     rng = np.random.default_rng(3)
     lam = 0.6
-    reg = Regularizer.l1(lam)
+    reg = Regularizer(lam)
     for _ in range(200):
         x = rng.uniform(-3, 3, size=10)
         tau = rng.uniform(1e-3, 2.0)
@@ -103,10 +105,15 @@ def test_prox_kkt_and_moreau():
         assert np.all(np.abs(s) <= lam + 1e-12)
 
 
-def test_zero_kind_forces_zero_weight():
-    reg = Regularizer("zero", 3.0)
-    assert reg.lam == 0.0
-    assert np.array_equal(soft_threshold(np.array([2.0, -2.0]), 0.5), [1.5, -1.5])
+def test_zero_weight_is_the_zero_penalty():
+    assert [f.name for f in dataclasses.fields(Regularizer)] == ["lam"]
+    reg = Regularizer()
+    assert reg == Regularizer(0.0) and reg.lam == 0.0
+    x = np.array([2.0, -2.0])
+    u = reg.prox(0.5, x)
+    assert np.array_equal(u, x) and u is not x
+    assert reg.evaluate(x) == 0.0 and reg.subgradient_bound(2) == 0.0
+    assert np.array_equal(soft_threshold(x, 0.5), [1.5, -1.5])
 
 
 def sign_soft_threshold(x, thresh):
