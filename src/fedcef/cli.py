@@ -9,7 +9,7 @@ import warnings
 
 from .algorithms import StepConditionWarning
 from .core import NonFiniteError
-from .harness import ConfigError, compare_runs, read_sections, resolve_config, run_experiment, set_key
+from .harness import FIELDS, ConfigError, compare_runs, parse_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,10 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
-        sections = read_sections(fh.read())
-    if args.seed is not None:
-        set_key(sections, "run.seed", str(args.seed))
-    cfg = resolve_config(sections)
+        cfg = parse_config(fh.read(), None if args.seed is None else {"run.seed": str(args.seed)})
     run_experiment(cfg, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -53,11 +50,12 @@ def _cmd_sweep(args) -> int:
     for n, raw in enumerate(values):
         if raw in values[:n]:  # its run would overwrite the first one's CSV
             raise ConfigError(f"--values repeats {raw!r}")
-        sections = read_sections(base_text)
-        key = set_key(sections, args.key, raw)
-        runs.append((os.path.join(args.out_dir, f"{key}={raw}.csv"), resolve_config(sections)))
+        runs.append((raw, parse_config(base_text, {args.key: raw})))
+    # the key as the echo spells it (hyper.k -> hyper.K); parse_config has checked it
+    key = next(f"{f.section}.{f.key}" for f in FIELDS.values() if f"{f.section}.{f.key}".lower() == args.key.lower())
     os.makedirs(args.out_dir, exist_ok=True)
-    for out, cfg in runs:
+    for raw, cfg in runs:
+        out = os.path.join(args.out_dir, f"{key}={raw}.csv")
         run_experiment(cfg, out)
         print(f"wrote {out}")
     return 0

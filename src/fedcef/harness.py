@@ -3,28 +3,27 @@
 Config files are INI-style key/value documents with six sections::
 
     [problem]                      [hyper]
-    loss = logistic                preset = cifar-like   ; or mnist-like
-    p = 20                         alpha = 0.06
-    samples = 500                  eta_g = 1.0
-    clients = 10                   K = 30
-    partition = dirichlet          eta = 0.1
-    alpha_d = 0.6                  B = 64        ; integer or "full"
-                                   T = 400
-    [algorithm]
-    name = fedcef                  [regularizer]
-                                   kind = l1
-    [compressor]                   lambda = 1e-5
-    kind = topk
-    retain = 0.1                   [run]
-                                   seed = 0
+    loss = logistic                alpha = 0.06
+    p = 20                         eta_g = 1.0
+    samples = 500                  K = 30
+    clients = 10                   eta = 0.1
+    partition = dirichlet          B = 64        ; integer or "full"
+    alpha_d = 0.6                  T = 400
+
+    [algorithm]                    [regularizer]
+    name = fedcef                  kind = l1
+                                   lambda = 1e-5
+    [compressor]
+    kind = topk                    [run]
+    retain = 0.1                   seed = 0      ; in [0, 2**64)
                                    lyapunov = false
 
 The fields of `RunConfig` are the one list of keys: each declares its
 section, key, reader and echo, and `FIELDS` is their view by attribute.
-Reading, resolving, echoing and overriding a key (`fedcef run --seed`,
-`fedcef sweep --key`) all go through it. Every key is optional (defaults
-below); unknown sections or keys, and any key under [DEFAULT], are hard
-errors. Domain rules live in the HyperParams, CompressorSpec, Regularizer
+`parse_config(text, overrides)` reads the file and the overrides of
+`fedcef run --seed` and `fedcef sweep --key` through it, and the echo writes
+the same keys back. Every key is optional (defaults below); unknown sections
+or keys, and any key under [DEFAULT], are hard errors. Domain rules live in the HyperParams, CompressorSpec, Regularizer
 and PartitionSpec constructors. `retain` is a ratio when written with a
 decimal point or an exponent (`1e-1` is 0.1) and a count when written as an
 integer. `lyapunov = true` fills fedcef's Lyapunov column, as the potential
@@ -87,6 +86,15 @@ def _float(raw: str) -> float:
     return val
 
 
+def _seed(raw: str) -> int:
+    # derive_stream folds a seed mod 2**64: one outside would replay another
+    # seed's run under its own echo
+    seed = int(raw)
+    if not 0 <= seed < 2**64:
+        raise ValueError("must lie in [0, 2**64)")
+    return seed
+
+
 def _bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -142,7 +150,7 @@ class RunConfig:
     partition: str = _key(DIRICHLET, "problem", "partition", str)
     alpha_d: float = _key(0.6, "problem", "alpha_d", _float, _fmt)
     algorithm: str = _key("fedcef", "algorithm", "name", _choice(ALGORITHMS))
-    alpha: float = _key(0.06, "hyper", "alpha", _float, _fmt)  # the hyper defaults are the cifar-like preset
+    alpha: float = _key(0.06, "hyper", "alpha", _float, _fmt)  # the hyper defaults mirror the larger benchmark setting
     eta_g: float = _key(1.0, "hyper", "eta_g", _float, _fmt)
     K: int = _key(30, "hyper", "K", int)
     eta: float = _key(0.1, "hyper", "eta", _float, _fmt)
@@ -151,7 +159,7 @@ class RunConfig:
     reg_kind: str = _key("l1", "regularizer", "kind", _choice(REGULARIZER_KINDS))
     reg_lambda: float = _key(1e-5, "regularizer", "lambda", _float, _fmt)
     comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
-    seed: int = _key(0, "run", "seed", int)
+    seed: int = _key(0, "run", "seed", _seed)
     lyapunov: bool = _key(False, "run", "lyapunov", _bool, lambda b: str(b).lower())
     comp_retain: int | float | None = _key(0.1, "compressor", "retain", _retain)
 
@@ -182,78 +190,40 @@ class RunConfig:
 # Every key a config may set: RunConfig attribute -> Field, in echo order.
 FIELDS = {f.name: f.metadata["cfg"] for f in fields(RunConfig)}
 
-HYPER_PRESETS = {
-    # cifar-like is RunConfig's hyper defaults, which mirror the larger
-    # benchmark setting; mnist-like mirrors the smaller one.
-    "cifar-like": {f.name: getattr(RunConfig, f.name) for f in fields(HyperParams)},
-    "mnist-like": {"alpha": 0.1, "eta_g": 1.0, "K": 10, "eta": 0.1, "B": 64, "T": 65},
-}
-
-# hyper.preset sets several attributes at once, under the explicit keys, and
-# is not echoed: the echo carries the values it set.
-PRESET = Field("hyper", "preset", _choice(tuple(HYPER_PRESETS)))
-
-
 # Built once, so a lookup is one dict hit; configparser lowercases keys.
-_LOOKUP = {(f.section, f.key.lower()): (name, f) for name, f in [*FIELDS.items(), ("preset", PRESET)]}
+_LOOKUP = {(f.section, f.key.lower()): (name, f) for name, f in FIELDS.items()}
 _SECTIONS = frozenset(f.section for f in FIELDS.values())
 
 
-def _check_section(section: str) -> None:
-    if section not in _SECTIONS:
-        raise ConfigError(f"unknown section [{section}]")
-
-
-def _field(section: str, key: str) -> tuple[str, Field]:
-    """The RunConfig attribute a key sets ("preset" for hyper.preset) and its Field."""
-    entry = _LOOKUP.get((section, key.lower()))
-    if entry is None:
-        _check_section(section)
-        raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    return entry
-
-
-def read_sections(text: str) -> dict[str, dict[str, str]]:
-    """First parse stage: raw section/key strings, keys canonical, unknown
-    sections and keys rejected."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Read INI text, set each `section.key -> raw` override on top of it as a
+    config line would, then read every value through its field over the
+    defaults and check domains."""
+    # no interpolation: a '%' in a value is the reader's to reject
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read_string(text)
+        for dotted, raw in (overrides or {}).items():
+            section, _, key = dotted.partition(".")
+            parser.read_dict({section: {key: raw}})  # keys fold case, so hyper.k replaces a file's K
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     # configparser would merge these into every section
     if parser.defaults():
         raise ConfigError(f"[DEFAULT] keys are not supported: {', '.join(parser.defaults())}")
-    sections: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        _check_section(section)
-        sections[section] = {_field(section, key)[1].key: value for key, value in parser.items(section)}
-    return sections
-
-
-def set_key(sections: dict[str, dict[str, str]], dotted: str, raw: str) -> str:
-    """Set `section.key` in raw sections as a config line would; returns the
-    canonical dotted key (hyper.k -> hyper.K)."""
-    section, _, key = dotted.partition(".")
-    f = _field(section, key)[1]
-    sections.setdefault(section, {})[f.key] = raw
-    return f"{section}.{f.key}"
-
-
-def resolve_config(sections: dict[str, dict[str, str]]) -> RunConfig:
-    """Second parse stage: read every value through its field, apply the
-    preset and then the explicit keys over the defaults, and check domains."""
     values: dict[str, object] = {}
-    for section, entries in sections.items():
-        _check_section(section)
-        for key, raw in entries.items():
-            name, f = _field(section, key)
+    for section in parser.sections():
+        if section not in _SECTIONS:  # checked apart from its keys, so an empty one fails too
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            if (section, key) not in _LOOKUP:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, f = _LOOKUP[section, key]
             try:
                 values[name] = f.read(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {f.key} = {raw!r}: {exc}") from None
-    preset = HYPER_PRESETS.get(values.pop("preset", None), {})
-    cfg = RunConfig(**{**preset, **values})
+    cfg = RunConfig(**values)
     if cfg.comp_kind == IDENTITY:
         cfg.comp_retain = None
     if cfg.samples < cfg.clients and cfg.loss != HETERO_QUADRATIC:
@@ -269,10 +239,6 @@ def resolve_config(sections: dict[str, dict[str, str]]) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from None
     return cfg
-
-
-def parse_config(text: str) -> RunConfig:
-    return resolve_config(read_sections(text))
 
 
 def build_problem(cfg: RunConfig):

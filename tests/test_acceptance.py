@@ -15,6 +15,7 @@ from fedcef.compressors import CompressorSpec, compress, contraction_factor
 from fedcef.core import derive_stream
 from fedcef.harness import compare_runs, write_metrics_csv
 from fedcef.metrics import (
+    estimate_gradient_variance,
     lyapunov_diagnostic,
     prox_gradient_mapping,
     theorem_residual_bound,
@@ -232,6 +233,62 @@ def test_criterion_5_sublinear_trend_and_theorem_bound(hetero_bundle):
         "sublinear trend and residual bound",
         ok,
         f"min@800/min@200 {min800/min200:.2e}, bound holds for all prefixes: {bound_ok}, {elapsed:.1f}s",
+    )
+
+
+# Chosen before the first run: every data loss and hetero_quadratic,
+# identity, top-k and rand-k, B = full and a minibatch, h = 0 and l1.
+# (loss, lambda of h, compressor, B); p = 20, N = 5, 500 samples,
+# Dirichlet 0.5, K = 10, eta = 0.5, the largest condition-satisfying steps
+# at the compressor's q, T = 400, seed 0.
+BOUND_GRID = (
+    ("logistic", 1e-2, CompressorSpec("topk", 0.25), 1),
+    ("sigmoid_nonconvex", 1e-2, CompressorSpec("randk", 0.25), 4),
+    ("squared_error", 1e-1, CompressorSpec("topk", 0.1), 2),
+    ("squared_error", 0.0, CompressorSpec("identity"), FULL),
+    ("hetero_quadratic", 1e-2, CompressorSpec("randk", 0.25), FULL),
+    ("logistic", 0.0, CompressorSpec("identity"), 4),
+)
+
+
+def test_criterion_5_theorem_bound_with_every_term_live():
+    """The running mean of ||G||^2 stays under theorem_residual_bound at every
+    prefix T with the compression (q > 0), noise (B < full) and h
+    (B_h_sq > 0) terms live. sigma^2 is an estimate, the largest
+    estimate_gradient_variance at 11 visited points, not the uniform bound
+    the theorem assumes."""
+    t0 = time.time()
+    K, eta, T = 10, 0.5, 400
+    ratios = {}
+    for loss, lam, spec, B in BOUND_GRID:
+        prob = generate_synthetic(loss, 20, 500, 5, PartitionSpec("dirichlet", 0.5), 0)
+        reg = Regularizer(lam)
+        q = math.sqrt(contraction_factor(spec, prob.dim))
+        alpha, eta_g = _condition_satisfying_steps(prob.smoothness, q, K, eta)
+        hp = HyperParams(alpha=alpha, eta_g=eta_g, K=K, eta=eta, B=B, T=T)
+        res = run_fedcef(prob, reg, hp, spec, seed=0)
+        g2 = np.array([r.prox_grad_sq for r in res.series.rows])
+        sigma_sq = max(estimate_gradient_variance(prob, res.z_history[t]) for t in range(0, T + 1, T // 10))
+        # Psi^0 with v = c = 0 and z^{-1} = z^0, as in criterion 5
+        z0 = res.z_history[0]
+        zeros = np.zeros((prob.n_clients, prob.dim))
+        grads0 = client_gradients(prob, z0, client_margins(prob, z0))
+        psi0 = lyapunov_diagnostic(hp, q, objective_value(prob, reg, z0), zeros, zeros, grads0)
+        B_h_sq = reg.subgradient_bound(prob.dim)
+        worst = 0.0
+        for t in range(1, T + 1):
+            mean_g2 = g2[:t].mean()  # rows 0..t-1 hold z^0..z^{t-1}
+            bound = theorem_residual_bound(hp, prob.smoothness, q, B_h_sq, sigma_sq, prob.n_clients, psi0, t)
+            worst = max(worst, mean_g2 / bound if bound > 0 else math.inf)
+        ratios[f"{loss}/{'l1' if lam else 'h0'}/{spec.kind}/B={B}"] = worst
+    elapsed = time.time() - t0
+    report(
+        5,
+        "theorem bound with every term live",
+        max(ratios.values()) <= 1.0 and elapsed < 30.0,
+        "max over T of mean ||G||^2 / bound: "
+        + "; ".join(f"{k}: {v:.1e}" for k, v in ratios.items())
+        + f", {elapsed:.1f}s",
     )
 
 

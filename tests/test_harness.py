@@ -23,8 +23,6 @@ from fedcef.harness import (
     compare_runs,
     parse_config,
     read_metrics_csv,
-    read_sections,
-    resolve_config,
     run_experiment,
     write_metrics_csv,
 )
@@ -66,16 +64,11 @@ seed = 3
 """
 
 
-def test_defaults_are_the_larger_preset():
+def test_defaults_are_the_larger_setting():
     cfg = parse_config("")
     assert (cfg.alpha, cfg.eta_g, cfg.K, cfg.eta, cfg.B, cfg.T) == (0.06, 1.0, 30, 0.1, 64, 400)
     assert cfg.loss == "logistic" and cfg.partition == "dirichlet" and cfg.alpha_d == 0.6
     assert cfg.reg_kind == "l1" and cfg.reg_lambda == 1e-5
-
-
-def test_mnist_like_preset_with_override():
-    cfg = parse_config("[hyper]\npreset = mnist-like\nB = 32\n")
-    assert (cfg.alpha, cfg.K, cfg.T, cfg.B) == (0.1, 10, 65, 32)
 
 
 def test_full_batch_parse():
@@ -89,6 +82,13 @@ def test_unknown_keys_are_hard_errors():
         parse_config("[hyper]\nlearning_rate = 0.1\n")
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config("[network]\nlatency = 5\n")
+    with pytest.raises(ConfigError, match=r"^unknown section \[network\]$"):
+        parse_config("[network]\n")  # no key to fail on
+    # an override is checked as a config line is
+    with pytest.raises(ConfigError, match=r"^unknown key 'pp' in section \[problem\]$"):
+        parse_config(BASE_CONFIG, {"problem.pp": "3"})
+    with pytest.raises(ConfigError, match=r"^unknown section \[bogus\]$"):
+        parse_config(BASE_CONFIG, {"bogus.x": "1"})
 
 
 @pytest.mark.parametrize("other", ["[problem]\nloss = logistic\n", "[run]\nlyapunov = true\n"])
@@ -145,16 +145,12 @@ def test_run_experiment_deterministic_csv(tmp_path):
     run_experiment(cfg, str(b))
     assert a.read_bytes() == b.read_bytes()
     # changing the seed changes a stochastic (B=2) run
-    sections = read_sections(BASE_CONFIG)
-    sections["run"]["seed"] = "4"
-    run_experiment(resolve_config(sections), str(tmp_path / "c.csv"))
+    run_experiment(parse_config(BASE_CONFIG, {"run.seed": "4"}), str(tmp_path / "c.csv"))
     assert a.read_bytes() != (tmp_path / "c.csv").read_bytes()
 
 
 def test_csv_roundtrip_lossless(tmp_path):
-    sections = read_sections(BASE_CONFIG)
-    sections["run"]["lyapunov"] = "true"
-    cfg = resolve_config(sections)
+    cfg = parse_config(BASE_CONFIG, {"run.lyapunov": "true"})
     path = tmp_path / "run.csv"
     series = run_experiment(cfg, str(path))
     meta, rows = read_metrics_csv(str(path))
@@ -180,13 +176,7 @@ def test_config_echo_reruns_identically(tmp_path):
     path = tmp_path / "orig.csv"
     run_experiment(cfg, str(path))
     meta, _ = read_metrics_csv(str(path))
-    sections: dict[str, dict[str, str]] = {}
-    for key, value in meta.items():
-        if "." not in key:
-            continue  # derived header facts, not config
-        section, _, name = key.partition(".")
-        sections.setdefault(section, {})[name] = value
-    cfg2 = resolve_config(sections)
+    cfg2 = parse_config("", config_keys(meta))
     path2 = tmp_path / "rerun.csv"
     run_experiment(cfg2, str(path2))
     assert path.read_bytes() == path2.read_bytes()
@@ -212,10 +202,9 @@ def test_byte_counters_are_nondecreasing(tmp_path):
 
 
 def test_pgd_ignores_compressor(tmp_path, caplog):
-    sections = read_sections(BASE_CONFIG)
-    sections["algorithm"]["name"] = "pgd"
-    sections["hyper"]["T"] = "5"
-    cfg = resolve_config(sections)
+    # an override written in another case beats the file's line for its key
+    cfg = parse_config(BASE_CONFIG, {"algorithm.name": "pgd", "hyper.t": "5"})
+    assert cfg.T == 5
     import logging
 
     with caplog.at_level(logging.INFO, logger="fedcef.harness"):
@@ -234,9 +223,7 @@ def test_pgd_ignores_compressor(tmp_path, caplog):
 
 
 def test_prox_fedavg_via_harness(tmp_path):
-    sections = read_sections(BASE_CONFIG)
-    sections["algorithm"]["name"] = "prox_fedavg"
-    cfg = resolve_config(sections)
+    cfg = parse_config(BASE_CONFIG, {"algorithm.name": "prox_fedavg"})
     series = run_experiment(cfg, str(tmp_path / "avg.csv"))
     assert series.algorithm == "prox_fedavg"
     p, N, T = cfg.p, cfg.clients, cfg.T
@@ -407,9 +394,7 @@ def test_hetero_quadratic_via_config(tmp_path):
 
 
 def test_randk_via_config(tmp_path):
-    sections = read_sections(BASE_CONFIG)
-    sections["compressor"] = {"kind": "randk", "retain": "2"}
-    cfg = resolve_config(sections)
+    cfg = parse_config(BASE_CONFIG, {"compressor.kind": "randk", "compressor.retain": "2"})
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_experiment(cfg, str(a))
     run_experiment(cfg, str(b))
@@ -445,6 +430,7 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[compressor]\nkind = randk\nretain = 0\n",
         "[compressor]\nkind = randk\nretain = 21\n",
         "[compressor]\nkind = sign\n",
+        "[compressor]\nretain = 10%\n",
         "[hyper]\nK = 0\n",
         "[hyper]\nT = 0\n",
         "[hyper]\neta = 0\n",
@@ -454,7 +440,7 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[hyper]\neta_g = -1\n",
         "[hyper]\nB = 0\n",
         "[hyper]\nB = abc\n",
-        "[hyper]\npreset = imagenet-like\n",
+        "[hyper]\npreset = mnist-like\n",
         "[regularizer]\nlambda = -1\n",
         "[regularizer]\nkind = zero\nlambda = -1\n",
         "[regularizer]\nkind = l2\n",
@@ -473,15 +459,10 @@ def test_rejected_configs_stay_rejected(text):
         parse_config(text)
 
 
-def sections_from(flat):
-    """The section/key dict of a flat `section.key -> value` echo; keys
-    without a dot (derived header facts) are not config."""
-    sections: dict[str, dict[str, str]] = {}
-    for dotted, value in flat.items():
-        if "." in dotted:
-            section, _, key = dotted.partition(".")
-            sections.setdefault(section, {})[key] = value
-    return sections
+def config_keys(meta):
+    """The `section.key -> value` overrides of a CSV header; keys without a
+    dot (derived header facts) are not config."""
+    return {key: value for key, value in meta.items() if "." in key}
 
 
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -512,7 +493,7 @@ def run_configs(draw):
         reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
         comp_kind=comp_kind,
         comp_retain=None if comp_kind == compressors.IDENTITY else retain,
-        seed=draw(st.integers(-(2**70), 2**70)),
+        seed=draw(st.integers(0, 2**64 - 1)),  # the seeds a config accepts
         lyapunov=draw(st.booleans()),
     )
 
@@ -520,13 +501,13 @@ def run_configs(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=run_configs())
 def test_echo_round_trips_through_the_table_and_the_csv(cfg, tmp_path):
-    assert resolve_config(sections_from(cfg.echo())) == cfg
+    assert parse_config("", cfg.echo()) == cfg
     rep = StepConditionReport(1e-4, False, 49.5, True, 0.016, True)
     row = MetricsRow(0, 1.0, 0.5, 0, 80, 3, None, False)
     path = tmp_path / "echo.csv"
     write_metrics_csv(str(path), MetricsSeries("fedcef", 1.0, 0.0, 1.0, rep, [row]), cfg.echo())
     meta, rows = read_metrics_csv(str(path))
-    assert resolve_config(sections_from(meta)) == cfg
+    assert parse_config("", config_keys(meta)) == cfg
     assert rows == [row]
 
 
@@ -556,6 +537,23 @@ def test_retain_count_above_p_is_rejected_before_running(tmp_path, capsys):
     assert cli_main(args + ["--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err == "error: [compressor] retain count 100 exceeds dimension 8\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_outside_the_stream_range_is_rejected_before_running(seed, tmp_path, capsys):
+    # derive_stream folds a seed mod 2**64, so -1 would replay 2**64 - 1 and
+    # 2**64 would replay 0, each under its own echo
+    message = f"[run] seed = '{seed}': must lie in [0, 2**64)"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(BASE_CONFIG.replace("seed = 3", f"seed = {seed}"))
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BASE_CONFIG)
+    out, out_dir = tmp_path / "x.csv", tmp_path / "sweep"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), f"--seed={seed}"]) == 1
+    sweep = ["sweep", "--config", str(cfg_path), "--key", "run.seed", "--values", f"1,{seed}", "--out-dir"]
+    assert cli_main(sweep + [str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n" * 2
+    assert not out.exists() and not out_dir.exists()
 
 
 def test_sweep_rejects_a_repeated_value_before_running(tmp_path, capsys):
@@ -631,11 +629,9 @@ def test_cli_leaves_other_warnings_to_the_filters(tmp_path, monkeypatch, capsys)
 
 
 def test_compare_rejects_runs_of_different_rounds(tmp_path):
-    sections = read_sections(BASE_CONFIG)
     long_csv, short_csv = tmp_path / "long.csv", tmp_path / "short.csv"
-    run_experiment(resolve_config(sections), str(long_csv))
-    sections["hyper"]["T"] = "3"
-    run_experiment(resolve_config(sections), str(short_csv))
+    run_experiment(parse_config(BASE_CONFIG), str(long_csv))
+    run_experiment(parse_config(BASE_CONFIG, {"hyper.T": "3"}), str(short_csv))
     with pytest.raises(ConfigError, match="long.csv.*short.csv"):
         compare_runs(str(long_csv), str(short_csv))
 

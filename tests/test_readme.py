@@ -25,6 +25,7 @@ def test_library_surface_example_runs():
     exec(compile(_fenced_block("Library surface", "python"), "README.md", "exec"), namespace)
     result = namespace["result"]
     assert len(result.series.rows) == namespace["hp"].T + 1
+    assert (namespace["cfg"].K, namespace["cfg"].seed) == (4, 7)
 
 
 def test_command_line_example_runs(tmp_path):
