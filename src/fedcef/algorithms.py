@@ -127,10 +127,10 @@ class RoundState:
     c_global: np.ndarray  # the server's control
 
     @classmethod
-    def initial(cls, z0: np.ndarray, n_clients: int) -> "RoundState":
-        rows = np.tile(z0, (n_clients, 1))
+    def initial(cls, z: np.ndarray, n_clients: int) -> "RoundState":
+        rows = np.tile(z, (n_clients, 1))
         zeros = np.zeros_like(rows)
-        return cls(rows, rows.copy(), zeros, zeros.copy(), z0.copy(), np.zeros_like(z0), np.zeros_like(z0))
+        return cls(rows, rows.copy(), zeros, zeros.copy(), z.copy(), np.zeros_like(z), np.zeros_like(z))
 
     @property
     def n_clients(self) -> int:
@@ -302,7 +302,6 @@ def _run(
     prob: FederatedProblem,
     reg: Regularizer,
     hp: HyperParams,
-    z0: np.ndarray | None,
     local: Callable[[RoundState, int], None],
     aggregate: Callable[[RoundState, int], tuple[int, int]],
     condition_ok: bool,
@@ -311,12 +310,11 @@ def _run(
     """The round loop both federated algorithms share: the algorithm's local
     phase (every client's K steps from z^t), its aggregation rule (which
     returns the round's uplink and downlink bytes), measurement. Returns rows
-    0..T and z^0..z^T. Given the compression factor q, rows record the
+    0..T and z^0 = 0, ..., z^T. Given the compression factor q, rows record the
     Lyapunov potential: F(z^0) at row 0, then the diagnostic of the row's F,
     the v_i and c_i, and the client gradients the previous row measured at
     z^t, where the round started. q = None leaves the column empty."""
-    z = np.zeros(prob.dim) if z0 is None else np.array(z0, dtype=np.float64, copy=True)
-    st = RoundState.initial(z, prob.n_clients)
+    st = RoundState.initial(np.zeros(prob.dim), prob.n_clients)
     uplink_cum = 0
     downlink_cum = DENSE_ENTRY_BYTES * prob.dim  # bootstrap broadcast of z^0
     row, grads = measure_row(prob, reg, hp.beta, 0, st.z, uplink_cum, downlink_cum, condition_ok)
@@ -344,7 +342,6 @@ def run_fedcef(
     hp: HyperParams,
     spec: CompressorSpec,
     seed: int,
-    z0: np.ndarray | None = None,
     lyapunov: bool = False,
 ) -> RunResult:
     """Run T rounds; fully deterministic per seed.
@@ -376,7 +373,7 @@ def run_fedcef(
         server_finalize(st, z_tilde, reg, hp)
         return payload_bytes(payload), DENSE_ENTRY_BYTES * p
 
-    rows, z_hist = _run(prob, reg, hp, z0, local, aggregate, report.all_ok, q if lyapunov else None)
+    rows, z_hist = _run(prob, reg, hp, local, aggregate, report.all_ok, q if lyapunov else None)
     series = MetricsSeries("fedcef", prob.smoothness, q * q, hp.beta, report, rows)
     return RunResult(series, z_hist)
 
@@ -386,7 +383,6 @@ def run_prox_fedavg(
     reg: Regularizer,
     hp: HyperParams,
     seed: int,
-    z0: np.ndarray | None = None,
 ) -> RunResult:
     """Naive baseline: K local proximal SGD steps per client, all clients
     stepped together on the (N, p) block, then the server averages the
@@ -401,7 +397,7 @@ def run_prox_fedavg(
         st.z = client_sum(st.x) / st.n_clients
         return st.n_clients * DENSE_ENTRY_BYTES * p, DENSE_ENTRY_BYTES * p
 
-    rows, z_hist = _run(prob, reg, hp, z0, local, average, report.all_ok, None)
+    rows, z_hist = _run(prob, reg, hp, local, average, report.all_ok, None)
     series = MetricsSeries("prox_fedavg", prob.smoothness, 0.0, hp.beta, report, rows)
     return RunResult(series, z_hist)
 
@@ -411,13 +407,12 @@ def run_centralized_pgd(
     reg: Regularizer,
     step: float,
     T: int,
-    z0: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """z <- prox_{step h}(z - step grad f(z)) with the exact global gradient;
-    returns the whole trajectory [z^0, ..., z^T]."""
+    returns the whole trajectory [z^0 = 0, ..., z^T]."""
     if not 0 < step < math.inf:
         raise ValueError("step must be positive and finite")
-    z = np.zeros(prob.dim) if z0 is None else np.array(z0, dtype=np.float64, copy=True)
+    z = np.zeros(prob.dim)
     traj = [z.copy()]
     for _ in range(T):
         g = full_global_gradient(prob, z)

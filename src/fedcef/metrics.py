@@ -21,8 +21,7 @@ from .problems import (
     FULL,
     FederatedProblem,
     client_gradient,
-    client_gradients,
-    client_margins,
+    client_values,
     full_global_gradient,
     objective_value,
     stochastic_gradient,
@@ -76,7 +75,7 @@ def prox_gradient_mapping(
     prob: FederatedProblem, reg, z: np.ndarray, beta: float, grads: np.ndarray | None = None
 ) -> np.ndarray:
     """G_beta(z), computed with the exact full global gradient; `grads` is
-    client_gradients(prob, z) when already computed."""
+    client_values(prob, z)[1] when already computed."""
     if not beta > 0:
         raise ValueError("beta must be positive")
     g = full_global_gradient(prob, z, grads)
@@ -90,20 +89,19 @@ def measure_row(
     initial model at t = 0): F, ||G_beta(z)||^2, the cumulative byte counters
     and nnz, and the (N, p) block of client gradients at z.
 
-    F and the gradient block share one margin pass over the shards, so each
-    shard is read twice (a_i @ z, then a_i^T w); on hetero_quadratic the
-    margins, the gradients and the N objectives are each one operation on
-    the block. The Lyapunov column is left to the caller, and the block is
-    returned for it: the next row's diagnostic needs exactly these gradients,
-    at the model the next round starts from.
+    F and the gradient block come from one client_values call, so each shard
+    is read twice (a_i @ z, then a_i^T w); on hetero_quadratic z - m, the
+    gradients and the N objectives are each one operation on the block. The
+    Lyapunov column is left to the caller, and the block is returned for it:
+    the next row's diagnostic needs exactly these gradients, at the model the
+    next round starts from.
 
     A diverging run stops at its first non-finite row: with overflow and
     invalid-operation warnings off, a non-finite F, ||G||^2 or global
     gradient raises NonFiniteError naming row t."""
     with np.errstate(over="ignore", invalid="ignore"):
-        margins = client_margins(prob, z)
-        grads = client_gradients(prob, z, margins)
-        F = objective_value(prob, reg, z, margins)
+        objectives, grads = client_values(prob, z)
+        F = objective_value(prob, reg, z, objectives)
         try:
             G = prox_gradient_mapping(prob, reg, z, beta, grads)
         except NonFiniteError as exc:  # from full_global_gradient, which names no row

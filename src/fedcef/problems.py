@@ -132,30 +132,12 @@ _DATA_LOSSES = {
 }
 
 
-def client_margins(prob: FederatedProblem, x: np.ndarray) -> np.ndarray | list[np.ndarray]:
-    """The one read of the client data that f_i(x) and grad f_i(x) share: one
-    (N, p) block x - m for hetero_quadratic, else a list of the N margins
-    a_i @ x."""
-    if prob.closed_form:
-        return x - prob.loss.centers
-    return [a @ x for a in prob.features]
-
-
-def client_objectives(prob: FederatedProblem, margins: np.ndarray | Sequence[np.ndarray]) -> list[float]:
-    """[f_1(x), ..., f_N(x)] from the margins client_margins(prob, x)
-    returned. hetero_quadratic takes every f_i in one pass over the (N, p)
-    block; a data loss's f_i is the mean of its per-sample losses."""
-    if prob.closed_form:
-        return (0.5 * np.sum((prob.loss.curvatures * margins) * margins, axis=1)).tolist()
-    return [float(np.mean(_DATA_LOSSES[prob.loss.variant][0](m, y))) for m, y in zip(margins, prob.labels)]
-
-
 def client_gradient(
     prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact gradient of f_i at x; `margins` is row i of client_margins(prob, x)
-    when already computed. With `out`, the gradient is written there and
-    `out` is returned, the same bits."""
+    """Exact gradient of f_i at x; `margins` is client i's a_i @ x (x - m_i on
+    hetero_quadratic) when already computed. With `out`, the gradient is
+    written there and `out` is returned, the same bits."""
     if prob.closed_form:
         d = x - prob.loss.centers[client] if margins is None else margins
         return np.multiply(prob.loss.curvatures[client], d, out=out)
@@ -166,17 +148,25 @@ def client_gradient(
     return np.divide(a.T @ w, a.shape[0], out=out)
 
 
-def client_gradients(prob: FederatedProblem, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
-    """The (N, p) block whose row i is grad f_i(x), from the margins
-    client_margins(prob, x) returned. hetero_quadratic is one product on the
-    block; the data losses fill row i by client_gradient, the same bits as
-    calling it per client."""
+def client_values(prob: FederatedProblem, x: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """([f_1(x), ..., f_N(x)], the (N, p) block whose row i is grad f_i(x)),
+    from one read of the client data. hetero_quadratic forms d = x - m, the
+    gradients H * d and the objectives 0.5 * sum(H * d * d), one operation
+    each on the (N, p) block. A data loss takes each shard's margins a_i @ x
+    once, for f_i, the mean of its per-sample losses, and for gradient row
+    i, which client_gradient fills: the same bits as calling it per client."""
     if prob.closed_form:
-        return prob.loss.curvatures * margins
-    out = np.empty((prob.n_clients, prob.dim))
-    for i in range(prob.n_clients):
-        client_gradient(prob, i, x, margins[i], out=out[i])
-    return out
+        d = x - prob.loss.centers
+        grads = prob.loss.curvatures * d
+        return (0.5 * np.sum(grads * d, axis=1)).tolist(), grads
+    loss = _DATA_LOSSES[prob.loss.variant][0]
+    objectives = []
+    grads = np.empty((prob.n_clients, prob.dim))
+    for i, (a, y) in enumerate(zip(prob.features, prob.labels)):
+        margins = a @ x
+        objectives.append(float(np.mean(loss(margins, y))))
+        client_gradient(prob, i, x, margins, out=grads[i])
+    return objectives, grads
 
 
 def stochastic_gradient(
@@ -210,20 +200,23 @@ def stochastic_gradient(
 
 def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
     """(1/N) sum_i grad f_i(x), the rows added by client_sum; `grads` is
-    client_gradients(prob, x, margins) when already computed."""
-    if grads is None:
-        grads = client_gradients(prob, x, client_margins(prob, x))
+    client_values(prob, x)[1] when already computed. Without it, a data loss
+    takes each row from client_gradient, skipping the per-sample losses that
+    would double a centralized PGD step."""
+    if grads is None and not prob.closed_form:
+        grads = np.array([client_gradient(prob, i, x) for i in range(prob.n_clients)])
+    elif grads is None:
+        grads = client_values(prob, x)[1]
     return ensure_finite(client_sum(grads) / prob.n_clients, "full_global_gradient")
 
 
-def objective_value(
-    prob: FederatedProblem, reg, x: np.ndarray, margins: np.ndarray | Sequence[np.ndarray] | None = None
-) -> float:
-    """F(x) = (1/N) sum_i f_i(x) + h(x), the client_objectives added by
-    client_sum; `margins` is client_margins(prob, x) when already computed."""
-    if margins is None:
-        margins = client_margins(prob, x)
-    return client_sum(client_objectives(prob, margins)) / prob.n_clients + reg.evaluate(x)
+def objective_value(prob: FederatedProblem, reg, x: np.ndarray, objectives: Sequence[float] | None = None) -> float:
+    """F(x) = (1/N) sum_i f_i(x) + h(x), the N objectives added by client_sum;
+    `objectives` is client_values(prob, x)[0] when already computed. Without
+    it, client_values also forms the gradient block, which is dropped."""
+    if objectives is None:
+        objectives = client_values(prob, x)[0]
+    return client_sum(objectives) / prob.n_clients + reg.evaluate(x)
 
 
 def _exact_gram_top_eigenvalue(a: np.ndarray, op: str) -> float:
@@ -316,21 +309,15 @@ def dirichlet_partition(labels: np.ndarray, N: int, alpha_d: float, rng: np.rand
             idx = np.flatnonzero(labels == cls)
             props = rng.dirichlet(np.full(N, alpha_d))
             counts = _largest_remainder_counts(props, idx.size)
-            shuffled = rng.permutation(idx)
-            start = 0
-            for client, cnt in enumerate(counts):
-                assign[shuffled[start : start + cnt]] = client
-                start += cnt
+            assign[rng.permutation(idx)] = np.repeat(np.arange(N), counts)
         if np.all(np.bincount(assign, minlength=N) > 0):
             return assign
     raise PartitionError(f"dirichlet partition left a client empty after 100 tries (N={N})")
 
 
 def _iid_partition(n: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    perm = rng.permutation(n)
     assign = np.empty(n, dtype=np.int64)
-    for client in range(N):
-        assign[perm[client::N]] = client
+    assign[rng.permutation(n)] = np.arange(n) % N
     return assign
 
 

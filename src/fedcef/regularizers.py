@@ -35,17 +35,12 @@ class Regularizer:
             raise ValueError("regularizer weight must be nonnegative and finite")
 
     def prox(self, tau: float, x: np.ndarray) -> np.ndarray:
-        """argmin_u h(u) + ||u - x||^2 / (2 tau); componentwise soft threshold.
-
-        tau == 0 (or lam == 0) returns a copy of x unchanged.
-        """
+        """argmin_u h(u) + ||u - x||^2 / (2 tau); componentwise soft threshold,
+        always a new array. tau == 0 (or lam == 0) thresholds at 0, which
+        returns x's exact bits, the sign of zero, infinities and NaN included."""
         if not 0 <= tau < math.inf:
             raise ValueError("prox step size must be nonnegative and finite")
-        thresh = float(tau) * self.lam
-        x = np.asarray(x, dtype=np.float64)
-        if thresh == 0.0:
-            return x.copy()
-        return soft_threshold(x, thresh)
+        return soft_threshold(np.asarray(x, dtype=np.float64), float(tau) * self.lam)
 
     def evaluate(self, x: np.ndarray) -> float:
         return float(self.lam * np.sum(np.abs(x)))

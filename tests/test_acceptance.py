@@ -24,8 +24,7 @@ from fedcef.problems import (
     FULL,
     PartitionSpec,
     client_gradient,
-    client_gradients,
-    client_margins,
+    client_values,
     generate_synthetic,
     objective_value,
 )
@@ -219,7 +218,7 @@ def test_criterion_5_sublinear_trend_and_theorem_bound(hetero_bundle):
     # Psi^0 with v = c = 0 and z^{-1} = z^0
     z0 = np.zeros(prob.dim)
     zeros = np.zeros((prob.n_clients, prob.dim))
-    grads0 = client_gradients(prob, z0, client_margins(prob, z0))
+    grads0 = client_values(prob, z0)[1]
     psi0 = lyapunov_diagnostic(hp, 0.0, objective_value(prob, reg, z0), zeros, zeros, grads0)
     bound_ok = True
     for T in range(1, hp.T + 1):
@@ -272,7 +271,7 @@ def test_criterion_5_theorem_bound_with_every_term_live():
         # Psi^0 with v = c = 0 and z^{-1} = z^0, as in criterion 5
         z0 = res.z_history[0]
         zeros = np.zeros((prob.n_clients, prob.dim))
-        grads0 = client_gradients(prob, z0, client_margins(prob, z0))
+        grads0 = client_values(prob, z0)[1]
         psi0 = lyapunov_diagnostic(hp, q, objective_value(prob, reg, z0), zeros, zeros, grads0)
         B_h_sq = reg.subgradient_bound(prob.dim)
         worst = 0.0

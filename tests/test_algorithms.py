@@ -224,16 +224,22 @@ def test_block_pass_names_the_lowest_diverging_client_and_keeps_every_row(closed
 @pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "row_oracle"])
 @pytest.mark.parametrize("run", [run_fedcef, run_prox_fedavg])
 def test_a_diverging_local_pass_stops_the_run_naming_client_round_and_step(run, closed_form):
-    """End to end: from z0 = ones the local pass overflows in round 0, before
-    any row can, and the run stops with the pass's message, warning-free."""
+    """End to end: the local pass overflows in round 0, before any row can,
+    and the run stops with the pass's message, warning-free. The problem is
+    shifted so that z^0 = 0 is where the unshifted one starts to diverge,
+    z = ones: the centers by -1, or the labels by -(a_s @ ones)."""
     prob = diverging_problem(closed_form)
+    if closed_form:
+        prob.loss = LossKind("hetero_quadratic", prob.loss.curvatures, prob.loss.centers - 1.0)
+    else:
+        prob.labels = [y - a.sum(axis=1) for a, y in zip(prob.features, prob.labels)]
     hp = HyperParams(alpha=DIVERGING_ALPHA[closed_form], K=6, B=FULL if closed_form else 2, T=3)
     args = (CompressorSpec("identity"),) if run is run_fedcef else ()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", StepConditionWarning)
         with pytest.raises(NonFiniteError, match=r"^client 0: non-finite state at round 0, local step 3$"):
-            run(prob, Regularizer(1e-10), hp, *args, seed=0, z0=np.ones(prob.dim))
+            run(prob, Regularizer(1e-10), hp, *args, seed=0)
 
 
 def test_finite_pass_checks_finiteness_once(monkeypatch):
@@ -411,10 +417,9 @@ def test_topk_full_retention_equals_identity_series():
 def test_zero_gradients_fixed_point():
     prob = zero_gradient_problem()
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=3, eta=0.5, B=FULL, T=5)
-    z0 = np.array([1.0, -2.0, 3.0, 0.5])
-    res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=1, z0=z0)
+    res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=1)
     for z in res.z_history:
-        assert np.array_equal(z, z0)
+        assert np.array_equal(z, np.zeros(prob.dim))
 
 
 def test_determinism_bit_identical_series():
@@ -562,14 +567,15 @@ def test_prox_fedavg_hetero_fixed_point_matches_closed_form():
 
 
 def test_pgd_unit_quadratic_one_step():
-    # f = 0.5 ||z||^2 via a single hetero client with H = 1, m = 0
+    # f = 0.5 ||z - m||^2 via a single hetero client with H = 1: one unit step
+    # from z^0 = 0 lands exactly on m
     H = np.ones((1, 3))
-    m = np.zeros((1, 3))
+    m = np.array([[3.0, -2.0, 5.0]])
     prob = FederatedProblem(
         LossKind("hetero_quadratic", H, m), 3, [np.zeros((1, 3))], [np.zeros(1)]
     )
-    traj = run_centralized_pgd(prob, Regularizer(), 1.0, 1, z0=np.array([3.0, -2.0, 5.0]))
-    assert np.array_equal(traj[1], np.zeros(3))
+    traj = run_centralized_pgd(prob, Regularizer(), 1.0, 1)
+    assert np.array_equal(traj[1], m[0])
 
 
 def test_pgd_lasso_converges_and_descends():

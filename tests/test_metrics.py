@@ -104,7 +104,7 @@ def test_mapping_invariant_to_objective_shift():
 
 @pytest.mark.parametrize("variant", LOSS_VARIANTS)
 def test_measure_row_matches_the_three_pass_reference(variant):
-    # measure_row shares one margin pass between F and G; without margins,
+    # measure_row takes F and G from one client_values call; standalone,
     # objective_value and prox_gradient_mapping each read the shards anew
     prob = generate_synthetic(variant, 9, 120, 4, PartitionSpec(DIRICHLET, 0.5), 11)
     reg = Regularizer(0.05)
@@ -190,7 +190,7 @@ def test_block_measurement_is_bitwise_the_per_client_loop(variant, z, z_prev, se
 
 def test_measure_row_reads_each_shard_twice():
     # once by the model (the margins) and once by the weights (a.T @ w);
-    # objective_value without the shared margins would be a third pass
+    # objective_value without the shared objectives would be a third pass
     passes = []
 
     class Shard(np.ndarray):
@@ -300,7 +300,7 @@ def test_lyapunov_dominates_objective_and_degenerates_cleanly():
     reg = Regularizer(0.01)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.5, B="full", T=1)
     rng = np.random.default_rng(2)
-    from fedcef.problems import client_gradients, client_margins, objective_value
+    from fedcef.problems import client_values, objective_value
 
     for _ in range(20):
         z = rng.standard_normal(prob.dim)
@@ -308,10 +308,10 @@ def test_lyapunov_dominates_objective_and_degenerates_cleanly():
         vs = np.array([rng.standard_normal(prob.dim) for _ in range(prob.n_clients)])
         cs = np.array([rng.standard_normal(prob.dim) for _ in range(prob.n_clients)])
         F = objective_value(prob, reg, z)
-        assert lyapunov_diagnostic(hp, 0.3, F, vs, cs, client_gradients(prob, zp, client_margins(prob, zp))) >= F
+        assert lyapunov_diagnostic(hp, 0.3, F, vs, cs, client_values(prob, zp)[1]) >= F
     # all penalty terms vanish when v_i = grad f_i(z_prev) = c_i and vbar = grad f
     z = rng.standard_normal(prob.dim)
-    vs = client_gradients(prob, z, client_margins(prob, z))
+    vs = client_values(prob, z)[1]
     psi = lyapunov_diagnostic(hp, 0.0, objective_value(prob, reg, z), vs, vs.copy(), vs.copy())
     assert psi == pytest.approx(objective_value(prob, reg, z), rel=1e-12)
 

@@ -21,11 +21,11 @@ from fedcef.problems import (
     PartitionSpec,
     _gram_top_eigenvalue,
     _iid_partition,
+    _largest_remainder_counts,
     _permute_rows,
     _sigmoid,
     client_gradient,
-    client_margins,
-    client_objectives,
+    client_values,
     dirichlet_partition,
     estimate_smoothness,
     full_global_gradient,
@@ -374,6 +374,56 @@ def test_iid_single_client_gets_everything():
     )
 
 
+def loop_iid_partition(n, N, rng):
+    """_iid_partition as a loop over the clients, kept as its oracle."""
+    perm = rng.permutation(n)
+    assign = np.empty(n, dtype=np.int64)
+    for client in range(N):
+        assign[perm[client::N]] = client
+    return assign
+
+
+def loop_dirichlet_partition(labels, N, alpha_d, rng):
+    """dirichlet_partition with a slice per client, kept as its oracle."""
+    classes = np.unique(labels)
+    assign = np.empty(labels.shape[0], dtype=np.int64)
+    for _ in range(100):
+        for cls in classes:
+            idx = np.flatnonzero(labels == cls)
+            props = rng.dirichlet(np.full(N, alpha_d))
+            counts = _largest_remainder_counts(props, idx.size)
+            shuffled = rng.permutation(idx)
+            start = 0
+            for client, cnt in enumerate(counts):
+                assign[shuffled[start : start + cnt]] = client
+                start += cnt
+        if np.all(np.bincount(assign, minlength=N) > 0):
+            return assign
+    raise PartitionError("empty client")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+    N=st.integers(1, 8),
+    alpha_d=st.sampled_from([0.05, 0.6, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_partitions_equal_the_per_client_loops(labels, N, alpha_d, seed):
+    labels = np.array(labels)
+    n = labels.size
+    assert np.array_equal(
+        _iid_partition(n, N, np.random.default_rng(seed)), loop_iid_partition(n, N, np.random.default_rng(seed))
+    )
+    try:
+        want = loop_dirichlet_partition(labels, N, alpha_d, np.random.default_rng(seed))
+    except PartitionError:
+        with pytest.raises(PartitionError):
+            dirichlet_partition(labels, N, alpha_d, np.random.default_rng(seed))
+    else:
+        assert np.array_equal(dirichlet_partition(labels, N, alpha_d, np.random.default_rng(seed)), want)
+
+
 def test_dirichlet_generation_produces_nonempty_shards():
     prob = generate_synthetic(
         "logistic", 6, 200, 5, PartitionSpec(DIRICHLET, 0.6), 4
@@ -391,7 +441,7 @@ def test_objective_additivity_and_resummation():
     assert objective_value(prob, reg, x) - f_only == pytest.approx(reg.evaluate(x))
     # two-pass recomputation
     per_client = [client_loss(prob, i, x) for i in range(prob.n_clients)]
-    assert client_objectives(prob, client_margins(prob, x)) == per_client
+    assert client_values(prob, x)[0] == per_client
     total = 0.0
     for f_i in per_client:
         total += f_i
@@ -402,15 +452,16 @@ def test_objective_additivity_and_resummation():
 def test_block_oracles_match_the_per_client_oracles(variant):
     prob = hetero_problem() if variant == HETERO_QUADRATIC else small_problem(variant)
     x = np.random.default_rng(2).standard_normal(prob.dim)
-    margins = client_margins(prob, x)
-    assert len(margins) == prob.n_clients
-    for i in range(prob.n_clients):
-        assert np.array_equal(margins[i], client_margin(prob, i, x))
+    objectives, grads = client_values(prob, x)
+    assert len(objectives) == prob.n_clients
     expected = [client_loss(prob, i, x) for i in range(prob.n_clients)]
-    assert client_objectives(prob, margins) == pytest.approx(expected, rel=1e-12)
-    # precomputed margins give the same F as objective_value's own pass
+    assert objectives == pytest.approx(expected, rel=1e-12)
+    assert grads.shape == (prob.n_clients, prob.dim)
+    for i in range(prob.n_clients):
+        assert np.array_equal(grads[i], client_gradient(prob, i, x))
+    # precomputed objectives give the same F as objective_value's own pass
     reg = Regularizer(0.3)
-    assert objective_value(prob, reg, x, margins) == objective_value(prob, reg, x)
+    assert objective_value(prob, reg, x, objectives) == objective_value(prob, reg, x)
 
 
 def test_hetero_objective_zero_at_center():

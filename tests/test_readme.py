@@ -1,6 +1,8 @@
 """The README's examples run as written."""
 
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import shutil
@@ -17,6 +19,18 @@ def _fenced_block(heading: str, lang: str) -> str:
     with open(os.path.join(ROOT, "README.md")) as fh:
         section = fh.read().split(f"\n## {heading}\n", 1)[1]
     return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_every_module_name_the_readme_names_resolves():
+    """A backticked `module.name` naming a fedcef module (`core.client_sum`,
+    not a config key such as `hyper.k`) is a name that module defines."""
+    modules = {m.name for m in pkgutil.iter_modules(fedcef.__path__)}
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        named = set(re.findall(r"`(\w+)\.(\w+)", fh.read()))
+    named = sorted((mod, name) for mod, name in named if mod in modules)
+    assert named
+    missing = [f"{mod}.{name}" for mod, name in named if not hasattr(importlib.import_module(f"fedcef.{mod}"), name)]
+    assert missing == []
 
 
 def test_library_surface_example_runs():

@@ -25,6 +25,17 @@ def test_prox_identity_cases():
     assert np.array_equal(Regularizer(1.0).prox(0.0, np.array([3.0, -1.0])), [3.0, -1.0])
 
 
+@pytest.mark.parametrize("reg, tau", [(Regularizer(), 0.7), (Regularizer(), 0.0), (Regularizer(0.5), 0.0)])
+def test_a_zero_threshold_returns_a_new_array_with_the_exact_bits(reg, tau):
+    # h = 0 or tau = 0 takes the soft threshold at 0, which keeps every bit:
+    # the sign of zero, infinities, NaN, subnormals and normals
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+    x = np.concatenate([edge, np.random.default_rng(3).standard_normal(10_000)])
+    got = reg.prox(tau, x)
+    assert got is not x and not np.shares_memory(got, x)
+    assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
+
+
 def test_prox_soft_threshold_against_grid_argmin():
     x = np.array([3.0, -1.0, 0.5])
     got = Regularizer(1.0).prox(1.0, x)
