@@ -1,6 +1,7 @@
 """Client/server round engine.
 
-Three optimizers are implemented over the same problem/regularizer surface:
+Three optimizers are implemented over the same problem/regularizer surface,
+each taking (prob, reg, hp, ...) and returning a RunResult:
 
 * run_fedcef: compressed proximal federated optimization with decoupled
   pre/post-proximal local states, momentum error-feedback uplink compression,
@@ -402,20 +403,19 @@ def run_prox_fedavg(
     return RunResult(series, z_hist)
 
 
-def run_centralized_pgd(
-    prob: FederatedProblem,
-    reg: Regularizer,
-    step: float,
-    T: int,
-) -> list[np.ndarray]:
-    """z <- prox_{step h}(z - step grad f(z)) with the exact global gradient;
-    returns the whole trajectory [z^0 = 0, ..., z^T]."""
-    if not 0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
+def run_centralized_pgd(prob: FederatedProblem, reg: Regularizer, hp: HyperParams) -> RunResult:
+    """T steps z <- prox_{beta h}(z - beta grad f(z)) from z^0 = 0. Each step
+    takes grad f from the block that row t measured at z^t, so each iterate
+    reads the clients once. No broadcast, local phase or bytes: it stays
+    outside `_run`, the oracle the engine is checked against."""
+    report = check_step_conditions(hp, prob.smoothness, 0.0)
     z = np.zeros(prob.dim)
-    traj = [z.copy()]
-    for _ in range(T):
-        g = full_global_gradient(prob, z)
-        z = reg.prox(step, z - step * g)
-        traj.append(z.copy())
-    return traj
+    rows, z_hist = [], []
+    for t in range(hp.T + 1):
+        if t:
+            z = reg.prox(hp.beta, z - hp.beta * full_global_gradient(prob, z, grads))
+        row, grads = measure_row(prob, reg, hp.beta, t, z, 0, 0, report.all_ok)
+        rows.append(row)
+        z_hist.append(z)
+    series = MetricsSeries("pgd", prob.smoothness, 0.0, hp.beta, report, rows)
+    return RunResult(series, z_hist)

@@ -50,7 +50,7 @@ from . import compressors
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
 from .compressors import IDENTITY, TOPK, CompressorSpec
 from .core import count
-from .metrics import MetricsRow, MetricsSeries, check_step_conditions, measure_row
+from .metrics import MetricsRow, MetricsSeries
 from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
 from .regularizers import Regularizer
 
@@ -258,16 +258,9 @@ def run_experiment(cfg: RunConfig, out_path: str) -> MetricsSeries:
         series = run_prox_fedavg(prob, reg, hp, cfg.seed).series
     else:  # pgd
         logger.info("algorithm=pgd has no uplink; the compressor section is ignored")
-        series = _pgd_series(prob, reg, hp)
+        series = run_centralized_pgd(prob, reg, hp).series
     write_metrics_csv(out_path, series, cfg.echo())
     return series
-
-
-def _pgd_series(prob, reg, hp: HyperParams) -> MetricsSeries:
-    traj = run_centralized_pgd(prob, reg, hp.beta, hp.T)
-    report = check_step_conditions(hp, prob.smoothness, 0.0)
-    rows = [measure_row(prob, reg, hp.beta, t, z, 0, 0, report.all_ok)[0] for t, z in enumerate(traj)]
-    return MetricsSeries("pgd", prob.smoothness, 0.0, hp.beta, report, rows)
 
 
 def write_metrics_csv(path: str, series: MetricsSeries, cfg_echo: dict[str, str]) -> None:

@@ -92,9 +92,9 @@ def measure_row(
     F and the gradient block come from one client_values call, so each shard
     is read twice (a_i @ z, then a_i^T w); on hetero_quadratic z - m, the
     gradients and the N objectives are each one operation on the block. The
-    Lyapunov column is left to the caller, and the block is returned for it:
-    the next row's diagnostic needs exactly these gradients, at the model the
-    next round starts from.
+    Lyapunov column is left to the caller, and the block is returned: the
+    next row's diagnostic and PGD's next step need exactly these gradients,
+    at the model the next round or step starts from.
 
     A diverging run stops at its first non-finite row: with overflow and
     invalid-operation warnings off, a non-finite F, ||G||^2 or global

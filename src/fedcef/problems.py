@@ -200,12 +200,9 @@ def stochastic_gradient(
 
 def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
     """(1/N) sum_i grad f_i(x), the rows added by client_sum; `grads` is
-    client_values(prob, x)[1] when already computed. Without it, a data loss
-    takes each row from client_gradient, skipping the per-sample losses that
-    would double a centralized PGD step."""
-    if grads is None and not prob.closed_form:
-        grads = np.array([client_gradient(prob, i, x) for i in range(prob.n_clients)])
-    elif grads is None:
+    client_values(prob, x)[1], which every caller in the package already
+    has. Without it, client_values forms the block and its objectives are dropped."""
+    if grads is None:
         grads = client_values(prob, x)[1]
     return ensure_finite(client_sum(grads) / prob.n_clients, "full_global_gradient")
 

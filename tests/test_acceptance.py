@@ -78,7 +78,7 @@ def test_criterion_1_pgd_reduction():
         beta = 1.0 / (25 * prob.smoothness)
         hp = HyperParams(alpha=beta, eta_g=1.0, K=1, eta=1.0, B=FULL, T=50)
         fed = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=3)
-        pgd = run_centralized_pgd(prob, reg, beta, 50)
+        pgd = run_centralized_pgd(prob, reg, HyperParams(alpha=beta, T=50)).z_history
         assert len(fed.z_history) == len(pgd) == 51
         worst = max(worst, max(np.max(np.abs(a - b)) for a, b in zip(fed.z_history, pgd)))
     elapsed = time.time() - t0

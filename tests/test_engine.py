@@ -321,6 +321,20 @@ def test_measurement_gradients_are_computed_once_per_row(case):
         assert tracer.counts["measure.shard_passes"] == 2 * (hp.T + 1)
 
 
+def test_pgd_reads_the_clients_once_per_iterate(tmp_path):
+    """Each PGD step takes grad f from the block its row measured: T steps
+    on demo.ini make the N (T + 1) client_gradient calls of rows 0..T and
+    no more, and evaluate F once per row."""
+    with open(os.path.join(ROOT, "configs", "demo.ini")) as fh:
+        cfg = parse_config(fh.read(), {"algorithm.name": "pgd"})
+    tracer = _load_tracer().Tracer()
+    with tracer, tracer.span("run") as root:
+        run_experiment(cfg, str(tmp_path / "pgd.csv"))
+    summary = tracer.summarize(root.idx)
+    assert summary["problems.client_gradient"]["calls"] == cfg.clients * (cfg.T + 1) == 330
+    assert summary["problems.objective_value"]["calls"] == cfg.T + 1
+
+
 @pytest.mark.filterwarnings("ignore::fedcef.algorithms.StepConditionWarning")
 @pytest.mark.parametrize("case", [_logistic_topk, _hetero_randk])
 def test_broadcast_prox_runs_once_per_round(case, monkeypatch):

@@ -613,6 +613,20 @@ def test_cli_sweep_prints_the_step_condition_warning_once_per_run(tmp_path):
     assert proc.stdout == "".join(f"wrote {tmp_path / f'compressor.retain={v}.csv'}\n" for v in values)
 
 
+def test_cli_prints_no_step_warning_for_the_baselines(tmp_path):
+    """Only fedcef warns about its step sizes: prox_fedavg and pgd runs of
+    demo.ini, which violate the conditions too, print nothing on stderr and
+    record the report in the `# conditions:` header line."""
+    values = ["prox_fedavg", "pgd"]
+    proc = _run_cli("sweep", "--key", "algorithm.name", "--values", ",".join(values), "--out-dir", str(tmp_path))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "".join(f"wrote {tmp_path / f'algorithm.name={v}.csv'}\n" for v in values)
+    for v in values:
+        meta, _ = read_metrics_csv(str(tmp_path / f"algorithm.name={v}.csv"))
+        assert (meta["beta_ok"], meta["eta_g_ok"], meta["alpha_ok"]) == ("0", "0", "0")
+
+
 def test_cli_leaves_other_warnings_to_the_filters(tmp_path, monkeypatch, capsys):
     # the suite's "ignore" filter for the step-condition warning still wins,
     # and its "error" filter still turns any other warning into an error
@@ -636,19 +650,20 @@ def test_compare_rejects_runs_of_different_rounds(tmp_path):
         compare_runs(str(long_csv), str(short_csv))
 
 
-def test_cli_reports_a_diverging_run(tmp_path, capsys):
+@pytest.mark.parametrize("algorithm, T, row", [("fedcef", 40, 18), ("prox_fedavg", 40, 17), ("pgd", 200, 81)])
+def test_cli_reports_a_diverging_run(tmp_path, capsys, algorithm, T, row):
     cfg_path = tmp_path / "diverge.ini"
     cfg_path.write_text(
         "[problem]\nloss = squared_error\np = 20\nsamples = 200\nclients = 2\npartition = iid\n"
-        "[hyper]\nalpha = 5\nK = 10\nB = full\nT = 40\n"
+        f"[algorithm]\nname = {algorithm}\n[hyper]\nalpha = 5\nK = 10\nB = full\nT = {T}\n"
         "[compressor]\nkind = identity\n"
     )
     out = tmp_path / "x.csv"
-    # F overflows at row 18, before any local pass does; the suite's "error"
-    # filter fails this test on any RuntimeWarning the measurement lets out
+    # F overflows at `row`, before any local pass does; the suite's "error"
+    # filter fails this test on any RuntimeWarning a step or measurement lets out
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: non-finite measurement at row 18: F = inf, \|\|G\|\|\^2 = \S+\n", err), err
+    assert re.fullmatch(rf"error: non-finite measurement at row {row}: F = inf, \|\|G\|\|\^2 = \S+\n", err), err
     assert not out.exists()
 
 

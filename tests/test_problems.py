@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedcef.algorithms import run_centralized_pgd
+from fedcef.algorithms import HyperParams, run_centralized_pgd
 from fedcef.core import NonFiniteError, derive_stream
 from fedcef.problems import (
     DIRICHLET,
@@ -479,7 +479,7 @@ def test_planted_model_recovery_via_pgd():
     )
     reg = Regularizer(1e-3)
     step = 1.0 / prob.smoothness
-    traj = run_centralized_pgd(prob, reg, step, 25_000)
+    traj = run_centralized_pgd(prob, reg, HyperParams(alpha=step, T=25_000)).z_history
     z = traj[-1]
     G = (traj[-2] - z) / step  # fixed-point residual of the prox-gradient map
     assert np.linalg.norm(G) <= 1e-8
