@@ -308,29 +308,26 @@ def _run(
     condition_ok: bool,
     q: float | None,
 ) -> tuple[list[MetricsRow], list[np.ndarray]]:
-    """The round loop both federated algorithms share: the algorithm's local
-    phase (every client's K steps from z^t), its aggregation rule (which
-    returns the round's uplink and downlink bytes), measurement. Returns rows
-    0..T and z^0 = 0, ..., z^T. Given the compression factor q, rows record the
-    Lyapunov potential: F(z^0) at row 0, then the diagnostic of the row's F,
-    the v_i and c_i, and the client gradients the previous row measured at
-    z^t, where the round started. q = None leaves the column empty."""
+    """The round loop both federated algorithms share: row t of 0..T is
+    measured after round t - 1's local phase (every client's K steps) and
+    aggregation rule (which returns the round's uplink and downlink bytes).
+    Returns rows 0..T and z^0 = 0, ..., z^T. Given the compression factor q,
+    rows record the Lyapunov potential: F(z^0) at row 0, then the diagnostic
+    of the row's F, the v_i and c_i, and the client gradients the previous
+    row measured, where the round started. q = None leaves the column empty."""
     st = RoundState.initial(np.zeros(prob.dim), prob.n_clients)
     uplink_cum = 0
     downlink_cum = DENSE_ENTRY_BYTES * prob.dim  # bootstrap broadcast of z^0
-    row, grads = measure_row(prob, reg, hp.beta, 0, st.z, uplink_cum, downlink_cum, condition_ok)
-    if q is not None:
-        row.lyapunov = row.F
-    rows = [row]
-    z_hist = [st.z.copy()]
-    for t in range(hp.T):
-        local(st, t)
-        up, down = aggregate(st, t)
-        uplink_cum += up
-        downlink_cum += down
-        row, next_grads = measure_row(prob, reg, hp.beta, t + 1, st.z, uplink_cum, downlink_cum, condition_ok)
+    rows, z_hist = [], []
+    for t in range(hp.T + 1):
+        if t:
+            local(st, t - 1)
+            up, down = aggregate(st, t - 1)
+            uplink_cum += up
+            downlink_cum += down
+        row, next_grads = measure_row(prob, reg, hp.beta, t, st.z, uplink_cum, downlink_cum, condition_ok)
         if q is not None:
-            row.lyapunov = lyapunov_diagnostic(hp, q, row.F, st.v, st.c_local, grads)
+            row.lyapunov = lyapunov_diagnostic(hp, q, row.F, st.v, st.c_local, grads) if t else row.F
         grads = next_grads
         rows.append(row)
         z_hist.append(st.z.copy())

@@ -102,21 +102,9 @@ class SparsePayload:
     dim: int
     dense: bool
     # int64, strictly increasing and < dim, empty when dense: compress builds
-    # them so, and they are not re-checked here
+    # both arrays so, and the payload stores them as given
     indices: np.ndarray
     values: np.ndarray  # float64; length dim when dense, else len(indices)
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
-        if self.dense:
-            if vals.shape != (self.dim,):
-                raise ValueError("dense payload must carry exactly dim values")
-        else:
-            if idx.shape != vals.shape:
-                raise ValueError("sparse payload indices/values length mismatch")
 
 
 def payload_bytes(payload: SparsePayload) -> int:

@@ -23,18 +23,20 @@ section, key, reader and echo, and `FIELDS` is their view by attribute.
 `parse_config(text, overrides)` reads the file and the overrides of
 `fedcef run --seed` and `fedcef sweep --key` through it, and the echo writes
 the same keys back. Every key is optional (defaults below); unknown sections
-or keys, and any key under [DEFAULT], are hard errors. Domain rules live in the HyperParams, CompressorSpec, Regularizer
-and PartitionSpec constructors. `retain` is a ratio when written with a
-decimal point or an exponent (`1e-1` is 0.1) and a count when written as an
-integer. `lyapunov = true` fills fedcef's Lyapunov column, as the potential
-is built from its v_i and c_i; the other algorithms log that they leave the
-column empty.
+or keys, and any key under [DEFAULT], are hard errors. Domain rules, inf and
+NaN floats included, live in the HyperParams, CompressorSpec, Regularizer and
+PartitionSpec constructors, which parse_config builds. `retain` is a ratio
+when written with a decimal point or an exponent (`1e-1` is 0.1) and a count
+when written as an integer. `lyapunov = true` fills fedcef's Lyapunov column,
+as the potential is built from its v_i and c_i; the other algorithms log that
+they leave the column empty.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
 step-condition report), one column-name line, then one row per measurement.
-Floats are serialized with 17 significant digits so rows round-trip
-losslessly.
+The columns are MetricsRow's fields and the `# conditions:` tokens
+StepConditionReport's, in declaration order, each through the codec of its
+type. Floats carry 17 significant digits so rows round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ from .regularizers import Regularizer
 logger = logging.getLogger(__name__)
 
 SCHEMA_LINE = "# fedcef-metrics schema=1"
-CSV_COLUMNS = "t,F,prox_grad_sq,uplink_bytes_cum,downlink_bytes_cum,nnz,lyapunov,condition_ok"
-N_COLUMNS = CSV_COLUMNS.count(",") + 1
 
 ALGORITHMS = ("fedcef", "prox_fedavg", "pgd")
 REGULARIZER_KINDS = ("zero", "l1")
@@ -71,19 +71,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+# One (write, read) codec per field type, keyed by the annotation as written;
+# a MetricsRow field of a type missing here fails at import.
+_CODECS: dict[str, tuple[Callable[[object], str], Callable[[str], object]]] = {
+    "int": (str, int),
+    "float": (_fmt, float),
+    "float | None": (lambda x: "" if x is None else _fmt(x), lambda cell: None if cell == "" else float(cell)),
+    "bool": (lambda b: str(int(b)), _flag),
+}
+# The CSV columns are MetricsRow's fields, in declaration order.
+_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(MetricsRow)]
+CSV_COLUMNS = ",".join(name for name, _, _ in _COLUMNS)
+
+
 # Text readers: each returns the value or raises ValueError; the caller names
 # the section and key.
 
 
 def _count(raw: str) -> int:
     return count(int(raw), "must be >= 1")
-
-
-def _float(raw: str) -> float:
-    val = float(raw)
-    if not math.isfinite(val):
-        raise ValueError("must be finite")
-    return val
 
 
 def _seed(raw: str) -> int:
@@ -109,7 +121,7 @@ def _batch(raw: str) -> int | str:
 def _retain(raw: str) -> int | float:
     # Checked as a sparse kind would use it, so a bad retain is an error even
     # under identity, which then drops it.
-    value = _float(raw) if any(ch in raw for ch in ".eE") else int(raw)
+    value = float(raw) if any(ch in raw for ch in ".eE") else int(raw)
     return CompressorSpec(TOPK, value).retain
 
 
@@ -148,16 +160,16 @@ class RunConfig:
     samples: int = _key(500, "problem", "samples", _count)
     clients: int = _key(10, "problem", "clients", _count)
     partition: str = _key(DIRICHLET, "problem", "partition", str)
-    alpha_d: float = _key(0.6, "problem", "alpha_d", _float, _fmt)
+    alpha_d: float = _key(0.6, "problem", "alpha_d", float, _fmt)
     algorithm: str = _key("fedcef", "algorithm", "name", _choice(ALGORITHMS))
-    alpha: float = _key(0.06, "hyper", "alpha", _float, _fmt)  # the hyper defaults mirror the larger benchmark setting
-    eta_g: float = _key(1.0, "hyper", "eta_g", _float, _fmt)
+    alpha: float = _key(0.06, "hyper", "alpha", float, _fmt)  # the hyper defaults mirror the larger benchmark setting
+    eta_g: float = _key(1.0, "hyper", "eta_g", float, _fmt)
     K: int = _key(30, "hyper", "K", int)
-    eta: float = _key(0.1, "hyper", "eta", _float, _fmt)
+    eta: float = _key(0.1, "hyper", "eta", float, _fmt)
     B: int | str = _key(64, "hyper", "B", _batch)
     T: int = _key(400, "hyper", "T", int)
     reg_kind: str = _key("l1", "regularizer", "kind", _choice(REGULARIZER_KINDS))
-    reg_lambda: float = _key(1e-5, "regularizer", "lambda", _float, _fmt)
+    reg_lambda: float = _key(1e-5, "regularizer", "lambda", float, _fmt)
     comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
     seed: int = _key(0, "run", "seed", _seed)
     lyapunov: bool = _key(False, "run", "lyapunov", _bool, lambda b: str(b).lower())
@@ -272,19 +284,11 @@ def write_metrics_csv(path: str, series: MetricsSeries, cfg_echo: dict[str, str]
     buf.write(f"# contraction_q2 = {_fmt(series.contraction)}\n")
     buf.write(f"# beta = {_fmt(series.beta)}\n")
     rep = series.conditions
-    buf.write(
-        "# conditions: "
-        f"beta_ok={int(rep.beta_ok)} beta_bound={_fmt(rep.beta_bound)} "
-        f"eta_g_ok={int(rep.eta_g_ok)} eta_g_bound={_fmt(rep.eta_g_bound)} "
-        f"alpha_ok={int(rep.alpha_ok)} alpha_bound={_fmt(rep.alpha_bound)}\n"
-    )
+    tokens = (f"{f.name}={_CODECS[f.type][0](getattr(rep, f.name))}" for f in fields(rep))
+    buf.write(f"# conditions: {' '.join(tokens)}\n")
     buf.write(CSV_COLUMNS + "\n")
     for row in series.rows:
-        lyap = "" if row.lyapunov is None else _fmt(row.lyapunov)
-        buf.write(
-            f"{row.t},{_fmt(row.F)},{_fmt(row.prox_grad_sq)},{row.uplink_bytes_cum},"
-            f"{row.downlink_bytes_cum},{row.nnz},{lyap},{int(row.condition_ok)}\n"
-        )
+        buf.write(",".join([show(getattr(row, name)) for name, show, _ in _COLUMNS]) + "\n")
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
 
@@ -319,24 +323,16 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
                 continue
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != N_COLUMNS:
-                raise ConfigError(f"{path}, line {lineno}: expected {N_COLUMNS} columns, got {len(parts)}")
-            try:
-                row = MetricsRow(
-                    t=int(parts[0]),
-                    F=float(parts[1]),
-                    prox_grad_sq=float(parts[2]),
-                    uplink_bytes_cum=int(parts[3]),
-                    downlink_bytes_cum=int(parts[4]),
-                    nnz=int(parts[5]),
-                    lyapunov=None if parts[6] == "" else float(parts[6]),
-                    condition_ok=parts[7] == "1",
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}, line {lineno}: {exc}") from None
-            if parts[7] not in ("0", "1"):
-                raise ConfigError(f"{path}, line {lineno}: condition_ok must be 0 or 1, got {parts[7]!r}")
+            cells = line.split(",")
+            if len(cells) != len(_COLUMNS):
+                raise ConfigError(f"{path}, line {lineno}: expected {len(_COLUMNS)} columns, got {len(cells)}")
+            values = {}
+            for (name, _, read), cell in zip(_COLUMNS, cells):
+                try:
+                    values[name] = read(cell)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}, line {lineno}, column {name}: {exc}") from None
+            row = MetricsRow(**values)
             if row.t != len(rows):
                 raise ConfigError(f"{path}, line {lineno}: expected t = {len(rows)}, got {row.t}")
             rows.append(row)
@@ -348,11 +344,12 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
 @dataclass
 class RunSummary:
     path: str
-    final_objective: float
-    final_prox_grad_sq: float
-    total_bytes: int
-    uplink_bytes: int
+    last: MetricsRow
     bytes_to_threshold: int | None  # None = threshold never reached
+
+
+def _total_bytes(row: MetricsRow) -> int:
+    return row.uplink_bytes_cum + row.downlink_bytes_cum
 
 
 @dataclass
@@ -365,20 +362,22 @@ class ComparisonSummary:
     def uplink_savings_pct(self) -> float | None:
         """Relative uplink saving of run a against run b at the final round;
         0.0 when neither sent uplink bytes, None (undefined) when only a did."""
-        if self.b.uplink_bytes == 0:
-            return 0.0 if self.a.uplink_bytes == 0 else None
-        return 100.0 * (self.b.uplink_bytes - self.a.uplink_bytes) / self.b.uplink_bytes
+        up_a, up_b = self.a.last.uplink_bytes_cum, self.b.last.uplink_bytes_cum
+        if up_b == 0:
+            return 0.0 if up_a == 0 else None
+        return 100.0 * (up_b - up_a) / up_b
 
     def render(self) -> str:
         pct = self.uplink_savings_pct
         saves = "n/a vs B: B sent none" if pct is None else f"{pct:.1f}% vs B"
+        a, b = self.a.last, self.b.last
         lines = [
             f"run A: {self.a.path}",
             f"run B: {self.b.path}",
-            f"final objective: A={_fmt(self.a.final_objective)} B={_fmt(self.b.final_objective)}",
-            f"final ||G||^2:   A={_fmt(self.a.final_prox_grad_sq)} B={_fmt(self.b.final_prox_grad_sq)}",
-            f"total bytes:     A={self.a.total_bytes} B={self.b.total_bytes}",
-            f"uplink bytes:    A={self.a.uplink_bytes} B={self.b.uplink_bytes}"
+            f"final objective: A={_fmt(a.F)} B={_fmt(b.F)}",
+            f"final ||G||^2:   A={_fmt(a.prox_grad_sq)} B={_fmt(b.prox_grad_sq)}",
+            f"total bytes:     A={_total_bytes(a)} B={_total_bytes(b)}",
+            f"uplink bytes:    A={a.uplink_bytes_cum} B={b.uplink_bytes_cum}"
             f" (A saves {saves})",
         ]
         if self.threshold is not None:
@@ -389,21 +388,8 @@ class ComparisonSummary:
 
 
 def _summarize(path: str, rows: list[MetricsRow], threshold: float | None) -> RunSummary:
-    last = rows[-1]
-    reach = None
-    if threshold is not None:
-        for row in rows:
-            if row.F <= threshold:
-                reach = row.uplink_bytes_cum + row.downlink_bytes_cum
-                break
-    return RunSummary(
-        path=path,
-        final_objective=last.F,
-        final_prox_grad_sq=last.prox_grad_sq,
-        total_bytes=last.uplink_bytes_cum + last.downlink_bytes_cum,
-        uplink_bytes=last.uplink_bytes_cum,
-        bytes_to_threshold=reach,
-    )
+    reach = None if threshold is None else next((_total_bytes(r) for r in rows if r.F <= threshold), None)
+    return RunSummary(path, rows[-1], reach)
 
 
 def compare_runs(path_a: str, path_b: str, threshold: float | None = None) -> ComparisonSummary:

@@ -57,14 +57,15 @@ class MetricsSeries:
 
 @dataclass(frozen=True)
 class StepConditionReport:
-    """The three sufficient step-size conditions of the convergence analysis."""
+    """The three sufficient step-size conditions of the convergence analysis,
+    each as its verdict then its bound: the order of the CSV's tokens."""
 
-    beta_bound: float
     beta_ok: bool
-    eta_g_bound: float
+    beta_bound: float
     eta_g_ok: bool
-    alpha_bound: float
+    eta_g_bound: float
     alpha_ok: bool
+    alpha_bound: float
 
     @property
     def all_ok(self) -> bool:
@@ -97,15 +98,14 @@ def measure_row(
     at the model the next round or step starts from.
 
     A diverging run stops at its first non-finite row: with overflow and
-    invalid-operation warnings off, a non-finite F, ||G||^2 or global
-    gradient raises NonFiniteError naming row t."""
+    invalid-operation warnings off, a non-finite F or ||G||^2 raises
+    NonFiniteError naming row t. That test covers the gradients too: with z
+    finite, a non-finite global gradient makes G non-finite, and a non-finite
+    z makes F non-finite (h's lam * sum|z| is NaN even at lam = 0)."""
     with np.errstate(over="ignore", invalid="ignore"):
         objectives, grads = client_values(prob, z)
         F = objective_value(prob, reg, z, objectives)
-        try:
-            G = prox_gradient_mapping(prob, reg, z, beta, grads)
-        except NonFiniteError as exc:  # from full_global_gradient, which names no row
-            raise NonFiniteError(f"non-finite measurement at row {t}: F = {F}, {exc}") from None
+        G = prox_gradient_mapping(prob, reg, z, beta, grads)
         G_sq = float(np.sum(G * G))
     if not (math.isfinite(F) and math.isfinite(G_sq)):
         raise NonFiniteError(f"non-finite measurement at row {t}: F = {F}, ||G||^2 = {G_sq}")
@@ -128,17 +128,17 @@ def check_step_conditions(hp: "HyperParams", L: float, q: float) -> StepConditio
         raise ValueError("compression factor q must lie in [0, 1)")
     eta = hp.eta
     if L == 0:
-        return StepConditionReport(math.inf, True, 0.0, True, math.inf, True)
+        return StepConditionReport(True, math.inf, True, 0.0, True, math.inf)
     beta_bound = min(eta * eta, (1.0 - q) ** 2) / (25.0 * L)
     eta_g_bound = math.sqrt(16.0 * (1.0 - q) ** 2 + 161.0 * eta * eta) / (5.0 * eta * (1.0 - q))
     alpha_bound = 1.0 / (8.0 * hp.K * L)
     return StepConditionReport(
-        beta_bound=beta_bound,
         beta_ok=hp.beta <= beta_bound,
-        eta_g_bound=eta_g_bound,
+        beta_bound=beta_bound,
         eta_g_ok=hp.eta_g >= eta_g_bound,
-        alpha_bound=alpha_bound,
+        eta_g_bound=eta_g_bound,
         alpha_ok=hp.alpha <= alpha_bound,
+        alpha_bound=alpha_bound,
     )
 
 

@@ -204,7 +204,7 @@ def full_global_gradient(prob: FederatedProblem, x: np.ndarray, grads: np.ndarra
     has. Without it, client_values forms the block and its objectives are dropped."""
     if grads is None:
         grads = client_values(prob, x)[1]
-    return ensure_finite(client_sum(grads) / prob.n_clients, "full_global_gradient")
+    return client_sum(grads) / prob.n_clients
 
 
 def objective_value(prob: FederatedProblem, reg, x: np.ndarray, objectives: Sequence[float] | None = None) -> float:
@@ -338,6 +338,8 @@ def generate_synthetic(
     [-center_scale, center_scale]. Each draw comes from the stream of `seed`
     labelled problem/hetero, /features, /labels, /model or /partition.
     """
+    if variant not in LOSS_VARIANTS:  # before any draw
+        raise ValueError(f"unknown loss variant {variant!r}")
     if p < 1:
         raise ValueError("dimension must be >= 1")
     if N < 1:
@@ -364,7 +366,7 @@ def generate_synthetic(
     if variant == SQUARED_ERROR:
         y = derive_stream(seed, "problem/labels").standard_normal(samples)
         classes = np.where(y >= 0, 1.0, -1.0)  # partition key for continuous labels
-    elif variant in (LOGISTIC, SIGMOID_NONCONVEX):
+    else:  # LOGISTIC, SIGMOID_NONCONVEX
         mstream = derive_stream(seed, "problem/model")
         support = np.sort(mstream.choice(p, size=max(1, p // 5), replace=False))
         x_true = np.zeros(p)
@@ -372,8 +374,6 @@ def generate_synthetic(
         margins = a @ x_true + label_noise * derive_stream(seed, "problem/labels").standard_normal(samples)
         y = np.where(margins >= 0, 1.0, -1.0)
         classes = y
-    else:
-        raise ValueError(f"unknown loss variant {variant!r}")
 
     if part.mode == DIRICHLET:
         assign = dirichlet_partition(classes, N, part.alpha_d, derive_stream(seed, "problem/partition"))

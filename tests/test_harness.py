@@ -182,13 +182,15 @@ def test_config_echo_reruns_identically(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_csv_columns_match_metricsrow_fields():
-    from dataclasses import fields
-
-    from fedcef.harness import CSV_COLUMNS
-    from fedcef.metrics import MetricsRow
-
-    assert CSV_COLUMNS.split(",") == [f.name for f in fields(MetricsRow)]
+def test_csv_columns_match_metricsrow_fields(tmp_path):
+    # the written column line and `# conditions:` keys are the two dataclasses'
+    # fields in declaration order
+    path = tmp_path / "run.csv"
+    series = run_experiment(parse_config(BASE_CONFIG), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[len(lines) - len(series.rows) - 1].split(",") == [f.name for f in dataclasses.fields(MetricsRow)]
+    tokens = next(line for line in lines if line.startswith("# conditions: ")).split()[2:]
+    assert [t.split("=")[0] for t in tokens] == [f.name for f in dataclasses.fields(StepConditionReport)]
 
 
 def test_byte_counters_are_nondecreasing(tmp_path):
@@ -237,15 +239,15 @@ def test_compare_identical_runs_zero_savings(tmp_path):
     run_experiment(cfg, str(b))
     summary = compare_runs(str(a), str(b))
     assert summary.uplink_savings_pct == 0.0
-    assert summary.a.total_bytes == summary.b.total_bytes
+    assert summary.a.last == summary.b.last
 
 
 def test_compare_says_n_a_when_only_run_b_sent_no_uplink_bytes():
     fedcef, pgd = (os.path.join(GOLDEN, f"demo-{name}.csv") for name in ("fedcef", "pgd"))
     summary = compare_runs(fedcef, pgd)
-    assert summary.a.uplink_bytes > 0 and summary.b.uplink_bytes == 0
+    assert summary.a.last.uplink_bytes_cum > 0 and summary.b.last.uplink_bytes_cum == 0
     assert summary.uplink_savings_pct is None
-    assert f"uplink bytes:    A={summary.a.uplink_bytes} B=0 (A saves n/a vs B: B sent none)" in summary.render()
+    assert f"uplink bytes:    A={summary.a.last.uplink_bytes_cum} B=0 (A saves n/a vs B: B sent none)" in summary.render()
     # the other way round the saving is defined: all of A's bytes
     assert compare_runs(pgd, fedcef).uplink_savings_pct == 100.0
 
@@ -431,20 +433,25 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[compressor]\nkind = randk\nretain = 21\n",
         "[compressor]\nkind = sign\n",
         "[compressor]\nretain = 10%\n",
+        "[compressor]\nretain = 1e999\n",
         "[hyper]\nK = 0\n",
         "[hyper]\nT = 0\n",
         "[hyper]\neta = 0\n",
         "[hyper]\neta = 1.5\n",
         "[hyper]\nalpha = 0\n",
         "[hyper]\nalpha = inf\n",
+        "[hyper]\neta_g = nan\n",
+        "[hyper]\neta = nan\n",
         "[hyper]\neta_g = -1\n",
         "[hyper]\nB = 0\n",
         "[hyper]\nB = abc\n",
         "[hyper]\npreset = mnist-like\n",
         "[regularizer]\nlambda = -1\n",
+        "[regularizer]\nlambda = nan\n",
         "[regularizer]\nkind = zero\nlambda = -1\n",
         "[regularizer]\nkind = l2\n",
         "[problem]\npartition = iid\nalpha_d = 0\n",
+        "[problem]\nalpha_d = inf\n",
         "[problem]\npartition = shards\n",
         "[problem]\nsamples = 2\nclients = 5\n",
         "[problem]\np = 0\n",
@@ -502,13 +509,47 @@ def run_configs(draw):
 @given(cfg=run_configs())
 def test_echo_round_trips_through_the_table_and_the_csv(cfg, tmp_path):
     assert parse_config("", cfg.echo()) == cfg
-    rep = StepConditionReport(1e-4, False, 49.5, True, 0.016, True)
+    rep = StepConditionReport(False, 1e-4, True, 49.5, True, 0.016)
     row = MetricsRow(0, 1.0, 0.5, 0, 80, 3, None, False)
     path = tmp_path / "echo.csv"
     write_metrics_csv(str(path), MetricsSeries("fedcef", 1.0, 0.0, 1.0, rep, [row]), cfg.echo())
     meta, rows = read_metrics_csv(str(path))
     assert parse_config("", config_keys(meta)) == cfg
     assert rows == [row]
+
+
+# every float class a cell must carry: signed zeros, subnormals, the largest
+# finite values and the infinities; NaN is left out, as it equals nothing
+_cell_floats = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.max, -sys.float_info.max]
+)
+_cell_ints = st.integers(0, 2**63 - 1)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cells=st.lists(
+        st.tuples(_cell_floats, _cell_floats, _cell_ints, _cell_ints, _cell_ints, st.none() | _cell_floats, st.booleans()),
+        min_size=1,
+        max_size=4,
+    ),
+    verdicts=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    bounds=st.tuples(_cell_floats, _cell_floats, _cell_floats),
+)
+def test_rows_round_trip_through_the_csv_bit_for_bit(cells, verdicts, bounds, tmp_path):
+    rows = [MetricsRow(t, *c) for t, c in enumerate(cells)]
+    rep = StepConditionReport(*(v for pair in zip(verdicts, bounds) for v in pair))
+    path = tmp_path / "rows.csv"
+    write_metrics_csv(str(path), MetricsSeries("fedcef", 1.0, 0.0, 1.0, rep, rows), {})
+    meta, got = read_metrics_csv(str(path))
+    # repr tells -0.0 from 0.0 and prints each float's shortest round-trip digits
+    assert repr(got) == repr(rows)
+    for f in dataclasses.fields(StepConditionReport):
+        value = getattr(rep, f.name)
+        if f.type == "bool":
+            assert meta[f.name] == str(int(value))
+        else:
+            assert repr(float(meta[f.name])) == repr(value)
 
 
 def test_sweep_key_goes_through_the_table(tmp_path, capsys):
@@ -706,7 +747,8 @@ def test_cli_compare_reports_a_malformed_row(tmp_path, capsys, cut):
     bad.write_text("".join(head + rows[:-1]) + ",".join(last))
     assert cli_main(["compare", str(good), str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{bad}, line {len(head) + len(rows)}" in err
+    column = ", column t: " if cut == "unparsable" else ": expected 8 columns, got 3"
+    assert err.startswith("error:") and f"{bad}, line {len(head) + len(rows)}{column}" in err
 
 
 @pytest.mark.parametrize("fault", ["condition_token", "round_order", "conditions_meta"])
@@ -728,6 +770,8 @@ def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
     assert cli_main(["compare", str(good), str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{bad}, line {lineno}" in err
+    if fault == "condition_token":
+        assert f"{bad}, line {lineno}, column condition_ok: expected 0 or 1, got 'yes'" in err
 
 
 def test_cli_compare_reports_header_only_csvs(tmp_path, capsys):

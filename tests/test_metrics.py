@@ -210,11 +210,9 @@ def test_measure_row_names_the_first_non_finite_row_without_warnings():
     def problem(a):
         return FederatedProblem(LossKind("squared_error"), 1, [np.array([[a]])] * 2, [np.zeros(1)] * 2, smoothness=1.0)
 
-    # margins 1e110: F = 5e219 is finite, but each gradient a.T @ w overflows
-    with pytest.raises(
-        NonFiniteError,
-        match=r"^non-finite measurement at row 7: F = 5e\+219, non-finite result produced by full_global_gradient$",
-    ):
+    # margins 1e110: F = 5e219 is finite, but each gradient a.T @ w overflows,
+    # and the global gradient's inf reaches ||G||^2
+    with pytest.raises(NonFiniteError, match=r"^non-finite measurement at row 7: F = 5e\+219, \|\|G\|\|\^2 = inf$"):
         measure_row(problem(1e200), Regularizer(), 0.5, 7, np.array([1e-90]), 0, 0, True)
     # margins 1e160: the gradient is finite, F and ||G||^2 are not
     with pytest.raises(NonFiniteError, match=r"^non-finite measurement at row 3: F = inf, \|\|G\|\|\^2 = inf$"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedcef import problems
 from fedcef.algorithms import HyperParams, run_centralized_pgd
 from fedcef.core import NonFiniteError, derive_stream
 from fedcef.problems import (
@@ -486,6 +487,22 @@ def test_planted_model_recovery_via_pgd():
     true_support = set(np.flatnonzero(prob.ground_truth))
     found_support = set(np.flatnonzero(z))
     assert true_support <= found_support
+
+
+def test_an_unknown_variant_is_refused_before_any_draw(monkeypatch):
+    labels = []
+
+    def counting_stream(seed, label):
+        labels.append(label)
+        return derive_stream(seed, label)
+
+    monkeypatch.setattr(problems, "derive_stream", counting_stream)
+    with pytest.raises(ValueError, match="^unknown loss variant 'hinge'$"):
+        generate_synthetic("hinge", 8, 60, 3, PartitionSpec(IID), 0)
+    assert labels == []
+    # the same counter sees a known variant's draws
+    generate_synthetic("logistic", 8, 60, 3, PartitionSpec(IID), 0)
+    assert labels[0] == "problem/features"
 
 
 def test_generate_preconditions():
