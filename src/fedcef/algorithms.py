@@ -18,19 +18,20 @@ row per client, for what differs between clients, and single (p,) vectors
 for the global model z and the controls every client shares. Each round
 every client runs its K local steps from z, the algorithm's aggregation rule
 (client_uplink -> server_aggregate -> client_downlink -> server_finalize for
-fedcef, model averaging for prox_fedavg) yields z^{t+1}, and the row is
-measured. _local_pass steps the block of a range of clients: one gradient
-oracle call per client and step, written into that client's row of one
-gradient block, then the step rule and the prox once on the block. It is
-the one place a minibatch is drawn: K x B indices per client and pass.
-prox_fedavg steps all N rows at once. fedcef's local_update steps one
-client's one-row block after another: the benchmark's call-count test pins
-local_update at one call per client and round, so fedcef's all-client pass
-waits for that test to count oracle work instead. The all-client block has a
-cost on large shards: each step reads every client's shard, where a client's
-K steps in a row reuse its own shard from cache. On the wide_p2000 benchmark
-problem (p = 2000, 20000 samples, 320 MB of shards) prox_fedavg's run rose
-from 4.0 to 4.8 s in alternating runs on a 2-vCPU shared host.
+fedcef, model averaging for prox_fedavg) yields z^{t+1} and its uplink
+bytes, _run charges the dense broadcast, and the row is measured.
+_local_pass steps the block of a range of clients: one gradient oracle call
+per client and step, written into that client's row of one gradient block,
+then the step rule and the prox once on the block. It is the one place a
+minibatch is drawn: K x B indices per client and pass. prox_fedavg steps all
+N rows at once. fedcef's local_update steps one client's one-row block after
+another: the benchmark's call-count test pins local_update at one call per
+client and round, so fedcef's all-client pass waits for that test to count
+oracle work instead. The all-client block has a cost on large shards: each
+step reads every client's shard, where a client's K steps in a row reuse its
+own shard from cache. On the wide_p2000 benchmark problem (p = 2000, 20000
+samples, 320 MB of shards) prox_fedavg's run rose from 4.0 to 4.8 s in
+alternating runs on a 2-vCPU shared host.
 
 Local update, per client i, round t, local steps k = 0..K-1:
 
@@ -65,7 +66,6 @@ import numpy as np
 
 from .compressors import (
     DENSE_ENTRY_BYTES,
-    RANDK,
     CompressorSpec,
     SparsePayload,
     compress,
@@ -261,14 +261,12 @@ def client_uplink(
     """Momentum update of every v_i, one compress call on the (N, p) deviation
     block, and error feedback c_i <- c_i + C(v_i - c_i). Returns the payload,
     which the bytes are charged for, and the (N, p) block C(v - c_local) it
-    encodes, which the server sums. Rand-k with k < p draws row i from
-    client/{i}/round/{t}/compress; at k = p it sends the block dense and
-    draws nothing. Reads z^t, so it runs before finalize."""
+    encodes, which the server sums. compress is handed client i's stream
+    client/{i}/round/{t}/compress lazily, so it is derived only when compress
+    draws row i: under rand-k at k < p. Reads z^t, so it runs before finalize."""
     drift = (st.z - st.x_hat) / (hp.alpha * hp.K) + st.c_local - st.c_known
     st.v = (1.0 - hp.eta) * st.v + hp.eta * drift
-    streams = None
-    if spec.kind == RANDK and spec.resolve_k(st.z.size) < st.z.size:
-        streams = [derive_stream(seed, f"client/{i}/round/{t}/compress") for i in range(st.n_clients)]
+    streams = (derive_stream(seed, f"client/{i}/round/{t}/compress") for i in range(st.n_clients))
     payload, dense = compress(spec, st.v - st.c_local, streams)
     st.c_local += dense
     return payload, dense
@@ -304,27 +302,26 @@ def _run(
     reg: Regularizer,
     hp: HyperParams,
     local: Callable[[RoundState, int], None],
-    aggregate: Callable[[RoundState, int], tuple[int, int]],
+    aggregate: Callable[[RoundState, int], int],
     condition_ok: bool,
     q: float | None,
 ) -> tuple[list[MetricsRow], list[np.ndarray]]:
     """The round loop both federated algorithms share: row t of 0..T is
     measured after round t - 1's local phase (every client's K steps) and
-    aggregation rule (which returns the round's uplink and downlink bytes).
-    Returns rows 0..T and z^0 = 0, ..., z^T. Given the compression factor q,
-    rows record the Lyapunov potential: F(z^0) at row 0, then the diagnostic
-    of the row's F, the v_i and c_i, and the client gradients the previous
-    row measured, where the round started. q = None leaves the column empty."""
+    aggregation rule, which returns the round's uplink bytes. Row t is
+    charged t + 1 dense (p,) broadcasts: z^0's, then one a round. Returns
+    rows 0..T and z^0 = 0, ..., z^T. Given the compression factor q, rows
+    record the Lyapunov potential: F(z^0) at row 0, then the diagnostic of
+    the row's F, the v_i and c_i, and the client gradients the previous row
+    measured, where the round started. q = None leaves the column empty."""
     st = RoundState.initial(np.zeros(prob.dim), prob.n_clients)
     uplink_cum = 0
-    downlink_cum = DENSE_ENTRY_BYTES * prob.dim  # bootstrap broadcast of z^0
     rows, z_hist = [], []
     for t in range(hp.T + 1):
         if t:
             local(st, t - 1)
-            up, down = aggregate(st, t - 1)
-            uplink_cum += up
-            downlink_cum += down
+            uplink_cum += aggregate(st, t - 1)
+        downlink_cum = DENSE_ENTRY_BYTES * prob.dim * (t + 1)
         row, next_grads = measure_row(prob, reg, hp.beta, t, st.z, uplink_cum, downlink_cum, condition_ok)
         if q is not None:
             row.lyapunov = lyapunov_diagnostic(hp, q, row.F, st.v, st.c_local, grads) if t else row.F
@@ -350,8 +347,7 @@ def run_fedcef(
     prox_grad_sq over rows 0..T-1 is therefore exactly the quantity bounded by
     the convergence theorem.
     """
-    p = prob.dim
-    q = float(np.sqrt(contraction_factor(spec, p)))
+    q = float(np.sqrt(contraction_factor(spec, prob.dim)))
     report = check_step_conditions(hp, prob.smoothness, q)
     if not report.all_ok:
         warnings.warn(
@@ -364,12 +360,12 @@ def run_fedcef(
         for i in range(st.n_clients):
             local_update(st, i, prob, reg, hp, seed, t)
 
-    def aggregate(st: RoundState, t: int) -> tuple[int, int]:
+    def aggregate(st: RoundState, t: int) -> int:
         payload, dense = client_uplink(st, hp, spec, seed, t)
         z_tilde = server_aggregate(st, dense, hp)
         client_downlink(st, z_tilde, hp)
         server_finalize(st, z_tilde, reg, hp)
-        return payload_bytes(payload), DENSE_ENTRY_BYTES * p
+        return payload_bytes(payload)
 
     rows, z_hist = _run(prob, reg, hp, local, aggregate, report.all_ok, q if lyapunov else None)
     series = MetricsSeries("fedcef", prob.smoothness, q * q, hp.beta, report, rows)
@@ -385,15 +381,14 @@ def run_prox_fedavg(
     """Naive baseline: K local proximal SGD steps per client, all clients
     stepped together on the (N, p) block, then the server averages the
     post-proximal models. Transmits dense models both ways."""
-    p = prob.dim
     report = check_step_conditions(hp, prob.smoothness, 0.0)
 
     def local(st: RoundState, t: int) -> None:
         _local_pass(st, range(st.n_clients), prob, reg, hp, seed, t, prox_sgd_step)
 
-    def average(st: RoundState, t: int) -> tuple[int, int]:
+    def average(st: RoundState, t: int) -> int:
         st.z = client_sum(st.x) / st.n_clients
-        return st.n_clients * DENSE_ENTRY_BYTES * p, DENSE_ENTRY_BYTES * p
+        return DENSE_ENTRY_BYTES * st.x.size
 
     rows, z_hist = _run(prob, reg, hp, local, average, report.all_ok, None)
     series = MetricsSeries("prox_fedavg", prob.smoothness, 0.0, hp.beta, report, rows)

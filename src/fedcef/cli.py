@@ -52,10 +52,11 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--values repeats {raw!r}")
         runs.append((raw, parse_config(base_text, {args.key: raw})))
     # the key as the echo spells it (hyper.k -> hyper.K); parse_config has checked it
-    key = next(f"{f.section}.{f.key}" for f in FIELDS.values() if f"{f.section}.{f.key}".lower() == args.key.lower())
+    section, _, key = args.key.partition(".")
+    _, f = FIELDS[section, key.lower()]
     os.makedirs(args.out_dir, exist_ok=True)
     for raw, cfg in runs:
-        out = os.path.join(args.out_dir, f"{key}={raw}.csv")
+        out = os.path.join(args.out_dir, f"{f.section}.{f.key}={raw}.csv")
         run_experiment(cfg, out)
         print(f"wrote {out}")
     return 0

@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -114,12 +114,14 @@ def payload_bytes(payload: SparsePayload) -> int:
 
 
 def compress(
-    spec: CompressorSpec, x: np.ndarray, streams: Sequence[np.random.Generator] | None = None
+    spec: CompressorSpec, x: np.ndarray, streams: Iterable[np.random.Generator] | None = None
 ) -> tuple[SparsePayload, np.ndarray]:
     """Apply the operator to each row of an (n, p) block or a (p,) vector;
     returns the flattened block's payload (see SparsePayload) and C(x), shaped
-    like x. Rand-k draws row i from streams[i], one stream per row, so a (p,)
-    vector, the one-row case, takes [stream]; the other operators draw nothing.
+    like x. Rand-k at k < p draws row i from the i-th of `streams`, one per
+    row, taken only as the row is drawn, so they may come lazily; a (p,)
+    vector, the one-row case, takes [stream]. The other operators, and
+    rand-k at k = p, draw nothing and take no stream.
 
     Full retention (identity, or k == p) is transmitted dense: it carries the
     whole vector anyway and dense elements are cheaper (4 vs 8 bytes), so
@@ -136,9 +138,12 @@ def compress(
         # lowest index wins and replay is deterministic.
         idx = np.sort(np.argsort(-np.abs(x.reshape(n, p)), axis=1, kind="stable")[:, :k], axis=1)
     else:  # RANDK
-        if len(streams or ()) != n:
-            raise ValueError(f"rand-k needs one rng stream per row: got {len(streams or ())} streams for {n} rows")
-        idx = np.sort([s.choice(p, size=k, replace=False) for s in streams], axis=1)
+        rows = zip(range(n), streams or (), strict=True)
+        try:
+            picks = [s.choice(p, size=k, replace=False) for _, s in rows]
+        except ValueError as exc:  # from the strict zip: choice cannot fail at k <= p
+            raise ValueError(f"rand-k needs one rng stream per row of {n}: {exc}") from None
+        idx = np.sort(picks, axis=1)
     flat = (idx + p * np.arange(n)[:, None]).ravel()  # strictly increasing: row by row, each sorted
     dense = np.zeros(n * p)
     dense[flat] = x.ravel()[flat]

@@ -19,12 +19,13 @@ Config files are INI-style key/value documents with six sections::
                                    lyapunov = false
 
 The fields of `RunConfig` are the one list of keys: each declares its
-section, key, reader and echo, and `FIELDS` is their view by attribute.
-`parse_config(text, overrides)` reads the file and the overrides of
-`fedcef run --seed` and `fedcef sweep --key` through it, and the echo writes
-the same keys back. Every key is optional (defaults below); unknown sections
-or keys, and any key under [DEFAULT], are hard errors. Domain rules, inf and
-NaN floats included, live in the HyperParams, CompressorSpec, Regularizer and
+section, key, reader and echo, and `FIELDS` maps each (section, case-folded
+key) to its attribute and field. `parse_config(text, overrides)` reads the
+file and the overrides of `fedcef run --seed` and `fedcef sweep --key`
+through it; the echo and `sweep`'s file names spell each key as declared.
+Every key is optional (defaults below); unknown sections or keys, and any
+key under [DEFAULT], are hard errors. Domain rules, inf and NaN floats
+included, live in the HyperParams, CompressorSpec, Regularizer and
 PartitionSpec constructors, which parse_config builds. `retain` is a ratio
 when written with a decimal point or an exponent (`1e-1` is 0.1) and a count
 when written as an integer. `lyapunov = true` fills fedcef's Lyapunov column,
@@ -71,19 +72,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _flag(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {cell!r}")
-    return cell == "1"
-
-
 # One (write, read) codec per field type, keyed by the annotation as written;
-# a MetricsRow field of a type missing here fails at import.
+# a MetricsRow field of a type missing here fails at import. A cell is read
+# only in its writer's form: written back, its value must give the same cell,
+# so ' 80 ', '1_7', '+3' and a float's '3.0' are rejected.
 _CODECS: dict[str, tuple[Callable[[object], str], Callable[[str], object]]] = {
     "int": (str, int),
     "float": (_fmt, float),
     "float | None": (lambda x: "" if x is None else _fmt(x), lambda cell: None if cell == "" else float(cell)),
-    "bool": (lambda b: str(int(b)), _flag),
+    "bool": (lambda b: str(int(b)), lambda cell: cell == "1"),
 }
 # The CSV columns are MetricsRow's fields, in declaration order.
 _COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(MetricsRow)]
@@ -194,17 +191,15 @@ class RunConfig:
         identically. A None value (retain under identity) is left out."""
         return {
             f"{f.section}.{f.key}": f.show(value)
-            for name, f in FIELDS.items()
+            for name, f in FIELDS.values()
             if (value := getattr(self, name)) is not None
         }
 
 
-# Every key a config may set: RunConfig attribute -> Field, in echo order.
-FIELDS = {f.name: f.metadata["cfg"] for f in fields(RunConfig)}
-
-# Built once, so a lookup is one dict hit; configparser lowercases keys.
-_LOOKUP = {(f.section, f.key.lower()): (name, f) for name, f in FIELDS.items()}
-_SECTIONS = frozenset(f.section for f in FIELDS.values())
+# Every key a config may set, in echo order: (section, key as configparser
+# folds it) -> (RunConfig attribute, Field). A lookup is one dict hit.
+FIELDS = {(c.section, c.key.lower()): (f.name, c) for f in fields(RunConfig) for c in [f.metadata["cfg"]]}
+_SECTIONS = frozenset(section for section, _ in FIELDS)
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -228,9 +223,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         if section not in _SECTIONS:  # checked apart from its keys, so an empty one fails too
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if (section, key) not in _LOOKUP:
+            if (section, key) not in FIELDS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            name, f = _LOOKUP[section, key]
+            name, f = FIELDS[section, key]
             try:
                 values[name] = f.read(raw)
             except ValueError as exc:
@@ -327,9 +322,11 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
             if len(cells) != len(_COLUMNS):
                 raise ConfigError(f"{path}, line {lineno}: expected {len(_COLUMNS)} columns, got {len(cells)}")
             values = {}
-            for (name, _, read), cell in zip(_COLUMNS, cells):
+            for (name, show, read), cell in zip(_COLUMNS, cells):
                 try:
-                    values[name] = read(cell)
+                    values[name] = value = read(cell)
+                    if show(value) != cell:
+                        raise ValueError(f"{cell!r} is not a cell the writer writes")
                 except ValueError as exc:
                     raise ConfigError(f"{path}, line {lineno}, column {name}: {exc}") from None
             row = MetricsRow(**values)

@@ -202,3 +202,28 @@ def test_block_randk_needs_one_stream_per_row():
     # a bare stream is not a sequence of them, even for a (p,) vector
     with pytest.raises(TypeError):
         compress(spec, x[0], derive_stream(0, "r"))
+
+
+def test_compress_takes_a_stream_only_when_it_draws_a_row():
+    """compress may be handed its streams lazily: top-k, identity and rand-k
+    at k = p take none, rand-k at k < p takes one per row, in row order, and
+    a wrong count is still an error naming them."""
+    x = np.random.default_rng(6).standard_normal((3, 5))
+    taken = []
+
+    def streams(count):
+        for i in range(count):
+            taken.append(i)
+            yield derive_stream(8, f"r/{i}")
+
+    for spec in (CompressorSpec("topk", 2), CompressorSpec("identity"), CompressorSpec("randk", 5),
+                 CompressorSpec("randk", 1.0)):
+        compress(spec, x, streams(3))
+        assert taken == []
+    spec = CompressorSpec("randk", 2)
+    _, dense = compress(spec, x, streams(3))
+    assert taken == [0, 1, 2]
+    assert dense.tobytes() == compress(spec, x, [derive_stream(8, f"r/{i}") for i in range(3)])[1].tobytes()
+    for count in (2, 4):
+        with pytest.raises(ValueError, match="stream"):
+            compress(spec, x, streams(count))

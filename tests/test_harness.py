@@ -751,13 +751,28 @@ def test_cli_compare_reports_a_malformed_row(tmp_path, capsys, cut):
     assert err.startswith("error:") and f"{bad}, line {len(head) + len(rows)}{column}" in err
 
 
-@pytest.mark.parametrize("fault", ["condition_token", "round_order", "conditions_meta"])
+@pytest.mark.parametrize(
+    "fault",
+    ["condition_token", "round_order", "conditions_meta"]
+    # cells Python's int() or float() would take, but no writer produces
+    + [
+        pytest.param((column, cell), id=f"{column}={cell!r}")
+        for column in ("nnz", "F")
+        for cell in (" 80 ", "1_7", "+3", "3.0")
+    ],
+)
 def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     run_experiment(parse_config(BASE_CONFIG), str(good))
     head, rows = _header_and_rows(good)
     if fault == "condition_token":
         rows[-1] = rows[-1].rstrip("\n").rsplit(",", 1)[0] + ",yes\n"
+        lineno = len(head) + len(rows)
+    elif isinstance(fault, tuple):
+        column, cell = fault
+        cells = rows[-1].rstrip("\n").split(",")
+        cells[head[-1].rstrip("\n").split(",").index(column)] = cell
+        rows[-1] = ",".join(cells) + "\n"
         lineno = len(head) + len(rows)
     elif fault == "conditions_meta":
         j = next(j for j, line in enumerate(head) if line.startswith("# conditions:"))
@@ -771,7 +786,9 @@ def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{bad}, line {lineno}" in err
     if fault == "condition_token":
-        assert f"{bad}, line {lineno}, column condition_ok: expected 0 or 1, got 'yes'" in err
+        assert f"{bad}, line {lineno}, column condition_ok: 'yes' is not a cell the writer writes" in err
+    if isinstance(fault, tuple):
+        assert f"{bad}, line {lineno}, column {fault[0]}: " in err
 
 
 def test_cli_compare_reports_header_only_csvs(tmp_path, capsys):
