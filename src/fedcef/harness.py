@@ -302,21 +302,21 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("conditions:"):
-                    for item in body[len("conditions:") :].split():
-                        key, eq, value = item.partition("=")
-                        if not eq:
-                            raise ConfigError(f"{path}, line {lineno}: conditions token {item!r} is not key=value")
-                        meta[key] = value
+                    pairs = [item.partition("=") for item in body[len("conditions:") :].split()]
                 else:
-                    key, _, value = body.removeprefix("cfg ").partition(" = ")
-                    meta[key.strip()] = value.strip()
+                    key, eq, value = body.removeprefix("cfg ").partition(" = ")
+                    pairs = [(key.strip(), eq, value.strip())]
+                for key, eq, value in pairs:
+                    if not eq:
+                        raise ConfigError(f"{path}, line {lineno}: {key!r} is not key=value")
+                    if key in meta:
+                        raise ConfigError(f"{path}, line {lineno}: {key} was already set")
+                    meta[key] = value
                 continue
             if not header_seen:
                 if line != CSV_COLUMNS:
                     raise ConfigError(f"{path}: unexpected column header {line!r}")
                 header_seen = True
-                continue
-            if not line:
                 continue
             cells = line.split(",")
             if len(cells) != len(_COLUMNS):

@@ -61,6 +61,8 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class LossKind:
+    """A loss variant, the one thing checked here; FederatedProblem checks its data."""
+
     variant: str
     curvatures: np.ndarray | None = None  # hetero_quadratic: (N, p), > 0
     centers: np.ndarray | None = None  # hetero_quadratic: (N, p)
@@ -68,18 +70,11 @@ class LossKind:
     def __post_init__(self) -> None:
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
-        if self.variant == HETERO_QUADRATIC:
-            if self.curvatures is None or self.centers is None:
-                raise ValueError("hetero_quadratic needs curvatures and centers")
-            if self.curvatures.shape != self.centers.shape:
-                raise ValueError("curvature/center shape mismatch")
-            if not np.all(self.curvatures > 0):
-                raise ValueError("hetero_quadratic curvatures must be strictly positive")
 
 
 @dataclass
 class FederatedProblem:
-    """N client shards plus a smooth loss; gradient oracles live below."""
+    """N client shards plus a smooth loss, whose data is checked here; gradient oracles live below."""
 
     loss: LossKind
     dim: int
@@ -96,6 +91,11 @@ class FederatedProblem:
                 raise ValueError("every shard must be nonempty")
             if a.shape != (b.shape[0], self.dim):
                 raise ValueError("feature rows must have length dim and match labels")
+        if self.closed_form:
+            if not np.shape(self.loss.curvatures) == np.shape(self.loss.centers) == (self.n_clients, self.dim):
+                raise ValueError(f"hetero_quadratic needs curvatures and centers of shape {(self.n_clients, self.dim)}")
+            if not np.all(self.loss.curvatures > 0):
+                raise ValueError("hetero_quadratic curvatures must be strictly positive")
         if self.smoothness is None:
             self.smoothness = estimate_smoothness(self)
 
@@ -273,7 +273,7 @@ def estimate_smoothness(prob: FederatedProblem) -> float:
     squared residual over the spectral gap. Measured against eigvalsh: low by
     1.6e-10 relative on the p = 2000, 20000-sample benchmark problem (38 to
     69 steps per shard), by at most 1.2e-11 on the golden configs."""
-    if prob.loss.variant == HETERO_QUADRATIC:
+    if prob.closed_form:
         return float(np.max(prob.loss.curvatures))
     return _DATA_LOSSES[prob.loss.variant][2] * max(
         _gram_top_eigenvalue(a, f"the smoothness estimate of client {i}") for i, a in enumerate(prob.features)
@@ -338,8 +338,7 @@ def generate_synthetic(
     [-center_scale, center_scale]. Each draw comes from the stream of `seed`
     labelled problem/hetero, /features, /labels, /model or /partition.
     """
-    if variant not in LOSS_VARIANTS:  # before any draw
-        raise ValueError(f"unknown loss variant {variant!r}")
+    loss = LossKind(variant)  # checks the variant before any draw
     if p < 1:
         raise ValueError("dimension must be >= 1")
     if N < 1:
@@ -387,7 +386,7 @@ def generate_synthetic(
     y = y[order]
     ends = np.cumsum(np.bincount(assign, minlength=N))[:-1]
     feats, labs = np.split(a, ends), np.split(y, ends)
-    return FederatedProblem(LossKind(variant), p, feats, labs, ground_truth=x_true)
+    return FederatedProblem(loss, p, feats, labs, ground_truth=x_true)
 
 
 def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:

@@ -169,6 +169,10 @@ def test_csv_roundtrip_lossless(tmp_path):
     for name in ("beta", "eta_g", "alpha"):
         assert meta[f"{name}_ok"] == str(int(getattr(rep, f"{name}_ok")))
         assert float(meta[f"{name}_bound"]) == getattr(rep, f"{name}_bound")
+    # a new key after the rows, such as a status footer, is read
+    with open(path, "a") as fh:
+        fh.write("# status = diverged row=3\n")
+    assert read_metrics_csv(str(path)) == ({**meta, "status": "diverged row=3"}, rows)
 
 
 def test_config_echo_reruns_identically(tmp_path):
@@ -753,7 +757,7 @@ def test_cli_compare_reports_a_malformed_row(tmp_path, capsys, cut):
 
 @pytest.mark.parametrize(
     "fault",
-    ["condition_token", "round_order", "conditions_meta"]
+    ["condition_token", "round_order", "conditions_meta", "blank_line", "seed_set_twice", "bare_comment"]
     # cells Python's int() or float() would take, but no writer produces
     + [
         pytest.param((column, cell), id=f"{column}={cell!r}")
@@ -778,6 +782,13 @@ def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
         j = next(j for j, line in enumerate(head) if line.startswith("# conditions:"))
         head[j] = "# conditions: beta_ok\n"
         lineno = j + 1
+    elif fault == "blank_line":
+        rows.insert(1, "\n")
+        lineno = len(head) + 2
+    elif fault in ("seed_set_twice", "bare_comment"):
+        # appended after the rows, a second run.seed would change the run the echo re-runs
+        rows.append("# cfg run.seed = 5\n" if fault == "seed_set_twice" else "# note\n")
+        lineno = len(head) + len(rows)
     else:
         rows[1] = "7," + rows[1].split(",", 1)[1]
         lineno = len(head) + 2
@@ -789,6 +800,12 @@ def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
         assert f"{bad}, line {lineno}, column condition_ok: 'yes' is not a cell the writer writes" in err
     if isinstance(fault, tuple):
         assert f"{bad}, line {lineno}, column {fault[0]}: " in err
+    if fault == "blank_line":
+        assert f"{bad}, line {lineno}: expected 8 columns, got 1" in err
+    if fault == "seed_set_twice":
+        assert f"{bad}, line {lineno}: run.seed was already set" in err
+    if fault == "bare_comment":
+        assert f"{bad}, line {lineno}: 'note' is not key=value" in err
 
 
 def test_cli_compare_reports_header_only_csvs(tmp_path, capsys):

@@ -179,6 +179,25 @@ def test_hetero_smoothness_is_max_diagonal():
     assert estimate_smoothness(prob) == 3.0
 
 
+@pytest.mark.parametrize(
+    "curvatures, centers, message",
+    [
+        (None, np.zeros((2, 4)), r"of shape \(2, 4\)$"),
+        (np.ones((2, 4)), None, r"of shape \(2, 4\)$"),
+        # a phantom third client would enter F and G at every measured row
+        (np.ones((3, 4)), np.zeros((3, 4)), r"of shape \(2, 4\)$"),
+        (np.ones((2, 4)), np.zeros((2, 5)), r"of shape \(2, 4\)$"),
+        (np.array([[1.0, 1.0, 0.0, 1.0], [1.0] * 4]), np.zeros((2, 4)), "strictly positive$"),
+    ],
+    ids=["no_curvatures", "no_centers", "three_clients", "five_coordinates", "zero_curvature"],
+)
+def test_a_hetero_problem_refuses_client_data_not_shaped_by_its_shards(curvatures, centers, message):
+    # 2 clients, p = 4: the shards fix N and p, and the loss's data must match
+    loss = LossKind(HETERO_QUADRATIC, curvatures, centers)
+    with pytest.raises(ValueError, match=message):
+        FederatedProblem(loss, 4, [np.zeros((1, 4))] * 2, [np.zeros(1)] * 2)
+
+
 def test_smoothness_is_estimated_only_when_left_unset():
     # all-zero shards: L = 0 is the estimate and is kept, as is an explicit 0
     feats, labs = [np.zeros((3, 4))] * 2, [np.ones(3)] * 2
