@@ -347,7 +347,8 @@ def run_fedcef(
     prox_grad_sq over rows 0..T-1 is therefore exactly the quantity bounded by
     the convergence theorem.
     """
-    q = float(np.sqrt(contraction_factor(spec, prob.dim)))
+    q2 = contraction_factor(spec, prob.dim)  # echoed as is: sqrt(q2) squared may be 1 ulp off
+    q = float(np.sqrt(q2))
     report = check_step_conditions(hp, prob.smoothness, q)
     if not report.all_ok:
         warnings.warn(
@@ -368,7 +369,7 @@ def run_fedcef(
         return payload_bytes(payload)
 
     rows, z_hist = _run(prob, reg, hp, local, aggregate, report.all_ok, q if lyapunov else None)
-    series = MetricsSeries("fedcef", prob.smoothness, q * q, hp.beta, report, rows)
+    series = MetricsSeries("fedcef", prob.smoothness, q2, hp.beta, report, rows)
     return RunResult(series, z_hist)
 
 

@@ -37,7 +37,8 @@ to re-run the experiment, the estimated smoothness constant, and the
 step-condition report), one column-name line, then one row per measurement.
 The columns are MetricsRow's fields and the `# conditions:` tokens
 StepConditionReport's, in declaration order, each through the codec of its
-type. Floats carry 17 significant digits so rows round-trip losslessly.
+type, as are the float header values. Floats carry 17 significant digits
+so rows round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from . import compressors
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
 from .compressors import IDENTITY, TOPK, CompressorSpec
 from .core import count
-from .metrics import MetricsRow, MetricsSeries
+from .metrics import MetricsRow, MetricsSeries, StepConditionReport
 from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
 from .regularizers import Regularizer
 
@@ -73,9 +74,9 @@ def _fmt(x: float) -> str:
 
 
 # One (write, read) codec per field type, keyed by the annotation as written;
-# a MetricsRow field of a type missing here fails at import. A cell is read
-# only in its writer's form: written back, its value must give the same cell,
-# so ' 80 ', '1_7', '+3' and a float's '3.0' are rejected.
+# a MetricsRow field of a type missing here fails at import. A cell or header
+# value is read only in its writer's form: written back, its value must give
+# the same text, so ' 80 ', '1_7', '+3' and a float's '3.0' are rejected.
 _CODECS: dict[str, tuple[Callable[[object], str], Callable[[str], object]]] = {
     "int": (str, int),
     "float": (_fmt, float),
@@ -85,6 +86,17 @@ _CODECS: dict[str, tuple[Callable[[object], str], Callable[[str], object]]] = {
 # The CSV columns are MetricsRow's fields, in declaration order.
 _COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(MetricsRow)]
 CSV_COLUMNS = ",".join(name for name, _, _ in _COLUMNS)
+# The header values the writer formats, each by the codec of its field's type.
+_HEADER_CODECS = {key: _CODECS["float"] for key in ("smoothness", "contraction_q2", "beta")}
+_HEADER_CODECS.update((f.name, _CODECS[f.type]) for f in fields(StepConditionReport))
+
+
+def _read(show: Callable[[object], str], read: Callable[[str], object], text: str) -> object:
+    """The value `read` takes from `text`, which `show` must write back as `text`."""
+    value = read(text)
+    if show(value) != text:
+        raise ValueError(f"{text!r} is not a value the writer writes")
+    return value
 
 
 # Text readers: each returns the value or raises ValueError; the caller names
@@ -311,6 +323,11 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
                         raise ConfigError(f"{path}, line {lineno}: {key!r} is not key=value")
                     if key in meta:
                         raise ConfigError(f"{path}, line {lineno}: {key} was already set")
+                    if key in _HEADER_CODECS:
+                        try:
+                            _read(*_HEADER_CODECS[key], value)
+                        except ValueError as exc:
+                            raise ConfigError(f"{path}, line {lineno}, {key}: {exc}") from None
                     meta[key] = value
                 continue
             if not header_seen:
@@ -324,9 +341,7 @@ def read_metrics_csv(path: str) -> tuple[dict[str, str], list[MetricsRow]]:
             values = {}
             for (name, show, read), cell in zip(_COLUMNS, cells):
                 try:
-                    values[name] = value = read(cell)
-                    if show(value) != cell:
-                        raise ValueError(f"{cell!r} is not a cell the writer writes")
+                    values[name] = _read(show, read, cell)
                 except ValueError as exc:
                     raise ConfigError(f"{path}, line {lineno}, column {name}: {exc}") from None
             row = MetricsRow(**values)

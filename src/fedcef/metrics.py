@@ -17,15 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import NonFiniteError, client_sum
-from .problems import (
-    FULL,
-    FederatedProblem,
-    client_gradient,
-    client_values,
-    full_global_gradient,
-    objective_value,
-    stochastic_gradient,
-)
+from .problems import FULL, FederatedProblem, client_values, full_global_gradient, objective_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algorithms import HyperParams
@@ -202,15 +194,3 @@ def theorem_residual_bound(
     bound += c_approx * (L * beta / hp.eta_g) ** 2 * B_h_sq
     return bound
 
-
-def estimate_gradient_variance(prob: FederatedProblem, z: np.ndarray) -> float:
-    """Empirical sigma^2: max over clients of per-sample gradient variance at z
-    (mean squared deviation of single-sample gradients from the full one).
-    Sample s's gradient is the minibatch oracle at the one index s; on
-    hetero_quadratic that is the exact gradient, so sigma^2 is 0."""
-    worst = 0.0
-    for i, a in enumerate(prob.features):
-        g = client_gradient(prob, i, z)
-        dev = np.array([stochastic_gradient(prob, i, z, 1, np.array([s])) for s in range(a.shape[0])]) - g
-        worst = max(worst, float(np.mean(np.sum(dev * dev, axis=1))))
-    return worst

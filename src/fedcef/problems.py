@@ -135,12 +135,11 @@ _DATA_LOSSES = {
 def client_gradient(
     prob: FederatedProblem, client: int, x: np.ndarray, margins: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact gradient of f_i at x; `margins` is client i's a_i @ x (x - m_i on
-    hetero_quadratic) when already computed. With `out`, the gradient is
-    written there and `out` is returned, the same bits."""
+    """Exact gradient of f_i at x; `margins` is client i's a_i @ x on a data
+    loss when already computed. With `out`, the gradient is written there and
+    `out` is returned, the same bits."""
     if prob.closed_form:
-        d = x - prob.loss.centers[client] if margins is None else margins
-        return np.multiply(prob.loss.curvatures[client], d, out=out)
+        return np.multiply(prob.loss.curvatures[client], x - prob.loss.centers[client], out=out)
     a = prob.features[client]
     if margins is None:
         margins = a @ x

@@ -15,7 +15,6 @@ from fedcef.compressors import CompressorSpec, compress, contraction_factor
 from fedcef.core import derive_stream
 from fedcef.harness import compare_runs, write_metrics_csv
 from fedcef.metrics import (
-    estimate_gradient_variance,
     lyapunov_diagnostic,
     prox_gradient_mapping,
     theorem_residual_bound,
@@ -29,9 +28,9 @@ from fedcef.problems import (
     objective_value,
 )
 from fedcef.regularizers import Regularizer
+from tests._reference import client_loss, fd_gradient, gradient_variance
 from tests._transcripts import recording
 from tests.test_metrics import comm_accounting
-from tests.test_problems import client_loss
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -254,8 +253,8 @@ def test_criterion_5_theorem_bound_with_every_term_live():
     """The running mean of ||G||^2 stays under theorem_residual_bound at every
     prefix T with the compression (q > 0), noise (B < full) and h
     (B_h_sq > 0) terms live. sigma^2 is an estimate, the largest
-    estimate_gradient_variance at 11 visited points, not the uniform bound
-    the theorem assumes."""
+    `gradient_variance` of tests/_reference.py at 11 visited points, not the
+    uniform bound the theorem assumes."""
     t0 = time.time()
     K, eta, T = 10, 0.5, 400
     ratios = {}
@@ -267,7 +266,7 @@ def test_criterion_5_theorem_bound_with_every_term_live():
         hp = HyperParams(alpha=alpha, eta_g=eta_g, K=K, eta=eta, B=B, T=T)
         res = run_fedcef(prob, reg, hp, spec, seed=0)
         g2 = np.array([r.prox_grad_sq for r in res.series.rows])
-        sigma_sq = max(estimate_gradient_variance(prob, res.z_history[t]) for t in range(0, T + 1, T // 10))
+        sigma_sq = max(gradient_variance(prob, res.z_history[t]) for t in range(0, T + 1, T // 10))
         # Psi^0 with v = c = 0 and z^{-1} = z^0, as in criterion 5
         z0 = res.z_history[0]
         zeros = np.zeros((prob.n_clients, prob.dim))
@@ -415,16 +414,11 @@ def test_criterion_10_gradient_correctness():
             prob = generate_synthetic(
                 variant, 8, 60, 3, PartitionSpec("iid"), 2
             )
-        h = 1e-6
         for _ in range(20):
             x = rng.standard_normal(prob.dim)
             for i in range(prob.n_clients):
                 g = client_gradient(prob, i, x)
-                fd = np.zeros_like(x)
-                for j in range(x.size):
-                    e = np.zeros_like(x)
-                    e[j] = h
-                    fd[j] = (client_loss(prob, i, x + e) - client_loss(prob, i, x - e)) / (2 * h)
+                fd = fd_gradient(lambda v: client_loss(prob, i, v), x)
                 rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-8)
                 worst = max(worst, float(rel))
     elapsed = time.time() - t0

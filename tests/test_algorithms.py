@@ -32,11 +32,11 @@ from fedcef.problems import (
     FederatedProblem,
     LossKind,
     PartitionSpec,
-    client_gradient,
     generate_synthetic,
     objective_value,
 )
 from fedcef.regularizers import Regularizer
+from tests._reference import row_gradient
 from tests._transcripts import PHASES, recording
 from tests.test_compressors import assert_encodes
 
@@ -109,7 +109,7 @@ def test_local_update_single_gradient_step(monkeypatch):
     st = RoundState.initial(z, 1)
     gradients = recorded_gradients(monkeypatch)
     local_update(st, 0, prob, Regularizer(), hp, seed=0, t=0)
-    g = client_gradient(prob, 0, z)
+    g = row_gradient(prob, 0, z)
     assert np.allclose(st.x_hat[0], z - 0.05 * g)
     assert np.array_equal(gradients[0], g)
     # first gradient is evaluated exactly at z: x^{t,0} = z
@@ -530,7 +530,7 @@ def test_prox_fedavg_single_client_is_centralized_prox_sgd():
     z = np.zeros(6)
     for t in range(15):
         for _ in range(hp.K):
-            z = reg.prox(hp.alpha, z - hp.alpha * client_gradient(prob, 0, z))
+            z = reg.prox(hp.alpha, z - hp.alpha * row_gradient(prob, 0, z))
     assert np.max(np.abs(res.z_history[-1] - z)) <= 1e-12
 
 
@@ -542,7 +542,7 @@ def test_prox_fedavg_k1_full_is_parallel_gd():
     res = run_prox_fedavg(prob, Regularizer(), hp, seed=0)
     z = np.zeros(5)
     for t in range(10):
-        grads = [client_gradient(prob, i, z) for i in range(4)]
+        grads = [row_gradient(prob, i, z) for i in range(4)]
         z = z - hp.alpha * np.mean(grads, axis=0)
         assert np.max(np.abs(res.z_history[t + 1] - z)) <= 1e-12
 

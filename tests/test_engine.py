@@ -1,9 +1,10 @@
-"""The round engine against recorded outputs and against the per-client loop.
+"""The round engine against the per-client loop it replaced, and its call counts.
 
-Golden CSVs in tests/golden were written by the per-client round loop the
-engine replaced; the reference loops below are that loop, one client at a
-time, with their own per-row gradient oracle, kept here as the oracle the
-engine must match bit for bit on hand-picked and on random small runs.
+The reference loops below are the per-client round loop the engine
+replaced, which wrote the golden CSVs in tests/golden: one client at a time,
+on the tests' own per-row gradient oracle (tests/_reference.py), kept here
+as the oracle the engine must match bit for bit on hand-picked and on
+random small runs.
 """
 
 import dataclasses
@@ -33,60 +34,9 @@ from fedcef.problems import (
     objective_value,
 )
 from fedcef.regularizers import Regularizer
+from tests._reference import draw, row_gradient
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GOLDEN = os.path.join(ROOT, "tests", "golden")
-
-
-@pytest.mark.parametrize("algorithm", ["fedcef", "prox_fedavg", "pgd"])
-@pytest.mark.parametrize(
-    "name, config", [("demo", "configs/demo.ini"), ("hetero_randk", "tests/golden/hetero_randk.ini")]
-)
-def test_csv_matches_golden_bytes(name, config, algorithm, tmp_path):
-    with open(os.path.join(ROOT, config)) as fh:
-        cfg = dataclasses.replace(parse_config(fh.read()), algorithm=algorithm)
-    out = tmp_path / "run.csv"
-    run_experiment(cfg, str(out))
-    with open(os.path.join(GOLDEN, f"{name}-{algorithm}.csv"), "rb") as fh:
-        assert out.read_bytes() == fh.read()
-
-
-def draw(stream, prob, i, B):
-    """One step's B sample indices of client i's shard, drawn from the
-    client's round stream step by step, not as the engine's one (K, B)
-    draw; None under B = FULL."""
-    return None if B == FULL else stream.integers(0, prob.features[i].shape[0], size=B)
-
-
-def _sigmoid(u):
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
-
-
-def _sigmoid_weights(z, y):
-    s = _sigmoid(-y * z)
-    return -y * s * (1.0 - s)
-
-
-# per-sample gradient weights w of each data loss: the sample's gradient is w_s * a_s
-WEIGHTS = {
-    "squared_error": lambda z, y: z - y,
-    "logistic": lambda z, y: -y * _sigmoid(-y * z),
-    "sigmoid_nonconvex": _sigmoid_weights,
-}
-
-
-def row_gradient(prob, i, x, idx):
-    """Client i's gradient at the (p,) row x over its samples idx, or over its
-    whole shard when idx is None: the reference's own per-row oracle, written
-    as the engine's oracle computes it, so the bits match and a change to the
-    engine's oracle is checked against this one, not against itself."""
-    if prob.closed_form:
-        return prob.loss.curvatures[i] * (x - prob.loss.centers[i])
-    a, y = prob.features[i], prob.labels[i]
-    if idx is not None:
-        a, y = a[idx], y[idx]
-    return (a.T @ WEIGHTS[prob.loss.variant](a @ x, y)) / a.shape[0]
 
 
 def reference_fedcef(prob, reg, hp, spec, seed):
@@ -131,7 +81,7 @@ def reference_fedcef(prob, reg, hp, spec, seed):
         z_hist.append(z.copy())
         up.append(sum(payload_bytes(pl) for pl in payloads))
         vs, cl = np.array([cs["v"] for cs in clients]), np.array([cs["c_local"] for cs in clients])
-        grads = np.array([row_gradient(prob, i, z_round, None) for i in range(N)])
+        grads = np.array([row_gradient(prob, i, z_round) for i in range(N)])
         lyap.append(lyapunov_diagnostic(hp, q, objective_value(prob, reg, z), vs, cl, grads))
     return z_hist, up, lyap
 

@@ -124,18 +124,37 @@ def test_retain_count_vs_ratio():
         parse_config("[compressor]\nkind = topk\nretain = 5e2\n")
 
 
-# With the demo and hetero_randk goldens of tests/test_engine.py these cover
-# all four loss families and both partition modes; hetero_drift_p200 is the
-# benchmark's hetero_drift workload cut to T = 20.
-@pytest.mark.parametrize("algorithm", ["fedcef", "prox_fedavg"])
-@pytest.mark.parametrize("name", ["squared_iid", "sigmoid_dirichlet_b8", "hetero_drift_p200"])
-def test_loss_family_csv_matches_golden_bytes(name, algorithm, tmp_path):
-    with open(os.path.join(GOLDEN, f"{name}.ini")) as fh:
+# The golden CSVs, one per config and algorithm: the five configs cover all
+# four loss families and both partition modes, and hetero_drift_p200 is the
+# benchmark's hetero_drift workload cut to T = 20. configs/demo.ini is the
+# shipped demo; the other configs sit beside their goldens.
+@pytest.mark.parametrize(
+    "name, algorithm",
+    [(name, algorithm) for name in ("demo", "hetero_randk") for algorithm in ALGORITHMS]
+    + [
+        (name, algorithm)
+        for name in ("squared_iid", "sigmoid_dirichlet_b8", "hetero_drift_p200")
+        for algorithm in ("fedcef", "prox_fedavg")
+    ],
+)
+def test_csv_matches_golden_bytes(name, algorithm, tmp_path):
+    config = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "configs", "demo.ini")
+    with open(config if name == "demo" else os.path.join(GOLDEN, f"{name}.ini")) as fh:
         cfg = dataclasses.replace(parse_config(fh.read()), algorithm=algorithm)
     out = tmp_path / "run.csv"
     run_experiment(cfg, str(out))
     with open(os.path.join(GOLDEN, f"{name}-{algorithm}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("kind, retain", [("topk", "0.1"), ("randk", "0.2"), ("randk", "0.25"), ("topk", "0.3")])
+def test_csv_echoes_the_contraction_factor(kind, retain, tmp_path):
+    # at p = 20 these are q^2 = 0.9, 0.8, 0.75 and 0.7, each of which the
+    # square of its square root misses by 1 ulp
+    cfg = parse_config(BASE_CONFIG, {"problem.p": "20", "compressor.kind": kind, "compressor.retain": retain})
+    run_experiment(cfg, str(tmp_path / "run.csv"))
+    meta, _ = read_metrics_csv(str(tmp_path / "run.csv"))
+    assert float(meta["contraction_q2"]) == compressors.contraction_factor(cfg.compressor(), cfg.p)
 
 
 def test_run_experiment_deterministic_csv(tmp_path):
@@ -758,6 +777,8 @@ def test_cli_compare_reports_a_malformed_row(tmp_path, capsys, cut):
 @pytest.mark.parametrize(
     "fault",
     ["condition_token", "round_order", "conditions_meta", "blank_line", "seed_set_twice", "bare_comment"]
+    # header values no writer produces, as a value and as a condition token
+    + ["beta_value", "beta_ok_token"]
     # cells Python's int() or float() would take, but no writer produces
     + [
         pytest.param((column, cell), id=f"{column}={cell!r}")
@@ -782,6 +803,10 @@ def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
         j = next(j for j, line in enumerate(head) if line.startswith("# conditions:"))
         head[j] = "# conditions: beta_ok\n"
         lineno = j + 1
+    elif fault in ("beta_value", "beta_ok_token"):
+        j = next(j for j, line in enumerate(head) if line.startswith("# beta =" if fault == "beta_value" else "# conditions:"))
+        head[j] = "# beta = banana\n" if fault == "beta_value" else re.sub(r"beta_ok=[01]", "beta_ok=yes", head[j])
+        lineno = j + 1
     elif fault == "blank_line":
         rows.insert(1, "\n")
         lineno = len(head) + 2
@@ -797,9 +822,13 @@ def test_cli_compare_rejects_a_row_no_writer_produces(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{bad}, line {lineno}" in err
     if fault == "condition_token":
-        assert f"{bad}, line {lineno}, column condition_ok: 'yes' is not a cell the writer writes" in err
+        assert f"{bad}, line {lineno}, column condition_ok: 'yes' is not a value the writer writes" in err
     if isinstance(fault, tuple):
         assert f"{bad}, line {lineno}, column {fault[0]}: " in err
+    if fault == "beta_value":
+        assert f"{bad}, line {lineno}, beta: could not convert string to float: 'banana'" in err
+    if fault == "beta_ok_token":
+        assert f"{bad}, line {lineno}, beta_ok: 'yes' is not a value the writer writes" in err
     if fault == "blank_line":
         assert f"{bad}, line {lineno}: expected 8 columns, got 1" in err
     if fault == "seed_set_twice":

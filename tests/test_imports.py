@@ -1,5 +1,6 @@
-"""Every name a fedcef module imports is used in that module, so a change
-that deletes the last use of a name also deletes its import."""
+"""Every name a fedcef module or a test module imports is used in that
+module, so a change that deletes or moves the last use of a name also
+deletes its import."""
 
 import ast
 import os
@@ -9,7 +10,10 @@ import pytest
 import fedcef
 
 SRC = os.path.dirname(os.path.abspath(fedcef.__file__))
-MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+# src modules by file name, test modules as tests/<file name>
+MODULES = {name: os.path.join(SRC, name) for name in os.listdir(SRC) if name.endswith(".py")}
+MODULES.update((f"tests/{name}", os.path.join(TESTS, name)) for name in os.listdir(TESTS) if name.endswith(".py"))
 
 
 def _imports(tree: ast.Module):
@@ -40,9 +44,9 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_every_imported_name_is_used(module):
-    with open(os.path.join(SRC, module)) as fh:
+    with open(MODULES[module]) as fh:
         tree = ast.parse(fh.read(), module)
     used = _used(tree)
     assert [f"{module}:{line}: {name}" for name, line in _imports(tree) if name not in used] == []

@@ -13,7 +13,6 @@ from fedcef.metrics import (
     MetricsRow,
     StepConditionReport,
     check_step_conditions,
-    estimate_gradient_variance,
     lyapunov_diagnostic,
     measure_row,
     prox_gradient_mapping,
@@ -25,14 +24,13 @@ from fedcef.problems import (
     FederatedProblem,
     LossKind,
     PartitionSpec,
-    client_gradient,
     full_global_gradient,
     generate_synthetic,
     objective_value,
 )
 from fedcef.regularizers import Regularizer
+from tests._reference import client_loss, gradient_variance, row_gradient
 from tests._transcripts import RoundTranscript
-from tests.test_problems import client_loss, client_margin
 from tests.test_regularizers import grid_prox_l1
 
 
@@ -123,15 +121,14 @@ def per_client_measure_row(prob, reg, beta, t, z, up, down, condition_ok):
     """measure_row as it was before it measured on the client block, one
     client at a time, kept as its oracle."""
     N = prob.n_clients
-    margins = [client_margin(prob, i, z) for i in range(N)]
     total = np.zeros(prob.dim)
     for i in range(N):
-        total += client_gradient(prob, i, z, margins[i])
+        total += row_gradient(prob, i, z)
     g = total / N
     G = (z - reg.prox(beta, z - beta * g)) / beta
     F = 0.0
     for i in range(N):
-        F += client_loss(prob, i, z, margins[i])
+        F += client_loss(prob, i, z)
     F = F / N + reg.evaluate(z)
     return MetricsRow(t, F, float(np.sum(G * G)), up, down, int(np.count_nonzero(z)), None, condition_ok)
 
@@ -146,7 +143,7 @@ def per_client_lyapunov(prob, reg, hp, q, z, z_prev, client_vs, client_cs):
     vbar = np.zeros(prob.dim)
     gbar = np.zeros(prob.dim)
     for i in range(N):
-        gi = client_gradient(prob, i, z_prev)
+        gi = row_gradient(prob, i, z_prev)
         local_est += float(np.sum((client_vs[i] - gi) ** 2))
         feedback += float(np.sum((client_vs[i] - client_cs[i]) ** 2))
         vbar += client_vs[i]
@@ -182,7 +179,7 @@ def test_block_measurement_is_bitwise_the_per_client_loop(variant, z, z_prev, se
     with np.errstate(over="ignore"):
         row, grads = measure_row(prob, reg, 0.3, 4, z, 10, 20, True)
         assert row == per_client_measure_row(prob, reg, 0.3, 4, z, 10, 20, True)
-        assert np.array_equal(grads, [client_gradient(prob, i, z) for i in range(prob.n_clients)])
+        assert np.array_equal(grads, [row_gradient(prob, i, z) for i in range(prob.n_clients)])
         _, prev_grads = measure_row(prob, reg, 0.3, 3, z_prev, 0, 0, True)
         want = per_client_lyapunov(prob, reg, hp, 0.4, z, z_prev, vs, cs)
         assert lyapunov_diagnostic(hp, 0.4, row.F, vs, cs, prev_grads) == want
@@ -315,14 +312,15 @@ def test_lyapunov_dominates_objective_and_degenerates_cleanly():
 
 
 def test_gradient_variance_estimate():
+    # the reference's sigma^2, which theorem_residual_bound takes
     prob = logistic_problem(seed=10)
     z = np.zeros(prob.dim)
-    sigma_sq = estimate_gradient_variance(prob, z)
+    sigma_sq = gradient_variance(prob, z)
     assert sigma_sq > 0
     hetero = generate_synthetic(
         "hetero_quadratic", 4, 3, 3, PartitionSpec("iid"), 1
     )
-    assert estimate_gradient_variance(hetero, z[:4]) == 0.0
+    assert gradient_variance(hetero, z[:4]) == 0.0
 
 
 def test_gradient_variance_matches_closed_form_squared_error():
@@ -338,7 +336,7 @@ def test_gradient_variance_matches_closed_form_squared_error():
         dev = per_sample - per_sample.mean(axis=0)
         worst = max(worst, float(np.mean(np.sum(dev * dev, axis=1))))
     assert worst > 0
-    assert estimate_gradient_variance(prob, z) == pytest.approx(worst, rel=1e-10)
+    assert gradient_variance(prob, z) == pytest.approx(worst, rel=1e-10)
 
 
 def comm_accounting(transcripts, dim, include_bootstrap=True):

@@ -35,6 +35,7 @@ from fedcef.problems import (
     stochastic_gradient,
 )
 from fedcef.regularizers import Regularizer
+from tests._reference import LOSSES, client_loss, draw, fd_gradient, masked_sigmoid, row_gradient
 
 DATA_VARIANTS = ("squared_error", "logistic", "sigmoid_nonconvex")
 
@@ -50,42 +51,6 @@ def hetero_problem(seed=5, p=6, N=4, curv=(0.1, 10.0)):
         HETERO_QUADRATIC, p, N, N, PartitionSpec(IID), seed,
         curvature_range=curv,
     )
-
-
-def client_margin(prob, i, x):
-    """Client i's margins a_i @ x, or x - m_i on hetero_quadratic: the
-    per-client oracle the all-client block functions are checked against."""
-    if prob.closed_form:
-        return x - prob.loss.centers[i]
-    return prob.features[i] @ x
-
-
-def client_loss(prob, i, x, margins=None):
-    """f_i(x), written out per loss from client i's own margins."""
-    z = client_margin(prob, i, x) if margins is None else margins
-    y = prob.labels[i]
-    if prob.closed_form:
-        return float(0.5 * np.sum(prob.loss.curvatures[i] * z * z))
-    if prob.loss.variant == "squared_error":
-        return float(np.mean(0.5 * (z - y) ** 2))
-    if prob.loss.variant == "logistic":
-        return float(np.mean(np.logaddexp(0.0, -y * z)))
-    return float(np.mean(_sigmoid(-y * z)))
-
-
-def draw(stream, prob, i, B):
-    """B sample indices of client i's shard, drawn with replacement from the
-    stream, as the engine draws one step's batch; None under B = FULL."""
-    return None if B == FULL else stream.integers(0, prob.features[i].shape[0], size=B)
-
-
-def fd_gradient(f, x, h=1e-6):
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
 
 
 @pytest.mark.parametrize("variant", DATA_VARIANTS + (HETERO_QUADRATIC,))
@@ -127,9 +92,8 @@ def test_oracle_takes_exactly_b_drawn_indices():
     prob = small_problem("logistic")
     x = np.linspace(-1, 1, prob.dim)
     idx = np.array([1, 2])
-    # the mean over the indices given, written out
-    a, y = prob.features[0][idx], prob.labels[0][idx]
-    expected = a.T @ (-y * _sigmoid(-y * (a @ x))) / 2
+    # the reference's mean over the indices given
+    expected = row_gradient(prob, 0, x, idx)
     assert np.allclose(stochastic_gradient(prob, 0, x, 2, idx), expected, rtol=1e-14, atol=0)
     for B, bad in ((5, idx), (1, idx), (2, np.array([[1, 2], [2, 1]])), (4, np.array([[1, 2], [2, 1]])),
                    (2, np.array(1)), (2, None)):
@@ -313,7 +277,7 @@ def test_smoothness_bounds_gradient_variation(variant):
 def test_minibatch_unbiasedness_monte_carlo():
     prob = small_problem("logistic", seed=11, p=6, samples=40, N=1)
     x = np.linspace(-0.5, 0.5, 6)
-    full = client_gradient(prob, 0, x)
+    full = row_gradient(prob, 0, x)
     draws = 100_000
     B = 2
     rng = derive_stream(123, "mc")
@@ -323,7 +287,7 @@ def test_minibatch_unbiasedness_monte_carlo():
     mean = acc / draws
     # per-coordinate std of the single-sample logistic gradients -y sigmoid(-y a @ x) a
     a, y = prob.features[0], prob.labels[0]
-    sigma = (a * (-y * _sigmoid(-y * (a @ x)))[:, None]).std(axis=0, ddof=0)
+    sigma = (a * LOSSES["logistic"][1](a @ x, y)[:, None]).std(axis=0, ddof=0)
     tol = 3 * sigma / np.sqrt(draws * B)
     assert np.all(np.abs(mean - full) <= tol + 1e-12)
 
@@ -535,16 +499,6 @@ def test_generate_preconditions():
 def test_dirichlet_concentration_must_be_positive_and_finite(alpha_d):
     with pytest.raises(ValueError, match="^dirichlet concentration"):
         PartitionSpec(DIRICHLET, alpha_d)
-
-
-def masked_sigmoid(u):
-    """The per-sign masked formula `_sigmoid` replaced, kept as its oracle."""
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
 
 
 @settings(max_examples=300, deadline=None)
