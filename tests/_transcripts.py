@@ -1,16 +1,16 @@
 """Round transcripts of fedcef runs, recorded from outside the engine.
 
-`recording()` wraps the gradient oracle `stochastic_gradient` and the phase
-functions `client_uplink`, `server_aggregate` and `server_finalize` in the
+`recording()` wraps the local pass `_local_pass` and the phase functions
+`client_uplink`, `server_aggregate` and `server_finalize` in the
 `fedcef.algorithms` namespace, where the engine looks them up at call time,
 as `bench/tracer.py` does. A transcript therefore comes from a real engine
 run: the wrappers pass every argument and result through unchanged and only
-copy what they see. The oracle writes into a gradient block the pass reuses,
-so each gradient is copied when it is returned, into the list of the client
-it names; how the engine groups the clients into passes does not matter.
-Only fedcef rounds end in server_finalize, which takes the round's
-gradients, so record fedcef runs alone. The originals are put back on exit,
-also when the body raises.
+copy what they see. The local pass is handed a `recorded` step rule, which
+copies row j of the gradient block into the list of client rows[j] before
+the real rule runs; how the engine groups the clients into passes, and how
+it fills the block, does not matter. Only fedcef rounds end in
+server_finalize, which takes the round's gradients, so record fedcef runs
+alone. The originals are put back on exit, also when the body raises.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fedcef import algorithms
 from fedcef.algorithms import RoundState
 from fedcef.compressors import SparsePayload
 
-PHASES = ("stochastic_gradient", "client_uplink", "server_aggregate", "server_finalize")
+PHASES = ("_local_pass", "client_uplink", "server_aggregate", "server_finalize")
 
 
 @dataclass
@@ -43,6 +43,18 @@ class RoundTranscript:
     downlink_payload: SparsePayload
 
 
+def recorded(step, rows, gradients):
+    """The step rule `step` of a pass over the clients in `rows`, which first
+    appends a copy of row j of its gradient block g to gradients[rows[j]]."""
+
+    def recording_step(hp, k, x_hat, x, g, *args):
+        for j, i in enumerate(rows):
+            gradients[i].append(g[j].copy())
+        return step(hp, k, x_hat, x, g, *args)
+
+    return recording_step
+
+
 @contextlib.contextmanager
 def recording():
     """Yield a list that gets one RoundTranscript per fedcef round run in
@@ -52,10 +64,8 @@ def recording():
     gradients: defaultdict[int, list[np.ndarray]] = defaultdict(list)
     pending: dict[str, object] = {}
 
-    def stochastic_gradient(prob, client, *args, **kwargs):
-        g = originals["stochastic_gradient"](prob, client, *args, **kwargs)
-        gradients[client].append(g.copy())
-        return g
+    def _local_pass(st, rows, prob, reg, hp, seed, t, step, *args):
+        originals["_local_pass"](st, rows, prob, reg, hp, seed, t, recorded(step, rows, gradients), *args)
 
     def client_uplink(st, hp, spec, seed, t):
         local = copy.deepcopy(st)
@@ -82,7 +92,7 @@ def recording():
         gradients.clear()
 
     try:
-        for wrapper in (stochastic_gradient, client_uplink, server_aggregate, server_finalize):
+        for wrapper in (_local_pass, client_uplink, server_aggregate, server_finalize):
             setattr(algorithms, wrapper.__name__, wrapper)
         yield transcripts
     finally:

@@ -1,6 +1,7 @@
 """Every name a fedcef module or a test module imports is used in that
 module, so a change that deletes or moves the last use of a name also
-deletes its import."""
+deletes its import. And no test patches the engine's per-client oracle or
+local update by name."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import os
 import pytest
 
 import fedcef
+from tests._transcripts import PHASES
 
 SRC = os.path.dirname(os.path.abspath(fedcef.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -50,3 +52,29 @@ def test_every_imported_name_is_used(module):
         tree = ast.parse(fh.read(), module)
     used = _used(tree)
     assert [f"{module}:{line}: {name}" for name, line in _imports(tree) if name not in used] == []
+
+
+# the engine's per-client oracle and local update: a block oracle or an
+# all-client pass stops calling them, and no test may depend on those calls
+ENGINE_CALLS = ("stochastic_gradient", "client_gradient", "local_update")
+
+
+def test_no_test_patches_the_engine_oracle():
+    """No test module sets one of ENGINE_CALLS on a namespace, by
+    `setattr(owner, name, ...)`, `monkeypatch.setattr(owner, name, ...)` or a
+    dotted `monkeypatch.setattr("module.name", ...)`, and the transcripts wrap
+    none of them."""
+    patched = [name for name in PHASES if name in ENGINE_CALLS]
+    for module in sorted(m for m in MODULES if m.startswith("tests/")):
+        with open(MODULES[module]) as fh:
+            tree = ast.parse(fh.read(), module)
+        patched += [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "setattr" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(
+                isinstance(a, ast.Constant) and str(a.value).rsplit(".", 1)[-1] in ENGINE_CALLS for a in node.args[:2]
+            )
+        ]
+    assert patched == []

@@ -35,7 +35,7 @@ from fedcef.problems import (
     stochastic_gradient,
 )
 from fedcef.regularizers import Regularizer
-from tests._reference import LOSSES, client_loss, draw, fd_gradient, masked_sigmoid, row_gradient
+from tests._reference import LOSSES, client_loss, draw, masked_sigmoid, row_gradient
 
 DATA_VARIANTS = ("squared_error", "logistic", "sigmoid_nonconvex")
 
@@ -51,19 +51,6 @@ def hetero_problem(seed=5, p=6, N=4, curv=(0.1, 10.0)):
         HETERO_QUADRATIC, p, N, N, PartitionSpec(IID), seed,
         curvature_range=curv,
     )
-
-
-@pytest.mark.parametrize("variant", DATA_VARIANTS + (HETERO_QUADRATIC,))
-def test_gradient_matches_finite_differences(variant):
-    prob = hetero_problem() if variant == HETERO_QUADRATIC else small_problem(variant)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.standard_normal(prob.dim)
-        for i in range(prob.n_clients):
-            g = client_gradient(prob, i, x)
-            fd = fd_gradient(lambda v: client_loss(prob, i, v), x)
-            denom = max(np.linalg.norm(g), 1e-8)
-            assert np.linalg.norm(g - fd) / denom <= 1e-5
 
 
 def test_single_sample_squared_error_closed_form():
