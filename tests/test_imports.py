@@ -59,22 +59,21 @@ def test_every_imported_name_is_used(module):
 ENGINE_CALLS = ("stochastic_gradient", "client_gradient", "local_update")
 
 
-def test_no_test_patches_the_engine_oracle():
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if m.startswith("tests/")))
+def test_no_test_patches_the_engine_oracle(module):
     """No test module sets one of ENGINE_CALLS on a namespace, by
     `setattr(owner, name, ...)`, `monkeypatch.setattr(owner, name, ...)` or a
-    dotted `monkeypatch.setattr("module.name", ...)`, and the transcripts wrap
-    none of them."""
-    patched = [name for name in PHASES if name in ENGINE_CALLS]
-    for module in sorted(m for m in MODULES if m.startswith("tests/")):
-        with open(MODULES[module]) as fh:
-            tree = ast.parse(fh.read(), module)
-        patched += [
-            f"{module}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and "setattr" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-            and any(
-                isinstance(a, ast.Constant) and str(a.value).rsplit(".", 1)[-1] in ENGINE_CALLS for a in node.args[:2]
-            )
-        ]
-    assert patched == []
+    dotted `monkeypatch.setattr("module.name", ...)`."""
+    with open(MODULES[module]) as fh:
+        tree = ast.parse(fh.read(), module)
+    assert [
+        f"{module}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "setattr" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any(isinstance(a, ast.Constant) and str(a.value).rsplit(".", 1)[-1] in ENGINE_CALLS for a in node.args[:2])
+    ] == []
+
+
+def test_transcripts_wrap_no_engine_call():
+    assert [name for name in PHASES if name in ENGINE_CALLS] == []
