@@ -16,7 +16,7 @@ closed-form largest curvature for hetero_quadratic).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -61,11 +61,9 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class LossKind:
-    """A loss variant, the one thing checked here; FederatedProblem checks its data."""
+    """A loss variant, the one thing checked here; FederatedProblem holds and checks its data."""
 
     variant: str
-    curvatures: np.ndarray | None = None  # hetero_quadratic: (N, p), > 0
-    centers: np.ndarray | None = None  # hetero_quadratic: (N, p)
 
     def __post_init__(self) -> None:
         if self.variant not in LOSS_VARIANTS:
@@ -74,34 +72,41 @@ class LossKind:
 
 @dataclass
 class FederatedProblem:
-    """N client shards plus a smooth loss, whose data is checked here; gradient oracles live below."""
+    """N clients plus a smooth loss, whose data is checked here; gradient oracles live below."""
 
     loss: LossKind
     dim: int
-    features: list[np.ndarray]  # per client, shape (n_i, p); may be row views of one matrix
-    labels: list[np.ndarray]  # per client, shape (n_i,)
+    features: list[np.ndarray] = field(default_factory=list)  # per client, (n_i, p); may be row views of one matrix
+    labels: list[np.ndarray] = field(default_factory=list)  # per client, shape (n_i,)
     smoothness: float | None = None  # L; estimated here when left unset
     ground_truth: np.ndarray | None = None  # planted model, when labels came from one
+    curvatures: np.ndarray | None = None  # hetero_quadratic, which holds no shards: (N, p), > 0
+    centers: np.ndarray | None = None  # hetero_quadratic: (N, p), row i is client i
 
     def __post_init__(self) -> None:
-        if len(self.features) != len(self.labels) or not self.features:
+        if self.closed_form:
+            if self.features or self.labels:
+                raise ValueError("hetero_quadratic takes no shards: its clients are the rows of curvatures and centers")
+            shape = np.shape(self.centers)
+            if not np.shape(self.curvatures) == shape == shape[:1] + (self.dim,) or shape[0] == 0:
+                raise ValueError(f"hetero_quadratic needs curvatures and centers of one shape (N, {self.dim}), N >= 1")
+            if not np.all(self.curvatures > 0):
+                raise ValueError("hetero_quadratic curvatures must be strictly positive")
+        elif self.curvatures is not None or self.centers is not None:
+            raise ValueError(f"a {self.loss.variant} problem takes no curvatures or centers")
+        elif len(self.features) != len(self.labels) or not self.features:
             raise ValueError("need one nonempty (features, labels) shard per client")
         for a, b in zip(self.features, self.labels):
             if a.shape[0] == 0:
                 raise ValueError("every shard must be nonempty")
-            if a.shape != (b.shape[0], self.dim):
-                raise ValueError("feature rows must have length dim and match labels")
-        if self.closed_form:
-            if not np.shape(self.loss.curvatures) == np.shape(self.loss.centers) == (self.n_clients, self.dim):
-                raise ValueError(f"hetero_quadratic needs curvatures and centers of shape {(self.n_clients, self.dim)}")
-            if not np.all(self.loss.curvatures > 0):
-                raise ValueError("hetero_quadratic curvatures must be strictly positive")
+            if a.shape != (b.shape[0], self.dim) or b.ndim != 1:
+                raise ValueError("feature rows must have length dim and labels one value per row")
         if self.smoothness is None:
             self.smoothness = estimate_smoothness(self)
 
     @property
     def n_clients(self) -> int:
-        return len(self.features)
+        return len(self.features) or len(self.centers)  # hetero_quadratic holds no shards
 
     @property
     def closed_form(self) -> bool:
@@ -139,7 +144,7 @@ def client_gradient(
     loss when already computed. With `out`, the gradient is written there and
     `out` is returned, the same bits."""
     if prob.closed_form:
-        return np.multiply(prob.loss.curvatures[client], x - prob.loss.centers[client], out=out)
+        return np.multiply(prob.curvatures[client], x - prob.centers[client], out=out)
     a = prob.features[client]
     if margins is None:
         margins = a @ x
@@ -155,8 +160,8 @@ def client_values(prob: FederatedProblem, x: np.ndarray) -> tuple[list[float], n
     once, for f_i, the mean of its per-sample losses, and for gradient row
     i, which client_gradient fills: the same bits as calling it per client."""
     if prob.closed_form:
-        d = x - prob.loss.centers
-        grads = prob.loss.curvatures * d
+        d = x - prob.centers
+        grads = prob.curvatures * d
         return (0.5 * np.sum(grads * d, axis=1)).tolist(), grads
     loss = _DATA_LOSSES[prob.loss.variant][0]
     objectives = []
@@ -273,7 +278,7 @@ def estimate_smoothness(prob: FederatedProblem) -> float:
     1.6e-10 relative on the p = 2000, 20000-sample benchmark problem (38 to
     69 steps per shard), by at most 1.2e-11 on the golden configs."""
     if prob.closed_form:
-        return float(np.max(prob.loss.curvatures))
+        return float(np.max(prob.curvatures))
     return _DATA_LOSSES[prob.loss.variant][2] * max(
         _gram_top_eigenvalue(a, f"the smoothness estimate of client {i}") for i, a in enumerate(prob.features)
     )
@@ -326,7 +331,6 @@ def generate_synthetic(
     seed: int,
     label_noise: float = 0.1,
     curvature_range: tuple[float, float] = (0.1, 10.0),
-    center_scale: float = 10.0,
 ) -> FederatedProblem:
     """Build a desk-scale problem instance.
 
@@ -334,7 +338,7 @@ def generate_synthetic(
     sparse model (support size max(1, p//5)); squared-error labels are pure
     noise. hetero_quadratic ignores `samples` and draws per-client diagonal
     curvatures log-uniform over curvature_range and centers uniform in
-    [-center_scale, center_scale]. Each draw comes from the stream of `seed`
+    [-10, 10]. Each draw comes from the stream of `seed`
     labelled problem/hetero, /features, /labels, /model or /partition.
     """
     loss = LossKind(variant)  # checks the variant before any draw
@@ -342,6 +346,8 @@ def generate_synthetic(
         raise ValueError("dimension must be >= 1")
     if N < 1:
         raise ValueError("need at least one client")
+    if not 0 <= label_noise < math.inf:
+        raise ValueError("label noise must be finite and >= 0")
 
     if variant == HETERO_QUADRATIC:
         lo, hi = curvature_range
@@ -349,13 +355,8 @@ def generate_synthetic(
             raise ValueError("curvature range must be positive")
         hstream = derive_stream(seed, "problem/hetero")
         H = np.exp(hstream.uniform(math.log(lo), math.log(hi), size=(N, p)))
-        m = hstream.uniform(-center_scale, center_scale, size=(N, p))
-        loss = LossKind(HETERO_QUADRATIC, curvatures=H, centers=m)
-        # Placeholder one-row shards keep the shard interface uniform; the
-        # gradient oracle never reads them for this variant.
-        feats = [np.zeros((1, p)) for _ in range(N)]
-        labs = [np.zeros(1) for _ in range(N)]
-        return FederatedProblem(loss, p, feats, labs)
+        m = hstream.uniform(-10.0, 10.0, size=(N, p))
+        return FederatedProblem(loss, p, curvatures=H, centers=m)
 
     if samples < N:
         raise ValueError("need at least one sample per client")

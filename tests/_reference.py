@@ -41,8 +41,8 @@ LOSSES = {
 def draw(stream, prob, i, B):
     """One step's B sample indices of client i's shard, drawn with
     replacement from the stream step by step, not as the engine's one (K, B)
-    draw; None under B = FULL."""
-    return None if B == FULL else stream.integers(0, prob.features[i].shape[0], size=B)
+    draw; None under B = FULL and on hetero_quadratic, which has no shard."""
+    return None if B == FULL or prob.closed_form else stream.integers(0, prob.features[i].shape[0], size=B)
 
 
 def row_gradient(prob, i, x, idx=None):
@@ -50,7 +50,7 @@ def row_gradient(prob, i, x, idx=None):
     or over its whole shard when idx is None. hetero_quadratic reads no
     sample, so it ignores idx."""
     if prob.closed_form:
-        return prob.loss.curvatures[i] * (x - prob.loss.centers[i])
+        return prob.curvatures[i] * (x - prob.centers[i])
     a, y = prob.features[i], prob.labels[i]
     if idx is not None:
         a, y = a[idx], y[idx]
@@ -61,8 +61,8 @@ def client_loss(prob, i, x):
     """f_i(x): the mean of client i's per-sample losses, or
     0.5 sum_j H_ij (x_j - m_ij)^2 on hetero_quadratic."""
     if prob.closed_form:
-        d = x - prob.loss.centers[i]
-        return float(0.5 * np.sum(prob.loss.curvatures[i] * d * d))
+        d = x - prob.centers[i]
+        return float(0.5 * np.sum(prob.curvatures[i] * d * d))
     a, y = prob.features[i], prob.labels[i]
     return float(np.mean(LOSSES[prob.loss.variant][0](a @ x, y)))
 

@@ -188,7 +188,7 @@ def test_criterion_4_heterogeneity_robustness(hetero_bundle):
     final_avg = avg.series.rows[-1].prox_grad_sq
     # independent oracle for the baseline's plateau: the fixed point of the
     # averaged K-step affine map, in closed form for diagonal quadratics
-    H, m = prob.loss.curvatures, prob.loss.centers
+    H, m = prob.curvatures, prob.centers
     w = 1.0 - (1.0 - hp.alpha * H) ** hp.K
     z_bar = (w * m).sum(axis=0) / w.sum(axis=0)
     floor = float(np.sum(prox_gradient_mapping(prob, reg, z_bar, hp.beta) ** 2))

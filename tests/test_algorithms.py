@@ -135,8 +135,9 @@ def diverging_problem(closed_form, p=3, N=2, finite=()):
     if closed_form:
         curvatures = np.ones((N, p))
         curvatures[list(finite)] = 1e-200
-        loss = LossKind("hetero_quadratic", curvatures, np.zeros((N, p)))
-        return FederatedProblem(loss, p, [np.zeros((1, p))] * N, [np.zeros(1)] * N, smoothness=1.0)
+        return FederatedProblem(
+            LossKind("hetero_quadratic"), p, smoothness=1.0, curvatures=curvatures, centers=np.zeros((N, p))
+        )
     features = [np.zeros((4, p)) if i in finite else np.ones((4, p)) for i in range(N)]
     return FederatedProblem(LossKind("squared_error"), p, features, [np.zeros(4)] * N, smoothness=3.0)
 
@@ -213,7 +214,7 @@ def test_a_diverging_local_pass_stops_the_run_naming_client_round_and_step(run, 
     z = ones: the centers by -1, or the labels by -(a_s @ ones)."""
     prob = diverging_problem(closed_form)
     if closed_form:
-        prob.loss = LossKind("hetero_quadratic", prob.loss.curvatures, prob.loss.centers - 1.0)
+        prob.centers = prob.centers - 1.0
     else:
         prob.labels = [y - a.sum(axis=1) for a, y in zip(prob.features, prob.labels)]
     hp = HyperParams(alpha=DIVERGING_ALPHA[closed_form], K=6, B=FULL if closed_form else 2, T=3)
@@ -495,7 +496,7 @@ def test_prox_fedavg_hetero_fixed_point_matches_closed_form():
         "hetero_quadratic", 6, 5, 5, PartitionSpec("iid"), 41,
         curvature_range=(0.5, 2.0),
     )
-    H, m = prob.loss.curvatures, prob.loss.centers
+    H, m = prob.curvatures, prob.centers
     K, alpha = 10, 0.01
     hp = HyperParams(alpha=alpha, eta_g=1.0, K=K, eta=1.0, B=FULL, T=4000)
     res = run_prox_fedavg(prob, Regularizer(), hp, seed=0)
@@ -511,9 +512,7 @@ def test_pgd_unit_quadratic_one_step():
     # from z^0 = 0 lands exactly on m
     H = np.ones((1, 3))
     m = np.array([[3.0, -2.0, 5.0]])
-    prob = FederatedProblem(
-        LossKind("hetero_quadratic", H, m), 3, [np.zeros((1, 3))], [np.zeros(1)]
-    )
+    prob = FederatedProblem(LossKind("hetero_quadratic"), 3, curvatures=H, centers=m)
     traj = run_centralized_pgd(prob, Regularizer(), HyperParams(alpha=1.0, T=1)).z_history
     assert np.array_equal(traj[1], m[0])
 

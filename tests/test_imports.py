@@ -1,10 +1,12 @@
 """Every name a fedcef module or a test module imports is used in that
 module, so a change that deletes or moves the last use of a name also
-deletes its import. And no test patches the engine's per-client oracle or
-local update by name."""
+deletes its import. A fedcef module imports only the standard library,
+numpy and fedcef, the one dependency pyproject.toml declares. And no test
+patches the engine's per-client oracle or local update by name."""
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -52,6 +54,23 @@ def test_every_imported_name_is_used(module):
         tree = ast.parse(fh.read(), module)
     used = _used(tree)
     assert [f"{module}:{line}: {name}" for name, line in _imports(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if not m.startswith("tests/")))
+def test_src_imports_only_the_standard_library_and_numpy(module):
+    """Every import in a fedcef module, `if TYPE_CHECKING:` blocks included,
+    names a top-level package of the standard library, numpy or fedcef; a
+    relative import is fedcef's own."""
+    with open(MODULES[module]) as fh:
+        tree = ast.parse(fh.read(), module)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.module, node.lineno))
+    allowed = sys.stdlib_module_names | {"numpy", "fedcef"}
+    assert [f"{module}:{line}: {name}" for name, line in imported if name.split(".")[0] not in allowed] == []
 
 
 # the engine's per-client oracle and local update: a block oracle or an

@@ -68,7 +68,7 @@ def test_mapping_vanishes_at_hetero_optimum():
     prob = generate_synthetic(
         "hetero_quadratic", 6, 4, 4, PartitionSpec("iid"), 8
     )
-    H, m = prob.loss.curvatures, prob.loss.centers
+    H, m = prob.curvatures, prob.centers
     xstar = (H * m).sum(axis=0) / H.sum(axis=0)
     G = prox_gradient_mapping(prob, Regularizer(), xstar, 0.1)
     assert np.max(np.abs(G)) <= 1e-10

@@ -65,7 +65,7 @@ def test_single_sample_squared_error_closed_form():
 
 def test_hetero_gradient_and_stationary_point():
     prob = hetero_problem(seed=9)
-    H, m = prob.loss.curvatures, prob.loss.centers
+    H, m = prob.curvatures, prob.centers
     x = np.linspace(-1, 1, prob.dim)
     for i in range(prob.n_clients):
         assert np.array_equal(client_gradient(prob, i, x), H[i] * (x - m[i]))
@@ -124,29 +124,60 @@ def test_batch_size_must_be_a_positive_integer(B):
 def test_hetero_smoothness_is_max_diagonal():
     H = np.array([[1.0, 2.0], [3.0, 1.0]])
     m = np.zeros((2, 2))
-    prob = FederatedProblem(
-        LossKind(HETERO_QUADRATIC, H, m), 2, [np.zeros((1, 2))] * 2, [np.zeros(1)] * 2
-    )
+    prob = FederatedProblem(LossKind(HETERO_QUADRATIC), 2, curvatures=H, centers=m)
+    assert prob.n_clients == 2 and prob.features == prob.labels == []
     assert estimate_smoothness(prob) == 3.0
+
+
+SHAPE = r"^hetero_quadratic needs curvatures and centers of one shape \(N, 4\), N >= 1$"
+POSITIVE = "^hetero_quadratic curvatures must be strictly positive$"
 
 
 @pytest.mark.parametrize(
     "curvatures, centers, message",
     [
-        (None, np.zeros((2, 4)), r"of shape \(2, 4\)$"),
-        (np.ones((2, 4)), None, r"of shape \(2, 4\)$"),
-        # a phantom third client would enter F and G at every measured row
-        (np.ones((3, 4)), np.zeros((3, 4)), r"of shape \(2, 4\)$"),
-        (np.ones((2, 4)), np.zeros((2, 5)), r"of shape \(2, 4\)$"),
-        (np.array([[1.0, 1.0, 0.0, 1.0], [1.0] * 4]), np.zeros((2, 4)), "strictly positive$"),
+        (None, np.zeros((2, 4)), SHAPE),
+        (np.ones((2, 4)), None, SHAPE),
+        (np.ones((3, 4)), np.zeros((2, 4)), SHAPE),
+        (np.ones((2, 5)), np.zeros((2, 5)), SHAPE),
+        (np.ones(4), np.zeros(4), SHAPE),
+        (np.ones((2, 4, 1)), np.zeros((2, 4, 1)), SHAPE),
+        (np.ones((0, 4)), np.zeros((0, 4)), SHAPE),
+        (np.array([[1.0, 1.0, 0.0, 1.0], [1.0] * 4]), np.zeros((2, 4)), POSITIVE),
+        (np.array([[1.0, 1.0, np.nan, 1.0], [1.0] * 4]), np.zeros((2, 4)), POSITIVE),
     ],
-    ids=["no_curvatures", "no_centers", "three_clients", "five_coordinates", "zero_curvature"],
+    ids=["no_curvatures", "no_centers", "different_shapes", "five_coordinates", "one_row_vector", "three_axes",
+         "no_rows", "zero_curvature", "nan_curvature"],
 )
-def test_a_hetero_problem_refuses_client_data_not_shaped_by_its_shards(curvatures, centers, message):
-    # 2 clients, p = 4: the shards fix N and p, and the loss's data must match
-    loss = LossKind(HETERO_QUADRATIC, curvatures, centers)
+def test_a_hetero_problem_refuses_client_data_of_the_wrong_shape(curvatures, centers, message):
+    # p = 4: curvatures and centers are one (N, 4) block each, and N >= 1
     with pytest.raises(ValueError, match=message):
-        FederatedProblem(loss, 4, [np.zeros((1, 4))] * 2, [np.zeros(1)] * 2)
+        FederatedProblem(LossKind(HETERO_QUADRATIC), 4, curvatures=curvatures, centers=centers)
+
+
+def test_a_hetero_problem_refuses_shards():
+    message = "^hetero_quadratic takes no shards: its clients are the rows of curvatures and centers$"
+    H, m = np.ones((2, 4)), np.zeros((2, 4))
+    for feats, labs in (([np.zeros((1, 4))] * 2, [np.zeros(1)] * 2), ([np.zeros((1, 4))], []), ([], [np.zeros(1)])):
+        with pytest.raises(ValueError, match=message):
+            FederatedProblem(LossKind(HETERO_QUADRATIC), 4, feats, labs, curvatures=H, centers=m)
+
+
+@pytest.mark.parametrize("curvatures, centers", [(np.ones((1, 2)), None), (None, np.zeros((1, 2)))])
+def test_a_data_problem_refuses_curvatures_and_centers(curvatures, centers):
+    with pytest.raises(ValueError, match="^a squared_error problem takes no curvatures or centers$"):
+        FederatedProblem(
+            LossKind("squared_error"), 2, [np.ones((3, 2))], [np.ones(3)], curvatures=curvatures, centers=centers
+        )
+
+
+def test_labels_are_one_value_per_row():
+    a = np.random.default_rng(0).standard_normal((5, 3))
+    y = np.where(a[:, 0] >= 0, 1.0, -1.0)
+    FederatedProblem(LossKind("logistic"), 3, [a], [y])
+    for bad in (y.reshape(-1, 1), y.reshape(1, -1), y[:4]):
+        with pytest.raises(ValueError, match="^feature rows must have length dim and labels one value per row$"):
+            FederatedProblem(LossKind("logistic"), 3, [a], [bad])
 
 
 def test_smoothness_is_estimated_only_when_left_unset():
@@ -438,9 +469,7 @@ def test_block_oracles_match_the_per_client_oracles(variant):
 def test_hetero_objective_zero_at_center():
     H = np.array([[2.0, 3.0]])
     m = np.array([[1.0, -1.0]])
-    prob = FederatedProblem(
-        LossKind(HETERO_QUADRATIC, H, m), 2, [np.zeros((1, 2))], [np.zeros(1)]
-    )
+    prob = FederatedProblem(LossKind(HETERO_QUADRATIC), 2, curvatures=H, centers=m)
     assert objective_value(prob, Regularizer(), m[0]) == 0.0
 
 
@@ -473,6 +502,23 @@ def test_an_unknown_variant_is_refused_before_any_draw(monkeypatch):
     # the same counter sees a known variant's draws
     generate_synthetic("logistic", 8, 60, 3, PartitionSpec(IID), 0)
     assert labels[0] == "problem/features"
+
+
+@pytest.mark.parametrize("label_noise", [np.nan, np.inf, -0.1])
+def test_label_noise_must_be_finite_and_nonnegative_before_any_draw(label_noise, monkeypatch):
+    labels = []
+
+    def counting_stream(seed, label):
+        labels.append(label)
+        return derive_stream(seed, label)
+
+    monkeypatch.setattr(problems, "derive_stream", counting_stream)
+    with pytest.raises(ValueError, match="^label noise must be finite and >= 0$"):
+        generate_synthetic("logistic", 5, 60, 2, PartitionSpec(IID), 0, label_noise=label_noise)
+    assert labels == []
+    # no noise is a valid setting: the labels are the planted model's signs
+    prob = generate_synthetic("logistic", 5, 60, 2, PartitionSpec(IID), 0, label_noise=0.0)
+    assert {float(v) for y in prob.labels for v in y} == {-1.0, 1.0}
 
 
 def test_generate_preconditions():
@@ -559,8 +605,9 @@ def test_hetero_quadratic_draws_from_its_problem_stream():
     prob = generate_synthetic(HETERO_QUADRATIC, 6, 4, 4, PartitionSpec(IID), 9)
     hstream = derive_stream(9, "problem/hetero")
     H = np.exp(hstream.uniform(math.log(0.1), math.log(10.0), size=(4, 6)))
-    assert np.array_equal(prob.loss.curvatures, H)
-    assert np.array_equal(prob.loss.centers, hstream.uniform(-10.0, 10.0, size=(4, 6)))
+    assert np.array_equal(prob.curvatures, H)
+    assert np.array_equal(prob.centers, hstream.uniform(-10.0, 10.0, size=(4, 6)))
+    assert prob.n_clients == 4 and prob.features == prob.labels == []  # no placeholder shards
 
 
 def test_generation_holds_one_copy_of_the_features():
