@@ -76,16 +76,19 @@ class FederatedProblem:
 
     loss: LossKind
     dim: int
-    features: list[np.ndarray] = field(default_factory=list)  # per client, (n_i, p); may be row views of one matrix
-    labels: list[np.ndarray] = field(default_factory=list)  # per client, shape (n_i,)
+    all_features: np.ndarray | None = None  # data losses: (n, p), client-major
+    all_labels: np.ndarray | None = None  # data losses: (n,), one label per row
+    offsets: np.ndarray | None = None  # (N + 1,): client i's rows are offsets[i]:offsets[i + 1]
     smoothness: float | None = None  # L; estimated here when left unset
     ground_truth: np.ndarray | None = None  # planted model, when labels came from one
-    curvatures: np.ndarray | None = None  # hetero_quadratic, which holds no shards: (N, p), > 0
+    curvatures: np.ndarray | None = None  # hetero_quadratic, which holds no sample data: (N, p), > 0
     centers: np.ndarray | None = None  # hetero_quadratic: (N, p), row i is client i
+    features: list[np.ndarray] = field(init=False, default_factory=list)  # client i's row view of all_features
+    labels: list[np.ndarray] = field(init=False, default_factory=list)  # client i's view of all_labels
 
     def __post_init__(self) -> None:
         if self.closed_form:
-            if self.features or self.labels:
+            if any(v is not None for v in (self.all_features, self.all_labels, self.offsets)):
                 raise ValueError("hetero_quadratic takes no shards: its clients are the rows of curvatures and centers")
             shape = np.shape(self.centers)
             if not np.shape(self.curvatures) == shape == shape[:1] + (self.dim,) or shape[0] == 0:
@@ -94,13 +97,14 @@ class FederatedProblem:
                 raise ValueError("hetero_quadratic curvatures must be strictly positive")
         elif self.curvatures is not None or self.centers is not None:
             raise ValueError(f"a {self.loss.variant} problem takes no curvatures or centers")
-        elif len(self.features) != len(self.labels) or not self.features:
-            raise ValueError("need one nonempty (features, labels) shard per client")
-        for a, b in zip(self.features, self.labels):
-            if a.shape[0] == 0:
-                raise ValueError("every shard must be nonempty")
-            if a.shape != (b.shape[0], self.dim) or b.ndim != 1:
-                raise ValueError("feature rows must have length dim and labels one value per row")
+        elif np.ndim(self.all_labels) != 1 or np.shape(self.all_features) != np.shape(self.all_labels) + (self.dim,):
+            raise ValueError("feature rows must have length dim and labels one value per row")
+        elif (np.asarray(self.offsets).dtype.kind != "i" or np.ndim(self.offsets) != 1 or len(self.offsets) < 2
+              or self.offsets[0] != 0 or self.offsets[-1] != len(self.all_labels) or np.diff(self.offsets).min() < 1):
+            raise ValueError(f"offsets must be N + 1 >= 2 integers rising strictly from 0 to {len(self.all_labels)}")
+        else:
+            self.features = np.split(self.all_features, self.offsets[1:-1])
+            self.labels = np.split(self.all_labels, self.offsets[1:-1])
         if self.smoothness is None:
             self.smoothness = estimate_smoothness(self)
 
@@ -351,8 +355,8 @@ def generate_synthetic(
 
     if variant == HETERO_QUADRATIC:
         lo, hi = curvature_range
-        if not 0 < lo <= hi:
-            raise ValueError("curvature range must be positive")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError("curvature range must be positive and finite")
         hstream = derive_stream(seed, "problem/hetero")
         H = np.exp(hstream.uniform(math.log(lo), math.log(hi), size=(N, p)))
         m = hstream.uniform(-10.0, 10.0, size=(N, p))
@@ -380,13 +384,11 @@ def generate_synthetic(
         assign = _iid_partition(samples, N, derive_stream(seed, "problem/partition"))
 
     # One matrix, client-major: a stable sort keeps each client's rows in
-    # drawn order, so shard i is bitwise a[assign == i], here a row view.
+    # drawn order, so shard i is bitwise a[assign == i], a row view of a.
     order = np.argsort(assign, kind="stable")
     _permute_rows(a, order)
-    y = y[order]
-    ends = np.cumsum(np.bincount(assign, minlength=N))[:-1]
-    feats, labs = np.split(a, ends), np.split(y, ends)
-    return FederatedProblem(loss, p, feats, labs, ground_truth=x_true)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=N))))
+    return FederatedProblem(loss, p, a, y[order], offsets, ground_truth=x_true)
 
 
 def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:

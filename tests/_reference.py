@@ -1,5 +1,6 @@
 """The tests' own per-row oracle: each loss, its gradient, the batch draws
-and the sigma^2 estimate, written one client and one row at a time.
+and the sigma^2 estimate, written one client and one row at a time; and
+`stacked`, which builds a data-loss problem from hand-made shards.
 
 src's oracles and engine are checked against these functions, not against
 themselves. Each gradient is computed in the order src's oracle computes
@@ -10,7 +11,16 @@ or `_sigmoid` from `fedcef.problems`.
 
 import numpy as np
 
-from fedcef.problems import FULL
+from fedcef.problems import FULL, FederatedProblem
+
+
+def stacked(loss, dim, features, labels, **fields):
+    """The data-loss problem whose client i holds the rows features[i] and
+    the labels labels[i]: both lists stacked client-major into one matrix
+    and one vector, with the offsets of their lengths, the layout
+    generate_synthetic builds. `fields` are FederatedProblem's other fields."""
+    offsets = np.cumsum([0] + [len(a) for a in features])
+    return FederatedProblem(loss, dim, np.concatenate(features), np.concatenate(labels), offsets, **fields)
 
 
 def masked_sigmoid(u):

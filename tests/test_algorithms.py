@@ -36,7 +36,7 @@ from fedcef.problems import (
     objective_value,
 )
 from fedcef.regularizers import Regularizer
-from tests._reference import row_gradient
+from tests._reference import row_gradient, stacked
 from tests._transcripts import PHASES, recorded, recording
 from tests.test_compressors import assert_encodes
 
@@ -51,7 +51,7 @@ def zero_gradient_problem(p=4, N=2):
     """All feature rows are zero, so every stochastic gradient is exactly zero."""
     feats = [np.zeros((3, p)) for _ in range(N)]
     labs = [np.ones(3) for _ in range(N)]
-    prob = FederatedProblem(LossKind("squared_error"), p, feats, labs)
+    prob = stacked(LossKind("squared_error"), p, feats, labs)
     prob.smoothness = 1.0  # placeholder; the data has no curvature
     return prob
 
@@ -139,7 +139,7 @@ def diverging_problem(closed_form, p=3, N=2, finite=()):
             LossKind("hetero_quadratic"), p, smoothness=1.0, curvatures=curvatures, centers=np.zeros((N, p))
         )
     features = [np.zeros((4, p)) if i in finite else np.ones((4, p)) for i in range(N)]
-    return FederatedProblem(LossKind("squared_error"), p, features, [np.zeros(4)] * N, smoothness=3.0)
+    return stacked(LossKind("squared_error"), p, features, [np.zeros(4)] * N, smoothness=3.0)
 
 
 DIVERGING_ALPHA = {True: 1e100, False: 1e100 / 3}
@@ -216,7 +216,7 @@ def test_a_diverging_local_pass_stops_the_run_naming_client_round_and_step(run, 
     if closed_form:
         prob.centers = prob.centers - 1.0
     else:
-        prob.labels = [y - a.sum(axis=1) for a, y in zip(prob.features, prob.labels)]
+        prob.all_labels -= prob.all_features.sum(axis=1)  # in place, so each shard's label view shifts too
     hp = HyperParams(alpha=DIVERGING_ALPHA[closed_form], K=6, B=FULL if closed_form else 2, T=3)
     args = (CompressorSpec("identity"),) if run is run_fedcef else ()
     with warnings.catch_warnings():

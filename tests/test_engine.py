@@ -27,14 +27,13 @@ from fedcef.metrics import lyapunov_diagnostic
 from fedcef.problems import (
     FULL,
     LOSS_VARIANTS,
-    FederatedProblem,
     LossKind,
     PartitionSpec,
     generate_synthetic,
     objective_value,
 )
 from fedcef.regularizers import Regularizer
-from tests._reference import draw, row_gradient
+from tests._reference import draw, row_gradient, stacked
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -132,15 +131,13 @@ def _hetero_p1():
     return prob, Regularizer(0.01), hp, CompressorSpec("randk", 1.0)
 
 
-def _separate_shards():
-    # generated shards are row views of one client-major matrix; these are
-    # separate arrays of different lengths, one of them a strided view
+def _stacked_shards():
+    # hand-made shards of different lengths, stacked into one client-major matrix
     rng = np.random.default_rng(11)
     p = 6
-    features = [rng.standard_normal((n, p)) for n in (7, 19, 12)]
-    features[1] = features[1][::2]
+    features = [rng.standard_normal((n, p)) for n in (7, 10, 12)]
     labels = [np.where(rng.standard_normal(a.shape[0]) > 0, 1.0, -1.0) for a in features]
-    prob = FederatedProblem(LossKind("logistic"), p, features, labels)
+    prob = stacked(LossKind("logistic"), p, features, labels)
     hp = HyperParams(alpha=0.05, eta_g=1.0, K=5, eta=0.5, B=3, T=10)
     return prob, Regularizer(1e-3), hp, CompressorSpec("topk", 0.5)
 
@@ -162,7 +159,7 @@ def engine_cases(draw):
         labels = [rng.standard_normal(a.shape[0]) for a in features]
         if variant != "squared_error":
             labels = [np.where(y >= 0, 1.0, -1.0) for y in labels]
-        prob = FederatedProblem(LossKind(variant), p, features, labels)
+        prob = stacked(LossKind(variant), p, features, labels)
     kind = draw(st.sampled_from(KINDS))
     spec = CompressorSpec(kind, None if kind == "identity" else draw(st.integers(1, p)))
     hp = HyperParams(
@@ -181,7 +178,7 @@ def engine_cases(draw):
 @example(case=_hetero_randk())
 @example(case=_logistic_p1())
 @example(case=_hetero_p1())
-@example(case=_separate_shards())
+@example(case=_stacked_shards())
 def test_engine_matches_per_client_loop_bitwise(case):
     prob, reg, hp, spec = case
     z_ref, up_ref, lyap_ref = reference_fedcef(prob, reg, hp, spec, seed=9)

@@ -27,7 +27,8 @@ from fedcef.harness import (
     write_metrics_csv,
 )
 from fedcef.metrics import MetricsRow, MetricsSeries, StepConditionReport
-from fedcef.problems import DIRICHLET, FULL, IID, LOSS_VARIANTS, FederatedProblem, LossKind
+from fedcef.problems import DIRICHLET, FULL, IID, LOSS_VARIANTS, LossKind
+from tests._reference import stacked
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -374,7 +375,7 @@ def test_demo_on_one_blas_thread_writes_the_golden_bytes(tmp_path):
 
 def test_a_flat_problem_runs_and_its_infinite_bounds_round_trip(tmp_path):
     # all-zero shards: every f_i is constant, so L = 0 and no step condition binds
-    prob = FederatedProblem(LossKind("squared_error"), 4, [np.zeros((3, 4))] * 2, [np.ones(3)] * 2)
+    prob = stacked(LossKind("squared_error"), 4, [np.zeros((3, 4))] * 2, [np.ones(3)] * 2)
     assert prob.smoothness == 0.0
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=2, eta=1.0, B=FULL, T=3)
     series = run_fedcef(prob, regularizers.Regularizer(0.1), hp, compressors.CompressorSpec("topk", 2), 0).series

@@ -21,7 +21,6 @@ from fedcef.metrics import (
 from fedcef.problems import (
     DIRICHLET,
     LOSS_VARIANTS,
-    FederatedProblem,
     LossKind,
     PartitionSpec,
     full_global_gradient,
@@ -29,7 +28,7 @@ from fedcef.problems import (
     objective_value,
 )
 from fedcef.regularizers import Regularizer
-from tests._reference import client_loss, gradient_variance, row_gradient
+from tests._reference import client_loss, gradient_variance, row_gradient, stacked
 from tests._transcripts import RoundTranscript
 from tests.test_regularizers import grid_prox_l1
 
@@ -53,7 +52,7 @@ def test_mapping_equals_gradient_without_regularizer():
 
 def test_mapping_one_dimensional_lasso():
     # f = 0.5*(z - 2)^2 as a single-sample squared error with a=1, b=2
-    prob = FederatedProblem(
+    prob = stacked(
         LossKind("squared_error"), 1, [np.array([[1.0]])], [np.array([2.0])]
     )
     reg = Regularizer(1.0)
@@ -81,8 +80,8 @@ def test_mapping_invariant_to_objective_shift():
     a = rng.standard_normal((30, 5))
     b = rng.standard_normal(30)
     d = 3.0
-    base = FederatedProblem(LossKind("squared_error"), 5, [a], [b])
-    shifted = FederatedProblem(
+    base = stacked(LossKind("squared_error"), 5, [a], [b])
+    shifted = stacked(
         LossKind("squared_error"),
         5,
         [np.vstack([a, a])],
@@ -205,7 +204,7 @@ def test_measure_row_reads_each_shard_twice():
 def test_measure_row_names_the_first_non_finite_row_without_warnings():
     # the suite turns any warning into an error
     def problem(a):
-        return FederatedProblem(LossKind("squared_error"), 1, [np.array([[a]])] * 2, [np.zeros(1)] * 2, smoothness=1.0)
+        return stacked(LossKind("squared_error"), 1, [np.array([[a]])] * 2, [np.zeros(1)] * 2, smoothness=1.0)
 
     # margins 1e110: F = 5e219 is finite, but each gradient a.T @ w overflows,
     # and the global gradient's inf reaches ||G||^2

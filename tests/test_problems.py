@@ -35,7 +35,7 @@ from fedcef.problems import (
     stochastic_gradient,
 )
 from fedcef.regularizers import Regularizer
-from tests._reference import LOSSES, client_loss, draw, masked_sigmoid, row_gradient
+from tests._reference import LOSSES, client_loss, draw, masked_sigmoid, row_gradient, stacked
 
 DATA_VARIANTS = ("squared_error", "logistic", "sigmoid_nonconvex")
 
@@ -56,7 +56,7 @@ def hetero_problem(seed=5, p=6, N=4, curv=(0.1, 10.0)):
 def test_single_sample_squared_error_closed_form():
     a = np.array([[3.0, 4.0]])
     b = np.array([2.0])
-    prob = FederatedProblem(LossKind("squared_error"), 2, [a], [b])
+    prob = stacked(LossKind("squared_error"), 2, [a], [b])
     x = np.array([1.0, -1.0])
     expected = a[0] * (a[0] @ x - b[0])
     assert np.allclose(stochastic_gradient(prob, 0, x, FULL, None), expected)
@@ -158,36 +158,50 @@ def test_a_hetero_problem_refuses_client_data_of_the_wrong_shape(curvatures, cen
 def test_a_hetero_problem_refuses_shards():
     message = "^hetero_quadratic takes no shards: its clients are the rows of curvatures and centers$"
     H, m = np.ones((2, 4)), np.zeros((2, 4))
-    for feats, labs in (([np.zeros((1, 4))] * 2, [np.zeros(1)] * 2), ([np.zeros((1, 4))], []), ([], [np.zeros(1)])):
+    a, y, offsets = np.zeros((2, 4)), np.zeros(2), np.array([0, 1, 2])
+    for data in ((a, y, offsets), (a, None, None), (None, y, None), (None, None, offsets), (a, y, None)):
         with pytest.raises(ValueError, match=message):
-            FederatedProblem(LossKind(HETERO_QUADRATIC), 4, feats, labs, curvatures=H, centers=m)
+            FederatedProblem(LossKind(HETERO_QUADRATIC), 4, *data, curvatures=H, centers=m)
 
 
 @pytest.mark.parametrize("curvatures, centers", [(np.ones((1, 2)), None), (None, np.zeros((1, 2)))])
 def test_a_data_problem_refuses_curvatures_and_centers(curvatures, centers):
     with pytest.raises(ValueError, match="^a squared_error problem takes no curvatures or centers$"):
-        FederatedProblem(
-            LossKind("squared_error"), 2, [np.ones((3, 2))], [np.ones(3)], curvatures=curvatures, centers=centers
-        )
+        stacked(LossKind("squared_error"), 2, [np.ones((3, 2))], [np.ones(3)], curvatures=curvatures, centers=centers)
 
 
 def test_labels_are_one_value_per_row():
     a = np.random.default_rng(0).standard_normal((5, 3))
     y = np.where(a[:, 0] >= 0, 1.0, -1.0)
-    FederatedProblem(LossKind("logistic"), 3, [a], [y])
-    for bad in (y.reshape(-1, 1), y.reshape(1, -1), y[:4]):
+    offsets = np.array([0, 2, 5])
+    FederatedProblem(LossKind("logistic"), 3, a, y, offsets)
+    for feats, labs in ((a, y.reshape(-1, 1)), (a, y.reshape(1, -1)), (a, y[:4]), (a, None), (None, y),
+                        (a[:, :2], y), (np.hstack([a, a]), y), (a[None], y)):
         with pytest.raises(ValueError, match="^feature rows must have length dim and labels one value per row$"):
-            FederatedProblem(LossKind("logistic"), 3, [a], [bad])
+            FederatedProblem(LossKind("logistic"), 3, feats, labs, offsets)
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [None, [1, 2, 5], [0, 2, 4], [0, 2, 6], [0, 2, 2, 5], [0, 3, 2, 5], [[0, 2, 5]], [0], [], [0.0, 2.0, 5.0]],
+    ids=["none", "not_from_zero", "short_of_n", "past_n", "repeated", "falling", "two_axes", "no_clients", "empty",
+         "floats"],
+)
+def test_offsets_cut_the_rows_into_one_nonempty_shard_per_client(offsets):
+    a, y = np.ones((5, 3)), np.ones(5)
+    FederatedProblem(LossKind("squared_error"), 3, a, y, np.array([0, 2, 5]))
+    with pytest.raises(ValueError, match=r"^offsets must be N \+ 1 >= 2 integers rising strictly from 0 to 5$"):
+        FederatedProblem(LossKind("squared_error"), 3, a, y, None if offsets is None else np.array(offsets))
 
 
 def test_smoothness_is_estimated_only_when_left_unset():
     # all-zero shards: L = 0 is the estimate and is kept, as is an explicit 0
     feats, labs = [np.zeros((3, 4))] * 2, [np.ones(3)] * 2
-    assert FederatedProblem(LossKind("squared_error"), 4, feats, labs).smoothness == 0.0
+    assert stacked(LossKind("squared_error"), 4, feats, labs).smoothness == 0.0
     a = [np.ones((3, 4))] * 2  # a^T a / 3 is the all-ones 4 x 4 matrix, top eigenvalue 4
-    assert FederatedProblem(LossKind("squared_error"), 4, a, labs).smoothness == pytest.approx(4.0)
-    assert FederatedProblem(LossKind("squared_error"), 4, a, labs, smoothness=0.0).smoothness == 0.0
-    assert FederatedProblem(LossKind("squared_error"), 4, a, labs, smoothness=7.5).smoothness == 7.5
+    assert stacked(LossKind("squared_error"), 4, a, labs).smoothness == pytest.approx(4.0)
+    assert stacked(LossKind("squared_error"), 4, a, labs, smoothness=0.0).smoothness == 0.0
+    assert stacked(LossKind("squared_error"), 4, a, labs, smoothness=7.5).smoothness == 7.5
 
 
 def test_logistic_smoothness_vs_dense_eigensolve():
@@ -276,7 +290,7 @@ def test_overflowing_shard_raises_naming_the_client():
     feats = [prob.features[0], prob.features[1] * 1e160]
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NonFiniteError, match="client 1"):
-            FederatedProblem(LossKind("squared_error"), prob.dim, feats, prob.labels)
+            stacked(LossKind("squared_error"), prob.dim, feats, prob.labels)
 
 
 @pytest.mark.parametrize("variant", DATA_VARIANTS + (HETERO_QUADRATIC,))
@@ -524,6 +538,9 @@ def test_label_noise_must_be_finite_and_nonnegative_before_any_draw(label_noise,
 def test_generate_preconditions():
     with pytest.raises(ValueError):
         generate_synthetic("logistic", 4, 2, 3, PartitionSpec(IID), 0)
+    for curv in ((0.0, 1.0), (2.0, 1.0), (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="^curvature range must be positive and finite$"):
+            generate_synthetic(HETERO_QUADRATIC, 3, 1, 2, PartitionSpec(IID), 0, curvature_range=curv)
     with pytest.raises(ValueError):
         stochastic_gradient(small_problem("logistic"), 99, np.zeros(8), FULL, None)
 
@@ -599,6 +616,7 @@ def test_shards_equal_the_masked_rows_of_the_drawn_data(variant, part):
     for i in range(N):
         assert np.array_equal(prob.features[i], a[assign == i])
         assert np.array_equal(prob.labels[i], y[assign == i])
+        assert np.shares_memory(prob.features[i], prob.all_features)  # no copy of the drawn rows
 
 
 def test_hetero_quadratic_draws_from_its_problem_stream():
