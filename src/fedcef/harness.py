@@ -11,12 +11,11 @@ Config files are INI-style key/value documents with six sections::
     alpha_d = 0.6                  T = 400
 
     [algorithm]                    [regularizer]
-    name = fedcef                  kind = l1
-                                   lambda = 1e-5
-    [compressor]
-    kind = topk                    [run]
-    retain = 0.1                   seed = 0      ; in [0, 2**64)
-                                   lyapunov = false
+    name = fedcef                  lambda = 1e-5 ; h = lambda * ||x||_1
+
+    [compressor]                   [run]
+    kind = topk                    seed = 0      ; in [0, 2**64)
+    retain = 0.1                   lyapunov = false
 
 The fields of `RunConfig` are the one list of keys: each declares its
 section, key, reader and echo, and `FIELDS` maps each (section, case-folded
@@ -63,7 +62,6 @@ logger = logging.getLogger(__name__)
 SCHEMA_LINE = "# fedcef-metrics schema=1"
 
 ALGORITHMS = ("fedcef", "prox_fedavg", "pgd")
-REGULARIZER_KINDS = ("zero", "l1")
 
 class ConfigError(ValueError):
     """Malformed or out-of-domain run configuration."""
@@ -177,7 +175,6 @@ class RunConfig:
     eta: float = _key(0.1, "hyper", "eta", float, _fmt)
     B: int | str = _key(64, "hyper", "B", _batch)
     T: int = _key(400, "hyper", "T", int)
-    reg_kind: str = _key("l1", "regularizer", "kind", _choice(REGULARIZER_KINDS))
     reg_lambda: float = _key(1e-5, "regularizer", "lambda", float, _fmt)
     comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
     seed: int = _key(0, "run", "seed", _seed)
@@ -188,9 +185,7 @@ class RunConfig:
         return HyperParams(alpha=self.alpha, eta_g=self.eta_g, K=self.K, eta=self.eta, B=self.B, T=self.T)
 
     def regularizer(self) -> Regularizer:
-        # lambda is checked under either kind, and kind = zero drops it
-        reg = Regularizer(self.reg_lambda)
-        return Regularizer() if self.reg_kind == "zero" else reg
+        return Regularizer(self.reg_lambda)
 
     def compressor(self) -> CompressorSpec:
         return CompressorSpec(self.comp_kind, None if self.comp_kind == IDENTITY else self.comp_retain)

@@ -107,6 +107,8 @@ class FederatedProblem:
             self.labels = np.split(self.all_labels, self.offsets[1:-1])
         if self.smoothness is None:
             self.smoothness = estimate_smoothness(self)
+        elif not 0 <= self.smoothness < math.inf:
+            raise ValueError(f"smoothness L = {self.smoothness!r} must be nonnegative and finite")
 
     @property
     def n_clients(self) -> int:
@@ -313,6 +315,9 @@ def dirichlet_partition(labels: np.ndarray, N: int, alpha_d: float, rng: np.rand
         for cls in classes:
             idx = np.flatnonzero(labels == cls)
             props = rng.dirichlet(np.full(N, alpha_d))
+            # a huge alpha_d overflows numpy's gamma sum: all-zero or NaN proportions
+            if not abs(props.sum() - 1.0) < 1e-6:
+                raise ValueError(f"dirichlet concentration alpha_d={alpha_d!r} overflows the draw: sum {props.sum()}")
             counts = _largest_remainder_counts(props, idx.size)
             assign[rng.permutation(idx)] = np.repeat(np.arange(N), counts)
         if np.all(np.bincount(assign, minlength=N) > 0):

@@ -17,7 +17,6 @@ from fedcef.algorithms import HyperParams, StepConditionWarning, run_fedcef
 from fedcef.cli import main as cli_main
 from fedcef.harness import (
     ALGORITHMS,
-    REGULARIZER_KINDS,
     ConfigError,
     RunConfig,
     compare_runs,
@@ -53,7 +52,6 @@ B = 2
 T = 6
 
 [regularizer]
-kind = l1
 lambda = 1e-4
 
 [compressor]
@@ -69,7 +67,7 @@ def test_defaults_are_the_larger_setting():
     cfg = parse_config("")
     assert (cfg.alpha, cfg.eta_g, cfg.K, cfg.eta, cfg.B, cfg.T) == (0.06, 1.0, 30, 0.1, 64, 400)
     assert cfg.loss == "logistic" and cfg.partition == "dirichlet" and cfg.alpha_d == 0.6
-    assert cfg.reg_kind == "l1" and cfg.reg_lambda == 1e-5
+    assert cfg.reg_lambda == 1e-5
 
 
 def test_full_batch_parse():
@@ -90,6 +88,10 @@ def test_unknown_keys_are_hard_errors():
         parse_config(BASE_CONFIG, {"problem.pp": "3"})
     with pytest.raises(ConfigError, match=r"^unknown section \[bogus\]$"):
         parse_config(BASE_CONFIG, {"bogus.x": "1"})
+    # h = 0 is written lambda = 0: the regularizer has no kind
+    for kind in ("l1", "zero"):
+        with pytest.raises(ConfigError, match=r"^unknown key 'kind' in section \[regularizer\]$"):
+            parse_config(f"[regularizer]\nkind = {kind}\n")
 
 
 @pytest.mark.parametrize("other", ["[problem]\nloss = logistic\n", "[run]\nlyapunov = true\n"])
@@ -396,12 +398,12 @@ def test_runconfig_helpers_validate():
         cfg.compressor()
 
 
-@pytest.mark.parametrize("kind, reg", [("zero", regularizers.Regularizer()), ("l1", regularizers.Regularizer(3.0))])
-def test_regularizer_kind_builds_its_weight(kind, reg):
-    # kind = zero keeps lambda in the echo but builds h = 0; a negative
-    # lambda is rejected under either kind (see test_rejected_configs_stay_rejected)
-    cfg = parse_config(f"[regularizer]\nkind = {kind}\nlambda = 3\n")
-    assert cfg.reg_lambda == 3.0 and cfg.echo()["regularizer.lambda"] == "3"
+@pytest.mark.parametrize("lam, reg", [("0", regularizers.Regularizer()), ("3", regularizers.Regularizer(3.0))])
+def test_regularizer_lambda_builds_its_weight(lam, reg):
+    # lambda = 0 is h = 0; a negative lambda is rejected (see
+    # test_rejected_configs_stay_rejected)
+    cfg = parse_config(f"[regularizer]\nlambda = {lam}\n")
+    assert cfg.reg_lambda == float(lam) and cfg.echo()["regularizer.lambda"] == lam
     assert cfg.regularizer() == reg
 
 
@@ -411,7 +413,7 @@ def test_hetero_quadratic_via_config(tmp_path):
     cfg = parse_config(
         "[problem]\nloss = hetero_quadratic\np = 6\nsamples = 1\nclients = 4\n"
         "[hyper]\nalpha = 0.001\nK = 5\nT = 8\nB = full\n"
-        "[regularizer]\nkind = zero\n"
+        "[regularizer]\nlambda = 0\n"
         "[compressor]\nkind = identity\n"
     )
     series = run_experiment(cfg, str(tmp_path / "hetero.csv"))
@@ -472,8 +474,8 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[hyper]\npreset = mnist-like\n",
         "[regularizer]\nlambda = -1\n",
         "[regularizer]\nlambda = nan\n",
-        "[regularizer]\nkind = zero\nlambda = -1\n",
-        "[regularizer]\nkind = l2\n",
+        "[regularizer]\nkind = l1\n",
+        "[regularizer]\nkind = zero\n",
         "[problem]\npartition = iid\nalpha_d = 0\n",
         "[problem]\nalpha_d = inf\n",
         "[problem]\npartition = shards\n",
@@ -520,7 +522,6 @@ def run_configs(draw):
         eta=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         B=draw(st.just("full") | st.integers(1, 10**4)),
         T=draw(st.integers(1, 10**5)),
-        reg_kind=draw(st.sampled_from(REGULARIZER_KINDS)),
         reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
         comp_kind=comp_kind,
         comp_retain=None if comp_kind == compressors.IDENTITY else retain,
@@ -743,15 +744,24 @@ def test_cli_rejects_a_beta_that_underflows_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_reports_a_partition_failure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "samples, clients, alpha_d, err",
+    [
+        ("12", "12", "0.05", "error: dirichlet partition left a client empty"),
+        # finite, but numpy's gamma sum overflows: the proportions come back all zero
+        ("240", "10", "1e308", "error: dirichlet concentration alpha_d=1e+308 "),
+    ],
+    ids=["starved", "overflow"],
+)
+def test_cli_reports_a_partition_failure(tmp_path, capsys, samples, clients, alpha_d, err):
     cfg_path = tmp_path / "starved.ini"
     cfg_path.write_text(
-        "[problem]\nloss = logistic\np = 5\nsamples = 12\nclients = 12\n"
-        "partition = dirichlet\nalpha_d = 0.05\n\n[hyper]\nK = 1\nT = 2\n"
+        f"[problem]\nloss = logistic\np = 5\nsamples = {samples}\nclients = {clients}\n"
+        f"partition = dirichlet\nalpha_d = {alpha_d}\n\n[hyper]\nK = 1\nT = 2\n"
     )
     out = tmp_path / "x.csv"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: dirichlet partition left a client empty")
+    assert capsys.readouterr().err.startswith(err)
     assert not out.exists()
 
 

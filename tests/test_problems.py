@@ -202,6 +202,11 @@ def test_smoothness_is_estimated_only_when_left_unset():
     assert stacked(LossKind("squared_error"), 4, a, labs).smoothness == pytest.approx(4.0)
     assert stacked(LossKind("squared_error"), 4, a, labs, smoothness=0.0).smoothness == 0.0
     assert stacked(LossKind("squared_error"), 4, a, labs, smoothness=7.5).smoothness == 7.5
+    # a given L is the bound the step conditions scale with, so it must be
+    # >= 0 and finite: inf would make every step bound 0
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^smoothness L = .* must be nonnegative and finite$"):
+            stacked(LossKind("squared_error"), 4, a, labs, smoothness=bad)
 
 
 def test_logistic_smoothness_vs_dense_eigensolve():
@@ -549,6 +554,15 @@ def test_generate_preconditions():
 def test_dirichlet_concentration_must_be_positive_and_finite(alpha_d):
     with pytest.raises(ValueError, match="^dirichlet concentration"):
         PartitionSpec(DIRICHLET, alpha_d)
+
+
+def test_dirichlet_partition_refuses_a_draw_that_overflows():
+    # PartitionSpec refuses inf, a direct call does not: numpy's draw at inf
+    # is all NaN, as it is all zero at a finite 1e308 over 10 clients
+    labels = np.tile([1.0, -1.0], 20)
+    for alpha_d in (np.inf, 1e308):
+        with pytest.raises(ValueError, match=f"^dirichlet concentration alpha_d={re.escape(repr(alpha_d))} "):
+            dirichlet_partition(labels, 10, alpha_d, derive_stream(0, "part"))
 
 
 @settings(max_examples=300, deadline=None)
