@@ -35,6 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # the CSV is opened only after the whole run
+        raise FileNotFoundError(f"--out directory {out_dir!r} does not exist")
     with open(args.config) as fh:
         cfg = parse_config(fh.read(), None if args.seed is None else {"run.seed": str(args.seed)})
     run_experiment(cfg, args.out)
@@ -86,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "sweep":
                 return _cmd_sweep(args)
             return _cmd_compare(args)
-        except (ConfigError, NonFiniteError, OSError, ValueError) as exc:
+        except (ConfigError, MemoryError, NonFiniteError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

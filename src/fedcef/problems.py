@@ -79,7 +79,7 @@ class FederatedProblem:
     all_features: np.ndarray | None = None  # data losses: (n, p), client-major
     all_labels: np.ndarray | None = None  # data losses: (n,), one label per row
     offsets: np.ndarray | None = None  # (N + 1,): client i's rows are offsets[i]:offsets[i + 1]
-    smoothness: float | None = None  # L; estimated here when left unset
+    smoothness: float = field(init=False)  # L, estimated here from the client data
     ground_truth: np.ndarray | None = None  # planted model, when labels came from one
     curvatures: np.ndarray | None = None  # hetero_quadratic, which holds no sample data: (N, p), > 0
     centers: np.ndarray | None = None  # hetero_quadratic: (N, p), row i is client i
@@ -105,10 +105,7 @@ class FederatedProblem:
         else:
             self.features = np.split(self.all_features, self.offsets[1:-1])
             self.labels = np.split(self.all_labels, self.offsets[1:-1])
-        if self.smoothness is None:
-            self.smoothness = estimate_smoothness(self)
-        elif not 0 <= self.smoothness < math.inf:
-            raise ValueError(f"smoothness L = {self.smoothness!r} must be nonnegative and finite")
+        self.smoothness = estimate_smoothness(self)
 
     @property
     def n_clients(self) -> int:

@@ -428,3 +428,29 @@ def test_criterion_10_gradient_correctness():
         worst <= 1e-5 and elapsed < 5.0,
         f"worst relative deviation {worst:.2e}, {elapsed:.1f}s",
     )
+
+
+# Criterion 11, fixed before its first run: logistic, p = 100, 4000 samples,
+# N = 5 clients, Dirichlet 0.5, lambda = 1e-2, K = 10, eta = 0.5, B = 32,
+# T = 200, alpha = 1/(8KL), eta_g = 1, stream seed 0, identity uplink, problem
+# seeds 0 and 1. PGD runs at the same beta = alpha * K. fedcef's nnz(z^T) may
+# be at most SPARSITY_RATIO times PGD's.
+SPARSITY_RATIO = 2.0
+
+
+def test_criterion_11_fedcef_keeps_a_sparse_model_where_prox_fedavg_cannot():
+    # prox_fedavg averages the clients' post-prox models, and a coordinate is
+    # zero in the average only if it is zero at every client; fedcef applies
+    # prox_{beta h} once, at the server (the curse of primal averaging)
+    t0 = time.time()
+    reg = Regularizer(1e-2)
+    details, ok = [], True
+    for problem_seed in (0, 1):
+        prob = generate_synthetic("logistic", 100, 4000, 5, PartitionSpec("dirichlet", 0.5), problem_seed)
+        hp = HyperParams(alpha=1.0 / (8 * 10 * prob.smoothness), eta_g=1.0, K=10, eta=0.5, B=32, T=200)
+        fed = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=0).series.rows[-1].nnz
+        avg = run_prox_fedavg(prob, reg, hp, seed=0).series.rows[-1].nnz
+        pgd = run_centralized_pgd(prob, reg, hp).series.rows[-1].nnz
+        ok = ok and fed < avg and fed <= SPARSITY_RATIO * pgd
+        details.append(f"seed {problem_seed}: nnz fedcef {fed}, pgd {pgd}, prox_fedavg {avg} of p = {prob.dim}")
+    report(11, "sparse model under averaging", ok, f"{'; '.join(details)}, {time.time() - t0:.1f}s")

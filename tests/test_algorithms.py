@@ -51,9 +51,7 @@ def zero_gradient_problem(p=4, N=2):
     """All feature rows are zero, so every stochastic gradient is exactly zero."""
     feats = [np.zeros((3, p)) for _ in range(N)]
     labs = [np.ones(3) for _ in range(N)]
-    prob = stacked(LossKind("squared_error"), p, feats, labs)
-    prob.smoothness = 1.0  # placeholder; the data has no curvature
-    return prob
+    return stacked(LossKind("squared_error"), p, feats, labs)  # L = 0: the data has no curvature
 
 
 @pytest.mark.parametrize(
@@ -135,11 +133,9 @@ def diverging_problem(closed_form, p=3, N=2, finite=()):
     if closed_form:
         curvatures = np.ones((N, p))
         curvatures[list(finite)] = 1e-200
-        return FederatedProblem(
-            LossKind("hetero_quadratic"), p, smoothness=1.0, curvatures=curvatures, centers=np.zeros((N, p))
-        )
+        return FederatedProblem(LossKind("hetero_quadratic"), p, curvatures=curvatures, centers=np.zeros((N, p)))
     features = [np.zeros((4, p)) if i in finite else np.ones((4, p)) for i in range(N)]
-    return stacked(LossKind("squared_error"), p, features, [np.zeros(4)] * N, smoothness=3.0)
+    return stacked(LossKind("squared_error"), p, features, [np.zeros(4)] * N)
 
 
 DIVERGING_ALPHA = {True: 1e100, False: 1e100 / 3}

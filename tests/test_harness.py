@@ -127,13 +127,14 @@ def test_retain_count_vs_ratio():
         parse_config("[compressor]\nkind = topk\nretain = 5e2\n")
 
 
-# The golden CSVs, one per config and algorithm: the five configs cover all
-# four loss families and both partition modes, and hetero_drift_p200 is the
-# benchmark's hetero_drift workload cut to T = 20. configs/demo.ini is the
-# shipped demo; the other configs sit beside their goldens.
+# The golden CSVs, one per config and algorithm: the six configs cover all
+# four loss families and both partition modes, hetero_drift_p200 is the
+# benchmark's hetero_drift workload cut to T = 20, and logistic_l1_sparse is
+# the one whose final rows have nnz < p, pinning the l1 prox's zeroing.
+# configs/demo.ini is the shipped demo; the other configs sit beside their goldens.
 @pytest.mark.parametrize(
     "name, algorithm",
-    [(name, algorithm) for name in ("demo", "hetero_randk") for algorithm in ALGORITHMS]
+    [(name, algorithm) for name in ("demo", "hetero_randk", "logistic_l1_sparse") for algorithm in ALGORITHMS]
     + [
         (name, algorithm)
         for name in ("squared_iid", "sigmoid_dirichlet_b8", "hetero_drift_p200")
@@ -337,6 +338,32 @@ def test_cli_reports_errors(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_missing_out_directory_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(cfg, out_path):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("fedcef.cli.run_experiment", no_run)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BASE_CONFIG)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out directory {str(out.parent)!r} does not exist\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_cli_reports_a_memory_error_in_one_line(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg, out_path):  # what numpy raises for [hyper] B = 100000000000
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type int64")
+
+    monkeypatch.setattr("fedcef.cli.run_experiment", out_of_memory)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BASE_CONFIG)
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 745. GiB for an array with shape (100000000000,) and data type int64\n"
+    )
 
 
 def test_python_dash_m_runs_the_cli():

@@ -204,7 +204,10 @@ def test_measure_row_reads_each_shard_twice():
 def test_measure_row_names_the_first_non_finite_row_without_warnings():
     # the suite turns any warning into an error
     def problem(a):
-        return stacked(LossKind("squared_error"), 1, [np.array([[a]])] * 2, [np.zeros(1)] * 2, smoothness=1.0)
+        # built on unit rows, whose L is 1: a 1e200 shard overflows the estimate
+        prob = stacked(LossKind("squared_error"), 1, [np.ones((1, 1))] * 2, [np.zeros(1)] * 2)
+        prob.all_features[:] = a
+        return prob
 
     # margins 1e110: F = 5e219 is finite, but each gradient a.T @ w overflows,
     # and the global gradient's inf reaches ||G||^2

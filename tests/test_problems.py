@@ -194,19 +194,17 @@ def test_offsets_cut_the_rows_into_one_nonempty_shard_per_client(offsets):
         FederatedProblem(LossKind("squared_error"), 3, a, y, None if offsets is None else np.array(offsets))
 
 
-def test_smoothness_is_estimated_only_when_left_unset():
-    # all-zero shards: L = 0 is the estimate and is kept, as is an explicit 0
+def test_smoothness_is_always_the_estimate_of_the_client_data():
+    # all-zero shards: L = 0 is the estimate and is kept
     feats, labs = [np.zeros((3, 4))] * 2, [np.ones(3)] * 2
-    assert stacked(LossKind("squared_error"), 4, feats, labs).smoothness == 0.0
+    prob = stacked(LossKind("squared_error"), 4, feats, labs)
+    assert prob.smoothness == estimate_smoothness(prob) == 0.0
     a = [np.ones((3, 4))] * 2  # a^T a / 3 is the all-ones 4 x 4 matrix, top eigenvalue 4
-    assert stacked(LossKind("squared_error"), 4, a, labs).smoothness == pytest.approx(4.0)
-    assert stacked(LossKind("squared_error"), 4, a, labs, smoothness=0.0).smoothness == 0.0
-    assert stacked(LossKind("squared_error"), 4, a, labs, smoothness=7.5).smoothness == 7.5
-    # a given L is the bound the step conditions scale with, so it must be
-    # >= 0 and finite: inf would make every step bound 0
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="^smoothness L = .* must be nonnegative and finite$"):
-            stacked(LossKind("squared_error"), 4, a, labs, smoothness=bad)
+    prob = stacked(LossKind("squared_error"), 4, a, labs)
+    assert prob.smoothness == estimate_smoothness(prob) == pytest.approx(4.0)
+    # L is what the step conditions scale with, so no caller may swap in another number
+    with pytest.raises(TypeError, match="smoothness"):
+        stacked(LossKind("squared_error"), 4, a, labs, smoothness=7.5)
 
 
 def test_logistic_smoothness_vs_dense_eigensolve():
