@@ -35,9 +35,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    # the CSV is opened only after the whole run, so a path it cannot take is refused first
     out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):  # the CSV is opened only after the whole run
+    if not os.path.isdir(out_dir):
         raise FileNotFoundError(f"--out directory {out_dir!r} does not exist")
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out!r} is a directory")
     with open(args.config) as fh:
         cfg = parse_config(fh.read(), None if args.seed is None else {"run.seed": str(args.seed)})
     run_experiment(cfg, args.out)

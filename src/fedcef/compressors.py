@@ -1,8 +1,9 @@
 """Contractive compression operators, their payloads, and byte accounting.
 
-Every shipped operator has compression factor q^2 = 1 - k/p (0 for identity).
-Identity and top-k satisfy ||C(x) - x||^2 <= q^2 ||x||^2 on every input; top-k
-keeps the k largest-magnitude coordinates. Rand-k keeps k uniformly chosen
+The two operators, top-k and rand-k, have compression factor q^2 = 1 - k/p;
+full retention (k = p) is the uncompressed uplink, with q^2 = 0. Top-k keeps
+the k largest-magnitude coordinates and satisfies ||C(x) - x||^2 <=
+q^2 ||x||^2 on every input. Rand-k keeps k uniformly chosen
 coordinates without rescaling, which makes it biased rather than unbiased, and
 meets the bound only in expectation over its draw: E||C(x) - x||^2 =
 q^2 ||x||^2, while for a one-hot x the error is all of ||x||^2 on a share
@@ -26,10 +27,9 @@ import numpy as np
 
 from .core import ensure_finite
 
-IDENTITY = "identity"
 TOPK = "topk"
 RANDK = "randk"
-KINDS = (IDENTITY, TOPK, RANDK)
+KINDS = (TOPK, RANDK)
 
 # Accounting model: a retained sparse element costs 8 bytes (4-byte index +
 # 4-byte single), a dense element costs 4 bytes. The charge assumes 4-byte
@@ -43,23 +43,17 @@ class CompressorSpec:
     """Which operator to apply and how much to retain.
 
     `retain` is an element count when given as an integer (>= 1; numpy
-    integers are stored as int) and a ratio in (0, 1] when given as a float;
-    identity takes no retain argument.
+    integers are stored as int) and a ratio in (0, 1] when given as a float.
+    Full retention, `retain = 1.0` or the count p, is the uncompressed uplink.
     """
 
-    kind: str = IDENTITY
-    retain: int | float | None = None
+    kind: str
+    retain: int | float
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
-        if self.kind == IDENTITY:
-            if self.retain is not None:
-                raise ValueError("identity compressor takes no retain argument")
-            return
-        if self.retain is None:
-            raise ValueError(f"{self.kind} compressor needs a retain count or ratio")
-        if isinstance(self.retain, bool):
+        if isinstance(self.retain, bool) or not isinstance(self.retain, numbers.Real):
             raise ValueError("retain must be an int count or float ratio")
         if isinstance(self.retain, numbers.Integral):
             if self.retain < 1:
@@ -73,8 +67,6 @@ class CompressorSpec:
         """Number of retained coordinates at dimension p."""
         if p < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind == IDENTITY:
-            return p
         if isinstance(self.retain, int):
             if self.retain > p:
                 raise ValueError(f"retain count {self.retain} exceeds dimension {p}")
@@ -86,12 +78,9 @@ class CompressorSpec:
 
 def contraction_factor(spec: CompressorSpec, p: int) -> float:
     """The factor q^2 in [0, 1) that bounds the compression error
-    ||C(x) - x||^2 by q^2 ||x||^2: on every input for identity and top-k,
-    in expectation over the draw for rand-k."""
-    k = spec.resolve_k(p)
-    if spec.kind == IDENTITY or k == p:
-        return 0.0
-    return 1.0 - k / p
+    ||C(x) - x||^2 by q^2 ||x||^2: on every input for top-k, in expectation
+    over the draw for rand-k. Full retention (k = p) gives exactly 0.0."""
+    return 1.0 - spec.resolve_k(p) / p
 
 
 @dataclass(frozen=True)
@@ -120,18 +109,19 @@ def compress(
     returns the flattened block's payload (see SparsePayload) and C(x), shaped
     like x. Rand-k at k < p draws row i from the i-th of `streams`, one per
     row, taken only as the row is drawn, so they may come lazily; a (p,)
-    vector, the one-row case, takes [stream]. The other operators, and
-    rand-k at k = p, draw nothing and take no stream.
+    vector, the one-row case, takes [stream]. Top-k, and rand-k at k = p,
+    draw nothing and take no stream.
 
-    Full retention (identity, or k == p) is transmitted dense: it carries the
-    whole vector anyway and dense elements are cheaper (4 vs 8 bytes), so
-    top-k at ratio 1.0 is byte-for-byte equivalent to identity.
+    Full retention (k == p, under either kind) is the uncompressed uplink and
+    is transmitted dense: it carries the whole vector anyway and dense
+    elements are cheaper (4 vs 8 bytes), so every full-retention spelling
+    sends the same bytes.
     """
     x = np.asarray(x, dtype=np.float64)
     ensure_finite(x, "compress input")
     n, p = np.atleast_2d(x).shape
     k = spec.resolve_k(p)
-    if spec.kind == IDENTITY or k == p:
+    if k == p:
         return SparsePayload(x.size, True, np.empty(0, dtype=np.int64), x.flatten()), x.copy()
     if spec.kind == TOPK:
         # Stable sort on negated magnitudes: ties keep original order, so the

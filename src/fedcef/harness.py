@@ -51,7 +51,7 @@ from typing import Callable
 
 from . import compressors
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
-from .compressors import IDENTITY, TOPK, CompressorSpec
+from .compressors import TOPK, CompressorSpec
 from .core import count
 from .metrics import MetricsRow, MetricsSeries, StepConditionReport
 from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
@@ -126,8 +126,6 @@ def _batch(raw: str) -> int | str:
 
 
 def _retain(raw: str) -> int | float:
-    # Checked as a sparse kind would use it, so a bad retain is an error even
-    # under identity, which then drops it.
     value = float(raw) if any(ch in raw for ch in ".eE") else int(raw)
     return CompressorSpec(TOPK, value).retain
 
@@ -179,7 +177,7 @@ class RunConfig:
     comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
     seed: int = _key(0, "run", "seed", _seed)
     lyapunov: bool = _key(False, "run", "lyapunov", _bool, lambda b: str(b).lower())
-    comp_retain: int | float | None = _key(0.1, "compressor", "retain", _retain)
+    comp_retain: int | float = _key(0.1, "compressor", "retain", _retain)
 
     def hyper(self) -> HyperParams:
         return HyperParams(alpha=self.alpha, eta_g=self.eta_g, K=self.K, eta=self.eta, B=self.B, T=self.T)
@@ -188,19 +186,15 @@ class RunConfig:
         return Regularizer(self.reg_lambda)
 
     def compressor(self) -> CompressorSpec:
-        return CompressorSpec(self.comp_kind, None if self.comp_kind == IDENTITY else self.comp_retain)
+        return CompressorSpec(self.comp_kind, self.comp_retain)
 
     def partition_spec(self) -> PartitionSpec:
         return PartitionSpec(self.partition, self.alpha_d)
 
     def echo(self) -> dict[str, str]:
         """Flat section.key = value view in field order, sufficient to re-run
-        identically. A None value (retain under identity) is left out."""
-        return {
-            f"{f.section}.{f.key}": f.show(value)
-            for name, f in FIELDS.values()
-            if (value := getattr(self, name)) is not None
-        }
+        identically."""
+        return {f"{f.section}.{f.key}": f.show(getattr(self, name)) for name, f in FIELDS.values()}
 
 
 # Every key a config may set, in echo order: (section, key as configparser
@@ -238,8 +232,6 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {f.key} = {raw!r}: {exc}") from None
     cfg = RunConfig(**values)
-    if cfg.comp_kind == IDENTITY:
-        cfg.comp_retain = None
     if cfg.samples < cfg.clients and cfg.loss != HETERO_QUADRATIC:
         raise ConfigError("[problem] samples must be >= clients")
     for section, build in (

@@ -61,7 +61,7 @@ def hetero_bundle():
     reg = Regularizer()
     alpha, eta_g = _condition_satisfying_steps(prob.smoothness, 0.0, 10, 1.0)
     hp = HyperParams(alpha=alpha, eta_g=eta_g, K=10, eta=1.0, B=FULL, T=HETERO_T)
-    fed = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=1, lyapunov=True)
+    fed = run_fedcef(prob, reg, hp, CompressorSpec("topk", 1.0), seed=1, lyapunov=True)
     avg = run_prox_fedavg(prob, reg, hp, seed=1)
     return prob, reg, hp, fed, avg
 
@@ -76,7 +76,7 @@ def test_criterion_1_pgd_reduction():
         )
         beta = 1.0 / (25 * prob.smoothness)
         hp = HyperParams(alpha=beta, eta_g=1.0, K=1, eta=1.0, B=FULL, T=50)
-        fed = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=3)
+        fed = run_fedcef(prob, reg, hp, CompressorSpec("topk", 1.0), seed=3)
         pgd = run_centralized_pgd(prob, reg, HyperParams(alpha=beta, T=50)).z_history
         assert len(fed.z_history) == len(pgd) == 51
         worst = max(worst, max(np.max(np.abs(a - b)) for a, b in zip(fed.z_history, pgd)))
@@ -93,7 +93,7 @@ def test_criterion_2_accumulator_and_reconstruction_identities():
     t0 = time.time()
     rng = np.random.default_rng(2024)
     specs = [
-        CompressorSpec("identity"),
+        CompressorSpec("topk", 1.0),
         CompressorSpec("topk", 0.2),
         CompressorSpec("topk", 1),
         CompressorSpec("randk", 0.3),
@@ -149,7 +149,7 @@ def test_criterion_3_contraction_property():
     details = []
     for p, n_draws in dims.items():
         specs = [
-            CompressorSpec("identity"),
+            CompressorSpec("topk", 1.0),
             CompressorSpec("topk", 1),
             CompressorSpec("topk", 0.5),
             CompressorSpec("randk", 1),
@@ -164,7 +164,7 @@ def test_criterion_3_contraction_property():
                 _, dense = compress(spec, x, [stream])
                 err = float(np.sum((dense - x) ** 2))
                 total = float(np.sum(x * x))
-                if spec.kind in ("identity", "topk"):
+                if spec.kind == "topk":
                     ok &= err <= q2 * total + 1e-12
                 else:
                     # uniform subsets can drop more than their proportional
@@ -235,7 +235,7 @@ def test_criterion_5_sublinear_trend_and_theorem_bound(hetero_bundle):
 
 
 # Chosen before the first run: every data loss and hetero_quadratic,
-# identity, top-k and rand-k, B = full and a minibatch, h = 0 and l1.
+# full retention, top-k and rand-k, B = full and a minibatch, h = 0 and l1.
 # (loss, lambda of h, compressor, B); p = 20, N = 5, 500 samples,
 # Dirichlet 0.5, K = 10, eta = 0.5, the largest condition-satisfying steps
 # at the compressor's q, T = 400, seed 0.
@@ -243,9 +243,9 @@ BOUND_GRID = (
     ("logistic", 1e-2, CompressorSpec("topk", 0.25), 1),
     ("sigmoid_nonconvex", 1e-2, CompressorSpec("randk", 0.25), 4),
     ("squared_error", 1e-1, CompressorSpec("topk", 0.1), 2),
-    ("squared_error", 0.0, CompressorSpec("identity"), FULL),
+    ("squared_error", 0.0, CompressorSpec("topk", 1.0), FULL),
     ("hetero_quadratic", 1e-2, CompressorSpec("randk", 0.25), FULL),
-    ("logistic", 0.0, CompressorSpec("identity"), 4),
+    ("logistic", 0.0, CompressorSpec("topk", 1.0), 4),
 )
 
 
@@ -328,32 +328,32 @@ def test_criterion_7_compression_robustness_and_byte_accounting(logistic_bundle,
     prob, reg, alpha = logistic_bundle
     T, N, p, k = 500, 5, 20, 1  # topk r=0.01 on p=20 retains one coordinate
     hp = HyperParams(alpha=alpha, eta_g=1.0, K=10, eta=0.5, B=FULL, T=T)
-    run_id = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=0)
+    run_full = run_fedcef(prob, reg, hp, CompressorSpec("topk", 1.0), seed=0)
     with recording() as transcripts_tk:
         run_tk = run_fedcef(prob, reg, hp, CompressorSpec("topk", 0.01), seed=0)
-    F_id = run_id.series.rows[-1].F
+    F_full = run_full.series.rows[-1].F
     F_tk = run_tk.series.rows[-1].F
-    rel_gap = abs(F_tk - F_id) / abs(F_id)
-    up_id = run_id.series.rows[-1].uplink_bytes_cum
+    rel_gap = abs(F_tk - F_full) / abs(F_full)
+    up_full = run_full.series.rows[-1].uplink_bytes_cum
     up_tk = run_tk.series.rows[-1].uplink_bytes_cum
     # formula-exact accounting, recomputed from the transcripts
     up_series_tk, down_series_tk = comm_accounting(transcripts_tk, p)
     formulas = (
         up_tk == T * N * k * 8
-        and up_id == T * N * p * 4
+        and up_full == T * N * p * 4
         and up_series_tk[-1] == up_tk
         and down_series_tk[-1] == run_tk.series.rows[-1].downlink_bytes_cum
         and down_series_tk[-1] == (T + 1) * p * 4
     )
     # same comparison through the CSV surface
-    path_tk, path_id = str(tmp_path / "tk.csv"), str(tmp_path / "id.csv")
+    path_tk, path_full = str(tmp_path / "tk.csv"), str(tmp_path / "full.csv")
     write_metrics_csv(path_tk, run_tk.series, {})
-    write_metrics_csv(path_id, run_id.series, {})
-    summary = compare_runs(path_tk, path_id)
+    write_metrics_csv(path_full, run_full.series, {})
+    summary = compare_runs(path_tk, path_full)
     elapsed = time.time() - t0
     ok = (
         rel_gap <= 0.05
-        and up_tk <= 0.10 * up_id
+        and up_tk <= 0.10 * up_full
         and formulas
         and summary.uplink_savings_pct >= 90.0
         and elapsed < 120.0
@@ -362,7 +362,7 @@ def test_criterion_7_compression_robustness_and_byte_accounting(logistic_bundle,
         7,
         "compression robustness and byte accounting",
         ok,
-        f"objective gap {rel_gap:.3%}, uplink ratio {up_tk/up_id:.3f}, savings {summary.uplink_savings_pct:.0f}%, "
+        f"objective gap {rel_gap:.3%}, uplink ratio {up_tk/up_full:.3f}, savings {summary.uplink_savings_pct:.0f}%, "
         f"formulas exact: {formulas}, {elapsed:.1f}s",
     )
 
@@ -432,7 +432,7 @@ def test_criterion_10_gradient_correctness():
 
 # Criterion 11, fixed before its first run: logistic, p = 100, 4000 samples,
 # N = 5 clients, Dirichlet 0.5, lambda = 1e-2, K = 10, eta = 0.5, B = 32,
-# T = 200, alpha = 1/(8KL), eta_g = 1, stream seed 0, identity uplink, problem
+# T = 200, alpha = 1/(8KL), eta_g = 1, stream seed 0, uncompressed uplink, problem
 # seeds 0 and 1. PGD runs at the same beta = alpha * K. fedcef's nnz(z^T) may
 # be at most SPARSITY_RATIO times PGD's.
 SPARSITY_RATIO = 2.0
@@ -448,7 +448,7 @@ def test_criterion_11_fedcef_keeps_a_sparse_model_where_prox_fedavg_cannot():
     for problem_seed in (0, 1):
         prob = generate_synthetic("logistic", 100, 4000, 5, PartitionSpec("dirichlet", 0.5), problem_seed)
         hp = HyperParams(alpha=1.0 / (8 * 10 * prob.smoothness), eta_g=1.0, K=10, eta=0.5, B=32, T=200)
-        fed = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=0).series.rows[-1].nnz
+        fed = run_fedcef(prob, reg, hp, CompressorSpec("topk", 1.0), seed=0).series.rows[-1].nnz
         avg = run_prox_fedavg(prob, reg, hp, seed=0).series.rows[-1].nnz
         pgd = run_centralized_pgd(prob, reg, hp).series.rows[-1].nnz
         ok = ok and fed < avg and fed <= SPARSITY_RATIO * pgd

@@ -214,7 +214,7 @@ def test_a_diverging_local_pass_stops_the_run_naming_client_round_and_step(run, 
     else:
         prob.all_labels -= prob.all_features.sum(axis=1)  # in place, so each shard's label view shifts too
     hp = HyperParams(alpha=DIVERGING_ALPHA[closed_form], K=6, B=FULL if closed_form else 2, T=3)
-    args = (CompressorSpec("identity"),) if run is run_fedcef else ()
+    args = (CompressorSpec("topk", 1.0),) if run is run_fedcef else ()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", StepConditionWarning)
@@ -267,9 +267,9 @@ def test_uplink_momentum_and_error_feedback():
     st.c_known[:] = [0.0, 0.1, 0.0]
     drift = (st.z - st.x_hat[0]) / 0.2 + st.c_local[0] - st.c_known
     v_expected = 0.75 * st.v[0] + 0.25 * drift
-    payload, dense = client_uplink(st, hp, CompressorSpec("identity"), seed=0, t=0)
+    payload, dense = client_uplink(st, hp, CompressorSpec("topk", 1.0), seed=0, t=0)
     assert np.allclose(st.v[0], v_expected)
-    # identity compression: c catches v up to float rounding
+    # full retention: c catches v up to float rounding
     assert np.allclose(st.c_local[0], v_expected, atol=1e-12)
     assert payload.dense
     assert np.allclose(payload.values, v_expected - [0.1, 0.2, 0.3], atol=1e-12)
@@ -278,8 +278,8 @@ def test_uplink_momentum_and_error_feedback():
 
 @pytest.mark.parametrize(
     "spec",
-    [CompressorSpec("identity"), CompressorSpec("topk", 3), CompressorSpec("randk", 0.3)],
-    ids=["identity", "topk", "randk"],
+    [CompressorSpec("topk", 1.0), CompressorSpec("topk", 3), CompressorSpec("randk", 0.3)],
+    ids=["full_retention", "topk", "randk"],
 )
 def test_uplink_charges_exactly_the_block_it_applies(spec):
     """The server sums the block client_uplink returns and never decodes the
@@ -295,14 +295,14 @@ def test_uplink_charges_exactly_the_block_it_applies(spec):
     assert dense.shape == (4, 9)
     assert_encodes(payload, dense)
     assert np.array_equal(st.c_local, before + dense)
-    assert payload.values.size == (36 if spec.kind == "identity" else 4 * spec.resolve_k(9))
+    assert payload.values.size == 4 * spec.resolve_k(9)
 
 
 def test_uplink_momentum_eta_one_equals_mean_gradient():
     prob = lasso_problem(p=5, samples=25, N=2)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=4, eta=1.0, B=FULL, T=1)
     with recording() as transcripts:
-        run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=2)
+        run_fedcef(prob, Regularizer(), hp, CompressorSpec("topk", 1.0), seed=2)
     tr = transcripts[0]
     for i in range(prob.n_clients):
         mean_grad = np.mean(tr.gradients[i], axis=0)
@@ -354,23 +354,23 @@ def test_client_downlink_reconstruction():
     assert np.array_equal(c_rec, np.zeros(3))
 
 
-def test_topk_full_retention_equals_identity_series():
+def test_full_retention_spellings_give_the_same_series():
     prob = generate_synthetic(
         "logistic", 8, 60, 2, PartitionSpec("iid"), 19
     )
     reg = Regularizer(1e-3)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.6, B=4, T=8)
-    a = run_fedcef(prob, reg, hp, CompressorSpec("topk", 1.0), seed=4)
-    b = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=4)
-    assert [dataclasses.astuple(r) for r in a.series.rows] == [
-        dataclasses.astuple(r) for r in b.series.rows
-    ]
+    top_ratio, rand_ratio, top_count = (
+        [dataclasses.astuple(r) for r in run_fedcef(prob, reg, hp, spec, seed=4).series.rows]
+        for spec in (CompressorSpec("topk", 1.0), CompressorSpec("randk", 1.0), CompressorSpec("topk", 8))
+    )
+    assert top_ratio == rand_ratio == top_count
 
 
 def test_zero_gradients_fixed_point():
     prob = zero_gradient_problem()
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=3, eta=0.5, B=FULL, T=5)
-    res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=1)
+    res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("topk", 1.0), seed=1)
     for z in res.z_history:
         assert np.array_equal(z, np.zeros(prob.dim))
 
@@ -444,7 +444,7 @@ def test_step_condition_warning_emitted_and_recorded():
     prob = lasso_problem(p=5, samples=25)
     hp = HyperParams(alpha=10.0 / prob.smoothness / 8, eta_g=1.0, K=1, eta=1.0, B=FULL, T=1)
     with pytest.warns(StepConditionWarning):
-        res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("identity"), seed=0)
+        res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("topk", 1.0), seed=0)
     assert not res.series.conditions.all_ok
     assert not res.series.rows[0].condition_ok
 
@@ -454,7 +454,7 @@ def test_sparsity_transfer_exact_zeros():
     reg = Regularizer(0.5)
     beta = 1.0 / (25 * prob.smoothness)
     hp = HyperParams(alpha=beta / 5, eta_g=1.0, K=5, eta=1.0, B=FULL, T=300)
-    res = run_fedcef(prob, reg, hp, CompressorSpec("identity"), seed=2)
+    res = run_fedcef(prob, reg, hp, CompressorSpec("topk", 1.0), seed=2)
     z = res.z_history[-1]
     pgd = run_centralized_pgd(prob, reg, HyperParams(alpha=beta, T=3000)).z_history[-1]
     assert np.count_nonzero(pgd) < prob.dim  # lambda was chosen to sparsify

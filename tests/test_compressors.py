@@ -10,11 +10,17 @@ from fedcef.compressors import (
 from fedcef.core import derive_stream
 
 
+def full_retention(p):
+    """The spellings of the uncompressed uplink at dimension p: a ratio of 1.0
+    under either kind, and the count p."""
+    return [CompressorSpec("topk", 1.0), CompressorSpec("randk", 1.0), CompressorSpec("topk", p)]
+
+
 def test_contraction_factor_examples():
     assert contraction_factor(CompressorSpec("topk", 3), 3) == 0.0
     assert contraction_factor(CompressorSpec("topk", 0.01), 400) == pytest.approx(0.99)
     assert contraction_factor(CompressorSpec("randk", 1), 2) == 0.5
-    assert contraction_factor(CompressorSpec("identity"), 10) == 0.0
+    assert contraction_factor(CompressorSpec("randk", 10), 10) == 0.0
 
 
 def test_ratio_resolution_clamps_to_one():
@@ -44,20 +50,31 @@ def test_topk_ties_break_to_lowest_index():
     assert np.array_equal(dense, [2.0, 0.0, 0.0])
 
 
-def test_identity_is_lossless_dense():
+def test_full_retention_is_lossless_dense():
     x = np.array([1.0, -0.5, 0.0, 9.0])
-    payload, dense = compress(CompressorSpec("identity"), x)
-    assert payload.dense
-    assert np.array_equal(dense, x)
-    assert payload_bytes(payload) == 4 * x.size
+    taken = []
+
+    def streams():
+        taken.append(True)
+        yield derive_stream(0, "r")
+
+    for spec in full_retention(x.size):
+        payload, dense = compress(spec, x, streams())
+        assert payload.dense and payload.indices.size == 0
+        assert payload.values.tobytes() == x.tobytes() and dense.tobytes() == x.tobytes()
+        assert payload_bytes(payload) == 4 * x.size
+        assert contraction_factor(spec, x.size) == 0.0
+    assert taken == []
 
 
-def test_full_retention_topk_equals_identity():
-    x = np.arange(6, dtype=float) - 2.5
-    pl_top, dense_top = compress(CompressorSpec("topk", 1.0), x)
-    pl_id, dense_id = compress(CompressorSpec("identity"), x)
-    assert pl_top.dense and np.array_equal(dense_top, dense_id)
-    assert payload_bytes(pl_top) == payload_bytes(pl_id)
+def test_full_retention_spellings_send_the_same_bytes():
+    x = np.arange(12, dtype=float).reshape(2, 6) - 5.5
+    sent = [compress(spec, x) for spec in full_retention(6)]
+    top_ratio, rand_ratio, top_count = sent
+    for payload, dense in (rand_ratio, top_count):
+        assert payload.values.tobytes() == top_ratio[0].values.tobytes()
+        assert payload_bytes(payload) == payload_bytes(top_ratio[0]) == 4 * x.size
+        assert dense.tobytes() == top_ratio[1].tobytes()
 
 
 def test_topk_zero_count_on_distinct_magnitudes():
@@ -120,14 +137,21 @@ def test_retain_domain_errors():
         CompressorSpec("topk", 1.5)
     with pytest.raises(ValueError):
         CompressorSpec("topk", 5).resolve_k(3)
-    with pytest.raises(ValueError):
-        CompressorSpec("identity", 3)
+    with pytest.raises(ValueError, match="dimension"):
+        CompressorSpec("topk", 1.0).resolve_k(0)
+    for retain in ("0.5", None, True):
+        with pytest.raises(ValueError, match="^retain must be an int count or float ratio$"):
+            CompressorSpec("topk", retain)
+    with pytest.raises(TypeError):
+        CompressorSpec("topk")
+    with pytest.raises(ValueError, match="^unknown compressor kind 'identity'$"):
+        CompressorSpec("identity", 1.0)
 
 
 def test_payload_bytes_rules():
     sparse = compress(CompressorSpec("topk", 3), np.arange(10.0) + 1)[0]
     assert payload_bytes(sparse) == 24
-    assert payload_bytes(compress(CompressorSpec("identity"), np.zeros(10))[0]) == 40
+    assert payload_bytes(compress(CompressorSpec("topk", 1.0), np.zeros(10))[0]) == 40
     empty = type(sparse)(10, False, np.empty(0, dtype=np.int64), np.empty(0))
     assert payload_bytes(empty) == 0
 
@@ -164,10 +188,11 @@ def _block_matches_rows(spec, x, streams=None, fresh_streams=None):
     return payload
 
 
-def test_block_identity_matches_rows():
+def test_block_full_retention_matches_rows():
     x = np.random.default_rng(3).standard_normal((4, 7))
-    payload = _block_matches_rows(CompressorSpec("identity"), x)
-    assert payload.dense and payload_bytes(payload) == 4 * x.size
+    for spec in full_retention(7):
+        payload = _block_matches_rows(spec, x)
+        assert payload.dense and payload_bytes(payload) == 4 * x.size
 
 
 def test_block_topk_matches_rows_and_ties_keep_the_lowest_index():
@@ -205,8 +230,8 @@ def test_block_randk_needs_one_stream_per_row():
 
 
 def test_compress_takes_a_stream_only_when_it_draws_a_row():
-    """compress may be handed its streams lazily: top-k, identity and rand-k
-    at k = p take none, rand-k at k < p takes one per row, in row order, and
+    """compress may be handed its streams lazily: top-k and rand-k at k = p
+    take none, rand-k at k < p takes one per row, in row order, and
     a wrong count is still an error naming them."""
     x = np.random.default_rng(6).standard_normal((3, 5))
     taken = []
@@ -216,8 +241,7 @@ def test_compress_takes_a_stream_only_when_it_draws_a_row():
             taken.append(i)
             yield derive_stream(8, f"r/{i}")
 
-    for spec in (CompressorSpec("topk", 2), CompressorSpec("identity"), CompressorSpec("randk", 5),
-                 CompressorSpec("randk", 1.0)):
+    for spec in (CompressorSpec("topk", 2), CompressorSpec("randk", 5), *full_retention(5)):
         compress(spec, x, streams(3))
         assert taken == []
     spec = CompressorSpec("randk", 2)

@@ -160,8 +160,7 @@ def engine_cases(draw):
         if variant != "squared_error":
             labels = [np.where(y >= 0, 1.0, -1.0) for y in labels]
         prob = stacked(LossKind(variant), p, features, labels)
-    kind = draw(st.sampled_from(KINDS))
-    spec = CompressorSpec(kind, None if kind == "identity" else draw(st.integers(1, p)))
+    spec = CompressorSpec(draw(st.sampled_from(KINDS)), draw(st.integers(1, p) | st.just(1.0)))
     hp = HyperParams(
         alpha=draw(st.sampled_from((0.1, 0.5))) / (prob.smoothness * K),
         K=K,
@@ -329,7 +328,7 @@ def test_divergence_stops_at_the_first_non_finite_row(run, variant):
     every earlier row is finite: T one round shorter completes."""
     prob = generate_synthetic(variant, 20, 100, 3, PartitionSpec("iid"), 7)
     hp = HyperParams(alpha=5.0, eta_g=1.0, K=10, eta=1.0, B=FULL, T=100)
-    args = (CompressorSpec("identity"),) if run is run_fedcef else ()
+    args = (CompressorSpec("topk", 1.0),) if run is run_fedcef else ()
     with pytest.raises(NonFiniteError, match=r"^non-finite measurement at row \d+: F = inf, ") as exc:
         run(prob, Regularizer(), hp, *args, seed=0)
     row = int(re.match(r"non-finite measurement at row (\d+)", str(exc.value))[1])

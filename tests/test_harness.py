@@ -120,7 +120,9 @@ def test_domain_errors():
 def test_retain_count_vs_ratio():
     assert parse_config("[compressor]\nkind = topk\nretain = 4\n").comp_retain == 4
     assert parse_config("[compressor]\nkind = topk\nretain = 0.5\n").comp_retain == 0.5
-    assert parse_config("[compressor]\nkind = identity\n").comp_retain is None
+    assert parse_config("[compressor]\nkind = randk\nretain = 1.0\n").compressor() == compressors.CompressorSpec("randk", 1.0)
+    with pytest.raises(ConfigError, match=r"^\[compressor\] kind = 'identity': expected one of topk, randk$"):
+        parse_config("[compressor]\nkind = identity\n")
     # an exponent makes a ratio, as a decimal point does
     assert parse_config("[compressor]\nkind = topk\nretain = 1e-1\n").comp_retain == 0.1
     with pytest.raises(ConfigError, match=r"retain ratio must lie in \(0, 1\]"):
@@ -347,9 +349,13 @@ def test_cli_refuses_a_missing_out_directory_before_the_run(tmp_path, capsys, mo
     monkeypatch.setattr("fedcef.cli.run_experiment", no_run)
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(BASE_CONFIG)
-    out = tmp_path / "missing" / "x.csv"
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: --out directory {str(out.parent)!r} does not exist\n"
+    missing = tmp_path / "missing"
+    for out, message in (
+        (missing / "x.csv", f"--out directory {str(missing)!r} does not exist"),
+        (tmp_path, f"--out {str(tmp_path)!r} is a directory"),
+    ):
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
@@ -441,7 +447,7 @@ def test_hetero_quadratic_via_config(tmp_path):
         "[problem]\nloss = hetero_quadratic\np = 6\nsamples = 1\nclients = 4\n"
         "[hyper]\nalpha = 0.001\nK = 5\nT = 8\nB = full\n"
         "[regularizer]\nlambda = 0\n"
-        "[compressor]\nkind = identity\n"
+        "[compressor]\nkind = topk\nretain = 1.0\n"
     )
     series = run_experiment(cfg, str(tmp_path / "hetero.csv"))
     assert len(series.rows) == 9
@@ -475,13 +481,19 @@ def test_compare_rejects_foreign_csv(tmp_path):
     run_experiment(cfg, str(good))
     with pytest.raises(ConfigError, match="schema"):
         compare_runs(str(good), str(bad))
+    # the writer's header lines over a column line it never writes, or over none
+    head, _ = _header_and_rows(good)
+    for columns, message in ((["t,F\n"], "unexpected column header 't,F'"), ([], "missing column header")):
+        bad.write_text("".join(head[:-1] + columns))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}: {message}$"):
+            read_metrics_csv(str(bad))
 
 
 @pytest.mark.parametrize(
     "text",
     [
         "[compressor]\nkind = topk\nretain = 1.5\n",
-        "[compressor]\nkind = identity\nretain = 1.5\n",
+        "[compressor]\nkind = identity\n",
         "[compressor]\nkind = randk\nretain = 0\n",
         "[compressor]\nkind = randk\nretain = 21\n",
         "[compressor]\nkind = sign\n",
@@ -531,8 +543,6 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @st.composite
 def run_configs(draw):
     clients, p = draw(st.integers(1, 50)), draw(st.integers(1, 10**6))
-    comp_kind = draw(st.sampled_from(compressors.KINDS))
-    retain = draw(st.integers(1, p) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     alpha, eta_g, K = draw(_positive), draw(_positive), draw(st.integers(1, 10**4))
     assume(0 < alpha * eta_g * K < math.inf)  # beta, which HyperParams requires finite and positive
     return RunConfig(
@@ -550,8 +560,8 @@ def run_configs(draw):
         B=draw(st.just("full") | st.integers(1, 10**4)),
         T=draw(st.integers(1, 10**5)),
         reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        comp_kind=comp_kind,
-        comp_retain=None if comp_kind == compressors.IDENTITY else retain,
+        comp_kind=draw(st.sampled_from(compressors.KINDS)),
+        comp_retain=draw(st.integers(1, p) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         seed=draw(st.integers(0, 2**64 - 1)),  # the seeds a config accepts
         lyapunov=draw(st.booleans()),
     )
@@ -749,7 +759,7 @@ def test_cli_reports_a_diverging_run(tmp_path, capsys, algorithm, T, row):
     cfg_path.write_text(
         "[problem]\nloss = squared_error\np = 20\nsamples = 200\nclients = 2\npartition = iid\n"
         f"[algorithm]\nname = {algorithm}\n[hyper]\nalpha = 5\nK = 10\nB = full\nT = {T}\n"
-        "[compressor]\nkind = identity\n"
+        "[compressor]\nkind = topk\nretain = 1.0\n"
     )
     out = tmp_path / "x.csv"
     # F overflows at `row`, before any local pass does; the suite's "error"

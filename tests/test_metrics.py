@@ -58,6 +58,9 @@ def test_mapping_one_dimensional_lasso():
     reg = Regularizer(1.0)
     G = prox_gradient_mapping(prob, reg, np.array([0.0]), 1.0)
     assert G[0] == pytest.approx(-1.0)
+    for beta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            prox_gradient_mapping(prob, reg, np.array([0.0]), beta)
     # cross-check the inner prox against the grid argmin oracle
     inner = grid_prox_l1(np.array([2.0]), 1.0, 1.0)
     assert (0.0 - inner[0]) / 1.0 == pytest.approx(-1.0, abs=1e-4)
@@ -252,6 +255,9 @@ def test_flat_objective_meets_every_step_condition():
     for bad in (-1.0, -0.0 - 1e-300, math.nan):
         with pytest.raises(ValueError, match="smoothness"):
             check_step_conditions(hp, L=bad, q=0.5)
+    for bad in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"^compression factor q must lie in \[0, 1\)$"):
+            check_step_conditions(hp, L=1.0, q=bad)
 
 
 def test_step_condition_flags():
@@ -372,7 +378,7 @@ def _transcript(round_idx, payload, n, dim):
         local=st,
         end=st,
         uplink_payload=payload,
-        downlink_payload=compress(CompressorSpec("identity"), np.zeros(dim))[0],
+        downlink_payload=compress(CompressorSpec("topk", 1.0), np.zeros(dim))[0],
     )
 
 
@@ -390,7 +396,7 @@ def test_comm_accounting_formulas():
     assert np.array_equal(down, [4000 * (t + 1) + 4000 for t in range(T)])
     up_nb, down_nb = comm_accounting(transcripts, p, include_bootstrap=False)
     assert down_nb[0] == 4000
-    # identity uplink is dense: 4 bytes per element
-    id_payload = compress(CompressorSpec("identity"), rng.standard_normal((N, p)))[0]
-    up_id, _ = comm_accounting([_transcript(0, id_payload, N, p)], p)
-    assert up_id[0] == N * p * 4
+    # the full-retention uplink is dense: 4 bytes per element
+    full_payload = compress(CompressorSpec("topk", 1.0), rng.standard_normal((N, p)))[0]
+    up_full, _ = comm_accounting([_transcript(0, full_payload, N, p)], p)
+    assert up_full[0] == N * p * 4

@@ -353,6 +353,10 @@ def test_dirichlet_partition_basics():
     for cls in (0, 1):
         assert np.sum(labels[assign >= 0] == cls) == 50
     assert np.bincount(assign, minlength=4).min() >= 1
+    with pytest.raises(ValueError, match="^need at least one client$"):
+        dirichlet_partition(labels, 0, 0.5, derive_stream(0, "part"))
+    with pytest.raises(ValueError, match="^dirichlet concentration must be positive$"):
+        dirichlet_partition(labels, 4, 0.0, derive_stream(0, "part"))
 
 
 def test_dirichlet_limits():
@@ -541,6 +545,10 @@ def test_label_noise_must_be_finite_and_nonnegative_before_any_draw(label_noise,
 def test_generate_preconditions():
     with pytest.raises(ValueError):
         generate_synthetic("logistic", 4, 2, 3, PartitionSpec(IID), 0)
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        generate_synthetic("logistic", 0, 20, 2, PartitionSpec(IID), 0)
+    with pytest.raises(ValueError, match="^need at least one client$"):
+        generate_synthetic("logistic", 4, 20, 0, PartitionSpec(IID), 0)
     for curv in ((0.0, 1.0), (2.0, 1.0), (0.1, math.inf), (0.1, math.nan)):
         with pytest.raises(ValueError, match="^curvature range must be positive and finite$"):
             generate_synthetic(HETERO_QUADRATIC, 3, 1, 2, PartitionSpec(IID), 0, curvature_range=curv)

@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import fedcef
+from fedcef import compressors, harness
+from fedcef.problems import DIRICHLET, IID
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,6 +33,20 @@ def test_every_module_name_the_readme_names_resolves():
     assert named
     missing = [f"{mod}.{name}" for mod, name in named if not hasattr(importlib.import_module(f"fedcef.{mod}"), name)]
     assert missing == []
+
+
+def test_the_readme_lists_the_values_of_each_choice_key():
+    """The backticked values before the first `;` of a choice key's bullet in
+    "Config format" are the values the code accepts, in its order."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    for key, values in (
+        ("compressor.kind", compressors.KINDS),
+        ("algorithm.name", harness.ALGORITHMS),
+        ("problem.partition", (IID, DIRICHLET)),
+    ):
+        bullet = re.search(rf"^\* `{re.escape(key)}`: (.*?)(?=^\S|\Z)", text, re.MULTILINE | re.DOTALL).group(1)
+        assert tuple(re.findall(r"`(\w+)`", bullet.split(";")[0])) == values, key
 
 
 def test_library_surface_example_runs():

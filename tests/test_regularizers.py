@@ -85,6 +85,8 @@ def test_subgradient_bound_matches_corner_enumeration():
     corners = np.array(np.meshgrid(*[[-lam, lam]] * 4)).reshape(4, -1).T
     brute = max(float(np.sum(c * c)) for c in corners)
     assert Regularizer(lam).subgradient_bound(4) == pytest.approx(brute)
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        Regularizer().subgradient_bound(0)
 
 
 def test_prox_is_nonexpansive():
