@@ -18,7 +18,6 @@ decoded block C(x) beside the payload, so nothing decodes a payload.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -40,44 +39,34 @@ DENSE_ENTRY_BYTES = 4
 
 @dataclass(frozen=True)
 class CompressorSpec:
-    """Which operator to apply and how much to retain.
+    """Which operator to apply and the share of coordinates to retain.
 
-    `retain` is an element count when given as an integer (>= 1; numpy
-    integers are stored as int) and a ratio in (0, 1] when given as a float.
-    Full retention, `retain = 1.0` or the count p, is the uncompressed uplink.
+    `retain` is a float ratio in (0, 1]; a numpy float64 is stored as a
+    Python float, whose repr is its decimal value. Full retention,
+    `retain = 1.0`, is the uncompressed uplink.
     """
 
     kind: str
-    retain: int | float
+    retain: float
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
-        if isinstance(self.retain, bool) or not isinstance(self.retain, numbers.Real):
-            raise ValueError("retain must be an int count or float ratio")
-        if isinstance(self.retain, numbers.Integral):
-            if self.retain < 1:
-                raise ValueError("retain count must be >= 1")
-            object.__setattr__(self, "retain", int(self.retain))
-        else:
-            if not 0.0 < float(self.retain) <= 1.0:
-                raise ValueError("retain ratio must lie in (0, 1]")
+        if not (isinstance(self.retain, float) and 0.0 < self.retain <= 1.0):
+            raise ValueError("retain must be a float ratio in (0, 1]")
+        object.__setattr__(self, "retain", float(self.retain))
 
     def resolve_k(self, p: int) -> int:
         """Number of retained coordinates at dimension p."""
         if p < 1:
             raise ValueError("dimension must be >= 1")
-        if isinstance(self.retain, int):
-            if self.retain > p:
-                raise ValueError(f"retain count {self.retain} exceeds dimension {p}")
-            return self.retain
         # ceil(ratio * p), exact in the ratio's decimal value: in binary floating
         # point 0.07 * 100 is 7.000000000000001, which would round up to 8.
-        return math.ceil(Fraction(repr(float(self.retain))) * p)
+        return math.ceil(Fraction(repr(self.retain)) * p)
 
 
 def contraction_factor(spec: CompressorSpec, p: int) -> float:
-    """The factor q^2 in [0, 1) that bounds the compression error
+    """The factor q^2 = 1 - k/p in [0, 1) that bounds the compression error
     ||C(x) - x||^2 by q^2 ||x||^2: on every input for top-k, in expectation
     over the draw for rand-k. Full retention (k = p) gives exactly 0.0."""
     return 1.0 - spec.resolve_k(p) / p
@@ -112,10 +101,10 @@ def compress(
     vector, the one-row case, takes [stream]. Top-k, and rand-k at k = p,
     draw nothing and take no stream.
 
-    Full retention (k == p, under either kind) is the uncompressed uplink and
-    is transmitted dense: it carries the whole vector anyway and dense
-    elements are cheaper (4 vs 8 bytes), so every full-retention spelling
-    sends the same bytes.
+    Full retention (k == p under either kind: `retain = 1.0`, or any ratio
+    that rounds up to p) is the uncompressed uplink and is transmitted dense:
+    it carries the whole vector anyway and dense elements are cheaper (4 vs 8
+    bytes), so every full-retention spec sends the same bytes.
     """
     x = np.asarray(x, dtype=np.float64)
     ensure_finite(x, "compress input")

@@ -26,10 +26,10 @@ Every key is optional (defaults below); unknown sections or keys, and any
 key under [DEFAULT], are hard errors. Domain rules, inf and NaN floats
 included, live in the HyperParams, CompressorSpec, Regularizer and
 PartitionSpec constructors, which parse_config builds. `retain` is a ratio
-when written with a decimal point or an exponent (`1e-1` is 0.1) and a count
-when written as an integer. `lyapunov = true` fills fedcef's Lyapunov column,
-as the potential is built from its v_i and c_i; the other algorithms log that
-they leave the column empty.
+in (0, 1], written with a decimal point or an exponent (`1e-1` is 0.1); an
+integer such as `retain = 4` is an error. `lyapunov = true` fills fedcef's
+Lyapunov column, as the potential is built from its v_i and c_i; the other
+algorithms log that they leave the column empty.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
@@ -51,7 +51,7 @@ from typing import Callable
 
 from . import compressors
 from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_fedavg
-from .compressors import TOPK, CompressorSpec
+from .compressors import CompressorSpec
 from .core import count
 from .metrics import MetricsRow, MetricsSeries, StepConditionReport
 from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
@@ -125,9 +125,11 @@ def _batch(raw: str) -> int | str:
     return FULL if raw.strip().lower() == FULL else int(raw)
 
 
-def _retain(raw: str) -> int | float:
-    value = float(raw) if any(ch in raw for ch in ".eE") else int(raw)
-    return CompressorSpec(TOPK, value).retain
+def _retain(raw: str) -> float:
+    # integer text was once a count (`retain = 1` kept one coordinate): refused, not re-read as a ratio
+    if not any(ch in raw for ch in ".eE"):
+        raise ValueError("is a ratio in (0, 1], written with a decimal point: 1.0 keeps every coordinate")
+    return float(raw)
 
 
 def _choice(options) -> Callable[[str], str]:
@@ -177,7 +179,7 @@ class RunConfig:
     comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
     seed: int = _key(0, "run", "seed", _seed)
     lyapunov: bool = _key(False, "run", "lyapunov", _bool, lambda b: str(b).lower())
-    comp_retain: int | float = _key(0.1, "compressor", "retain", _retain)
+    comp_retain: float = _key(0.1, "compressor", "retain", _retain)
 
     def hyper(self) -> HyperParams:
         return HyperParams(alpha=self.alpha, eta_g=self.eta_g, K=self.K, eta=self.eta, B=self.B, T=self.T)
@@ -238,7 +240,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         ("problem", cfg.partition_spec),
         ("hyper", cfg.hyper),
         ("regularizer", cfg.regularizer),
-        ("compressor", lambda: cfg.compressor().resolve_k(cfg.p)),
+        ("compressor", cfg.compressor),
     ):
         try:
             build()

@@ -87,6 +87,8 @@ class FederatedProblem:
     labels: list[np.ndarray] = field(init=False, default_factory=list)  # client i's view of all_labels
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.closed_form:
             if any(v is not None for v in (self.all_features, self.all_labels, self.offsets)):
                 raise ValueError("hetero_quadratic takes no shards: its clients are the rows of curvatures and centers")
@@ -95,10 +97,14 @@ class FederatedProblem:
                 raise ValueError(f"hetero_quadratic needs curvatures and centers of one shape (N, {self.dim}), N >= 1")
             if not np.all(self.curvatures > 0):
                 raise ValueError("hetero_quadratic curvatures must be strictly positive")
+            if not (np.isfinite(self.curvatures).all() and np.isfinite(self.centers).all()):
+                raise ValueError("hetero_quadratic curvatures and centers must be finite")
         elif self.curvatures is not None or self.centers is not None:
             raise ValueError(f"a {self.loss.variant} problem takes no curvatures or centers")
         elif np.ndim(self.all_labels) != 1 or np.shape(self.all_features) != np.shape(self.all_labels) + (self.dim,):
             raise ValueError("feature rows must have length dim and labels one value per row")
+        elif not np.isfinite(self.all_labels).all():  # features are checked as the smoothness estimate reads them
+            raise ValueError("labels must be finite")
         elif (np.asarray(self.offsets).dtype.kind != "i" or np.ndim(self.offsets) != 1 or len(self.offsets) < 2
               or self.offsets[0] != 0 or self.offsets[-1] != len(self.all_labels) or np.diff(self.offsets).min() < 1):
             raise ValueError(f"offsets must be N + 1 >= 2 integers rising strictly from 0 to {len(self.all_labels)}")

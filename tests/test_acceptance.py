@@ -95,10 +95,11 @@ def test_criterion_2_accumulator_and_reconstruction_identities():
     specs = [
         CompressorSpec("topk", 1.0),
         CompressorSpec("topk", 0.2),
-        CompressorSpec("topk", 1),
+        CompressorSpec("topk", 0.05),
         CompressorSpec("randk", 0.3),
-        CompressorSpec("randk", 2),
+        CompressorSpec("randk", 0.15),
     ]
+    assert [spec.resolve_k(12) for spec in specs] == [12, 3, 1, 4, 2]
     prob_cache = {}
     worst_acc = worst_rec = worst_mean = 0.0
     for cfg_idx in range(20):
@@ -150,11 +151,12 @@ def test_criterion_3_contraction_property():
     for p, n_draws in dims.items():
         specs = [
             CompressorSpec("topk", 1.0),
-            CompressorSpec("topk", 1),
+            CompressorSpec("topk", 0.001),
             CompressorSpec("topk", 0.5),
-            CompressorSpec("randk", 1),
+            CompressorSpec("randk", 0.001),
             CompressorSpec("randk", 0.5),
         ]
+        assert specs[1].resolve_k(p) == specs[3].resolve_k(p) == 1
         for spec in specs:
             q2 = contraction_factor(spec, p)
             diffs = np.empty(n_draws)

@@ -278,7 +278,7 @@ def test_uplink_momentum_and_error_feedback():
 
 @pytest.mark.parametrize(
     "spec",
-    [CompressorSpec("topk", 1.0), CompressorSpec("topk", 3), CompressorSpec("randk", 0.3)],
+    [CompressorSpec("topk", 1.0), CompressorSpec("topk", 0.3), CompressorSpec("randk", 0.3)],
     ids=["full_retention", "topk", "randk"],
 )
 def test_uplink_charges_exactly_the_block_it_applies(spec):
@@ -360,11 +360,13 @@ def test_full_retention_spellings_give_the_same_series():
     )
     reg = Regularizer(1e-3)
     hp = HyperParams(alpha=0.01, eta_g=1.0, K=5, eta=0.6, B=4, T=8)
-    top_ratio, rand_ratio, top_count = (
+    below = CompressorSpec("topk", 0.9)
+    assert below.resolve_k(8) == 8
+    top_ratio, rand_ratio, top_below = (
         [dataclasses.astuple(r) for r in run_fedcef(prob, reg, hp, spec, seed=4).series.rows]
-        for spec in (CompressorSpec("topk", 1.0), CompressorSpec("randk", 1.0), CompressorSpec("topk", 8))
+        for spec in (CompressorSpec("topk", 1.0), CompressorSpec("randk", 1.0), below)
     )
-    assert top_ratio == rand_ratio == top_count
+    assert top_ratio == rand_ratio == top_below
 
 
 def test_zero_gradients_fixed_point():
@@ -401,7 +403,7 @@ def test_transcript_byte_counts_match_payloads():
     )
     hp = HyperParams(alpha=0.02, eta_g=1.0, K=3, eta=0.5, B=FULL, T=5)
     with recording() as transcripts:
-        res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("topk", 3), seed=0)
+        res = run_fedcef(prob, Regularizer(), hp, CompressorSpec("topk", 0.3), seed=0)
     rows = res.series.rows
     for t, tr in enumerate(transcripts):
         up = payload_bytes(tr.uplink_payload)

@@ -11,22 +11,28 @@ from fedcef.core import derive_stream
 
 
 def full_retention(p):
-    """The spellings of the uncompressed uplink at dimension p: a ratio of 1.0
-    under either kind, and the count p."""
-    return [CompressorSpec("topk", 1.0), CompressorSpec("randk", 1.0), CompressorSpec("topk", p)]
+    """Specs of the uncompressed uplink at dimension p: a ratio of 1.0 under
+    either kind, and a ratio below 1.0 that rounds up to p."""
+    below = CompressorSpec("topk", 1.0 - 0.5 / p)
+    assert below.retain < 1.0 and below.resolve_k(p) == p
+    return [CompressorSpec("topk", 1.0), CompressorSpec("randk", 1.0), below]
 
 
 def test_contraction_factor_examples():
-    assert contraction_factor(CompressorSpec("topk", 3), 3) == 0.0
+    assert contraction_factor(CompressorSpec("topk", 0.9), 3) == 0.0
     assert contraction_factor(CompressorSpec("topk", 0.01), 400) == pytest.approx(0.99)
-    assert contraction_factor(CompressorSpec("randk", 1), 2) == 0.5
-    assert contraction_factor(CompressorSpec("randk", 10), 10) == 0.0
+    assert contraction_factor(CompressorSpec("randk", 0.5), 2) == 0.5
+    assert contraction_factor(CompressorSpec("randk", 0.95), 10) == 0.0
 
 
 def test_ratio_resolution_clamps_to_one():
     assert CompressorSpec("topk", 0.01).resolve_k(20) == 1
     assert CompressorSpec("topk", 0.5).resolve_k(3) == 2  # ceil
     assert CompressorSpec("topk", 1.0).resolve_k(7) == 7
+    # traps for a ratio standing in for a count: 0.34 of 3 is 1.02, and the
+    # repr of 5 / 7 is 0.7142857142857143, a hair above 5/7
+    assert CompressorSpec("topk", 0.34).resolve_k(3) == 2
+    assert CompressorSpec("topk", 5 / 7).resolve_k(7) == 6
 
 
 def test_ratio_resolution_is_exact_in_decimal():
@@ -38,7 +44,9 @@ def test_ratio_resolution_is_exact_in_decimal():
 
 def test_topk_keeps_largest_magnitude():
     x = np.array([1.0, -3.0, 2.0])
-    payload, dense = compress(CompressorSpec("topk", 1), x)
+    spec = CompressorSpec("topk", 0.3)
+    assert spec.resolve_k(3) == 1
+    payload, dense = compress(spec, x)
     assert np.array_equal(dense, [0.0, -3.0, 0.0])
     err = float(np.sum((dense - x) ** 2))
     assert err == 5.0
@@ -46,7 +54,7 @@ def test_topk_keeps_largest_magnitude():
 
 
 def test_topk_ties_break_to_lowest_index():
-    payload, dense = compress(CompressorSpec("topk", 1), np.array([2.0, -2.0, 1.0]))
+    payload, dense = compress(CompressorSpec("topk", 0.3), np.array([2.0, -2.0, 1.0]))
     assert np.array_equal(dense, [2.0, 0.0, 0.0])
 
 
@@ -70,8 +78,8 @@ def test_full_retention_is_lossless_dense():
 def test_full_retention_spellings_send_the_same_bytes():
     x = np.arange(12, dtype=float).reshape(2, 6) - 5.5
     sent = [compress(spec, x) for spec in full_retention(6)]
-    top_ratio, rand_ratio, top_count = sent
-    for payload, dense in (rand_ratio, top_count):
+    top_ratio, rand_ratio, top_below = sent
+    for payload, dense in (rand_ratio, top_below):
         assert payload.values.tobytes() == top_ratio[0].values.tobytes()
         assert payload_bytes(payload) == payload_bytes(top_ratio[0]) == 4 * x.size
         assert dense.tobytes() == top_ratio[1].tobytes()
@@ -81,13 +89,15 @@ def test_topk_zero_count_on_distinct_magnitudes():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.permutation(np.arange(1.0, 13.0)) * rng.choice([-1, 1], size=12)
-        _, dense = compress(CompressorSpec("topk", 5), x)
+        spec = CompressorSpec("topk", 0.4)
+        assert spec.resolve_k(12) == 5
+        _, dense = compress(spec, x)
         assert int(np.sum(dense == 0.0)) == 12 - 5
 
 
 def test_topk_scale_equivariance():
     rng = np.random.default_rng(1)
-    spec = CompressorSpec("topk", 3)
+    spec = CompressorSpec("topk", 0.3)
     for _ in range(50):
         x = rng.standard_normal(10)
         for a in (2.5, -1.25, 1e-3):
@@ -101,7 +111,8 @@ def test_randk_is_contractive_and_unscaled():
     # uniform subset may carry more than its proportional share); the q^2
     # factor 1 - k/p is the exact mean over draws.
     rng = np.random.default_rng(2)
-    spec = CompressorSpec("randk", 2)
+    spec = CompressorSpec("randk", 0.25)
+    assert spec.resolve_k(8) == 2
     x = rng.standard_normal(8)
     errs = []
     for i in range(2000):
@@ -123,25 +134,22 @@ def test_randk_is_contractive_and_unscaled():
 
 def test_randk_requires_stream():
     with pytest.raises(ValueError):
-        compress(CompressorSpec("randk", 1), np.zeros(3))
+        compress(CompressorSpec("randk", 0.3), np.zeros(3))
 
 
 def test_retain_domain_errors():
-    with pytest.raises(ValueError):
-        CompressorSpec("topk", 0)
-    with pytest.raises(ValueError, match="count"):
-        CompressorSpec("topk", np.int64(0))
-    spec = CompressorSpec("topk", np.int64(3))
-    assert spec == CompressorSpec("topk", 3) and type(spec.retain) is int and spec.resolve_k(10) == 3
-    with pytest.raises(ValueError):
-        CompressorSpec("topk", 1.5)
-    with pytest.raises(ValueError):
-        CompressorSpec("topk", 5).resolve_k(3)
+    # an integer is refused rather than read as a count or a ratio, and a
+    # float32 widens to another decimal value: 0.1 as float32 is
+    # 0.10000000149..., which would keep 2 of 10
+    for retain in (0, 3, np.int64(3), True, 0.0, -0.5, 1.5, float("nan"), "0.5", None, np.float32(0.1)):
+        with pytest.raises(ValueError, match=r"^retain must be a float ratio in \(0, 1\]$"):
+            CompressorSpec("topk", retain)
+    # a float64 is stored as a Python float, whose repr is its decimal value
+    spec = CompressorSpec("topk", np.float64(0.1))
+    assert spec == CompressorSpec("topk", 0.1) and type(spec.retain) is float
+    assert [spec.resolve_k(p) for p in (10, 20, 100)] == [1, 2, 10]
     with pytest.raises(ValueError, match="dimension"):
         CompressorSpec("topk", 1.0).resolve_k(0)
-    for retain in ("0.5", None, True):
-        with pytest.raises(ValueError, match="^retain must be an int count or float ratio$"):
-            CompressorSpec("topk", retain)
     with pytest.raises(TypeError):
         CompressorSpec("topk")
     with pytest.raises(ValueError, match="^unknown compressor kind 'identity'$"):
@@ -149,7 +157,7 @@ def test_retain_domain_errors():
 
 
 def test_payload_bytes_rules():
-    sparse = compress(CompressorSpec("topk", 3), np.arange(10.0) + 1)[0]
+    sparse = compress(CompressorSpec("topk", 0.3), np.arange(10.0) + 1)[0]
     assert payload_bytes(sparse) == 24
     assert payload_bytes(compress(CompressorSpec("topk", 1.0), np.zeros(10))[0]) == 40
     empty = type(sparse)(10, False, np.empty(0, dtype=np.int64), np.empty(0))
@@ -200,17 +208,17 @@ def test_block_topk_matches_rows_and_ties_keep_the_lowest_index():
     x = rng.standard_normal((5, 40))
     # a row of tied magnitudes, long enough that an unstable sort reorders it
     x[2] = np.tile([1.0, -3.0, 3.0, 0.5], 10)
-    for spec in (CompressorSpec("topk", 5), CompressorSpec("topk", 0.3)):
+    for spec in (CompressorSpec("topk", 0.125), CompressorSpec("topk", 0.3)):
         payload = _block_matches_rows(spec, x)
         assert payload_bytes(payload) == 5 * spec.resolve_k(40) * 8
-    _, dense = compress(CompressorSpec("topk", 5), x)
+    _, dense = compress(CompressorSpec("topk", 0.125), x)
     assert np.flatnonzero(dense[2]).tolist() == [1, 2, 5, 6, 9]
 
 
 def test_block_randk_draws_each_row_from_its_own_stream():
     x = np.random.default_rng(5).standard_normal((6, 11))
     labels = [f"client/{i}/round/2/compress" for i in range(6)]
-    for spec in (CompressorSpec("randk", 3), CompressorSpec("randk", 0.25)):
+    for spec in (CompressorSpec("randk", 0.2), CompressorSpec("randk", 0.25)):
         streams = [derive_stream(8, label) for label in labels]
         fresh = [derive_stream(8, label) for label in labels]
         payload = _block_matches_rows(spec, x, streams, fresh)
@@ -219,7 +227,7 @@ def test_block_randk_draws_each_row_from_its_own_stream():
 
 def test_block_randk_needs_one_stream_per_row():
     x = np.ones((3, 5))
-    spec = CompressorSpec("randk", 2)
+    spec = CompressorSpec("randk", 0.4)
     for streams in (None, [], [derive_stream(0, f"r/{i}") for i in range(2)],
                     [derive_stream(0, f"r/{i}") for i in range(4)]):
         with pytest.raises(ValueError, match="stream"):
@@ -241,10 +249,10 @@ def test_compress_takes_a_stream_only_when_it_draws_a_row():
             taken.append(i)
             yield derive_stream(8, f"r/{i}")
 
-    for spec in (CompressorSpec("topk", 2), CompressorSpec("randk", 5), *full_retention(5)):
+    for spec in (CompressorSpec("topk", 0.4), CompressorSpec("randk", 0.9), *full_retention(5)):
         compress(spec, x, streams(3))
         assert taken == []
-    spec = CompressorSpec("randk", 2)
+    spec = CompressorSpec("randk", 0.4)
     _, dense = compress(spec, x, streams(3))
     assert taken == [0, 1, 2]
     assert dense.tobytes() == compress(spec, x, [derive_stream(8, f"r/{i}") for i in range(3)])[1].tobytes()

@@ -160,7 +160,7 @@ def engine_cases(draw):
         if variant != "squared_error":
             labels = [np.where(y >= 0, 1.0, -1.0) for y in labels]
         prob = stacked(LossKind(variant), p, features, labels)
-    spec = CompressorSpec(draw(st.sampled_from(KINDS)), draw(st.integers(1, p) | st.just(1.0)))
+    spec = CompressorSpec(draw(st.sampled_from(KINDS)), draw(st.integers(1, 100).map(lambda j: j / 100)))
     hp = HyperParams(
         alpha=draw(st.sampled_from((0.1, 0.5))) / (prob.smoothness * K),
         K=K,

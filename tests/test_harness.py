@@ -117,15 +117,25 @@ def test_domain_errors():
         parse_config("[algorithm]\nname = sgd\n")
 
 
-def test_retain_count_vs_ratio():
-    assert parse_config("[compressor]\nkind = topk\nretain = 4\n").comp_retain == 4
+RATIO = "is a ratio in (0, 1], written with a decimal point: 1.0 keeps every coordinate"
+
+
+def test_retain_is_a_ratio_and_integer_text_is_refused():
+    # an integer was once read as a count, so `retain = 1` kept one
+    # coordinate: it is refused rather than read as another ratio
+    for raw in ("1", "4", "20"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'[compressor] retain = {raw!r}: {RATIO}')}$"):
+            parse_config(f"[compressor]\nkind = topk\nretain = {raw}\n")
+    for retain in (3, np.int64(3), True):
+        with pytest.raises(ValueError, match=r"^retain must be a float ratio in \(0, 1\]$"):
+            compressors.CompressorSpec("topk", retain)
     assert parse_config("[compressor]\nkind = topk\nretain = 0.5\n").comp_retain == 0.5
     assert parse_config("[compressor]\nkind = randk\nretain = 1.0\n").compressor() == compressors.CompressorSpec("randk", 1.0)
     with pytest.raises(ConfigError, match=r"^\[compressor\] kind = 'identity': expected one of topk, randk$"):
         parse_config("[compressor]\nkind = identity\n")
     # an exponent makes a ratio, as a decimal point does
     assert parse_config("[compressor]\nkind = topk\nretain = 1e-1\n").comp_retain == 0.1
-    with pytest.raises(ConfigError, match=r"retain ratio must lie in \(0, 1\]"):
+    with pytest.raises(ConfigError, match=r"^\[compressor\] retain must be a float ratio in \(0, 1\]$"):
         parse_config("[compressor]\nkind = topk\nretain = 5e2\n")
 
 
@@ -413,7 +423,7 @@ def test_a_flat_problem_runs_and_its_infinite_bounds_round_trip(tmp_path):
     prob = stacked(LossKind("squared_error"), 4, [np.zeros((3, 4))] * 2, [np.ones(3)] * 2)
     assert prob.smoothness == 0.0
     hp = HyperParams(alpha=0.1, eta_g=1.0, K=2, eta=1.0, B=FULL, T=3)
-    series = run_fedcef(prob, regularizers.Regularizer(0.1), hp, compressors.CompressorSpec("topk", 2), 0).series
+    series = run_fedcef(prob, regularizers.Regularizer(0.1), hp, compressors.CompressorSpec("topk", 0.5), 0).series
     assert series.conditions.all_ok and series.conditions.beta_bound == math.inf
     path = tmp_path / "flat.csv"
     write_metrics_csv(str(path), series, {})
@@ -455,7 +465,8 @@ def test_hetero_quadratic_via_config(tmp_path):
 
 
 def test_randk_via_config(tmp_path):
-    cfg = parse_config(BASE_CONFIG, {"compressor.kind": "randk", "compressor.retain": "2"})
+    cfg = parse_config(BASE_CONFIG, {"compressor.kind": "randk", "compressor.retain": "0.25"})
+    assert cfg.compressor().resolve_k(cfg.p) == 2
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_experiment(cfg, str(a))
     run_experiment(cfg, str(b))
@@ -466,10 +477,11 @@ def test_dimension_one_pipeline(tmp_path):
     cfg = parse_config(
         "[problem]\nloss = squared_error\np = 1\nsamples = 12\nclients = 2\npartition = iid\n"
         "[hyper]\nalpha = 0.05\nK = 2\nT = 5\nB = full\n"
-        "[compressor]\nkind = topk\nretain = 1\n"
+        "[compressor]\nkind = topk\nretain = 0.5\n"
     )
     series = run_experiment(cfg, str(tmp_path / "p1.csv"))
-    # full retention at p = 1 transmits dense: 4 bytes per client per round
+    # any ratio is full retention at p = 1, which transmits dense: 4 bytes per
+    # client per round
     assert series.rows[-1].uplink_bytes_cum == 5 * 2 * 4
 
 
@@ -495,6 +507,7 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[compressor]\nkind = topk\nretain = 1.5\n",
         "[compressor]\nkind = identity\n",
         "[compressor]\nkind = randk\nretain = 0\n",
+        "[compressor]\nkind = randk\nretain = 0.0\n",
         "[compressor]\nkind = randk\nretain = 21\n",
         "[compressor]\nkind = sign\n",
         "[compressor]\nretain = 10%\n",
@@ -561,7 +574,9 @@ def run_configs(draw):
         T=draw(st.integers(1, 10**5)),
         reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
         comp_kind=draw(st.sampled_from(compressors.KINDS)),
-        comp_retain=draw(st.integers(1, p) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        comp_retain=draw(
+            st.integers(1, 100).map(lambda j: j / 100) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+        ),
         seed=draw(st.integers(0, 2**64 - 1)),  # the seeds a config accepts
         lyapunov=draw(st.booleans()),
     )
@@ -630,16 +645,19 @@ def test_sweep_key_goes_through_the_table(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
-def test_retain_count_above_p_is_rejected_before_running(tmp_path, capsys):
-    with pytest.raises(ConfigError, match=r"^\[compressor\] retain count 100 exceeds dimension 8$"):
-        parse_config(BASE_CONFIG.replace("retain = 0.25", "retain = 100"))
+def test_a_refused_retain_is_rejected_before_running(tmp_path, capsys):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(BASE_CONFIG)
     out_dir = tmp_path / "sweep"
-    args = ["sweep", "--config", str(cfg_path), "--key", "compressor.retain", "--values", "2,100"]
+    args = ["sweep", "--config", str(cfg_path), "--key", "compressor.retain", "--values", "0.5,2"]
     assert cli_main(args + ["--out-dir", str(out_dir)]) == 1
-    assert capsys.readouterr().err == "error: [compressor] retain count 100 exceeds dimension 8\n"
+    assert capsys.readouterr().err == f"error: [compressor] retain = '2': {RATIO}\n"
     assert not out_dir.exists()
+    cfg_path.write_text(BASE_CONFIG.replace("retain = 0.25", "retain = 4"))
+    out = tmp_path / "x.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [compressor] retain = '4': {RATIO}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -385,7 +385,8 @@ def _transcript(round_idx, payload, n, dim):
 def test_comm_accounting_formulas():
     p, N, k, T = 1000, 10, 10, 3
     rng = np.random.default_rng(0)
-    spec = CompressorSpec("topk", k)
+    spec = CompressorSpec("topk", 0.01)
+    assert spec.resolve_k(p) == k
     transcripts = []
     for t in range(T):
         payload = compress(spec, rng.standard_normal((N, p)))[0]

@@ -131,6 +131,7 @@ def test_hetero_smoothness_is_max_diagonal():
 
 SHAPE = r"^hetero_quadratic needs curvatures and centers of one shape \(N, 4\), N >= 1$"
 POSITIVE = "^hetero_quadratic curvatures must be strictly positive$"
+FINITE = "^hetero_quadratic curvatures and centers must be finite$"
 
 
 @pytest.mark.parametrize(
@@ -145,9 +146,12 @@ POSITIVE = "^hetero_quadratic curvatures must be strictly positive$"
         (np.ones((0, 4)), np.zeros((0, 4)), SHAPE),
         (np.array([[1.0, 1.0, 0.0, 1.0], [1.0] * 4]), np.zeros((2, 4)), POSITIVE),
         (np.array([[1.0, 1.0, np.nan, 1.0], [1.0] * 4]), np.zeros((2, 4)), POSITIVE),
+        (np.array([[1.0, 1.0, np.inf, 1.0], [1.0] * 4]), np.zeros((2, 4)), FINITE),
+        (np.ones((2, 4)), np.array([[0.0, np.nan, 0.0, 0.0], [0.0] * 4]), FINITE),
+        (np.ones((2, 4)), np.array([[0.0] * 4, [0.0, 0.0, 0.0, -np.inf]]), FINITE),
     ],
     ids=["no_curvatures", "no_centers", "different_shapes", "five_coordinates", "one_row_vector", "three_axes",
-         "no_rows", "zero_curvature", "nan_curvature"],
+         "no_rows", "zero_curvature", "nan_curvature", "inf_curvature", "nan_center", "inf_center"],
 )
 def test_a_hetero_problem_refuses_client_data_of_the_wrong_shape(curvatures, centers, message):
     # p = 4: curvatures and centers are one (N, 4) block each, and N >= 1
@@ -179,6 +183,18 @@ def test_labels_are_one_value_per_row():
                         (a[:, :2], y), (np.hstack([a, a]), y), (a[None], y)):
         with pytest.raises(ValueError, match="^feature rows must have length dim and labels one value per row$"):
             FederatedProblem(LossKind("logistic"), 3, feats, labs, offsets)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^labels must be finite$"):
+            FederatedProblem(LossKind("logistic"), 3, a, np.where(np.arange(5) == 3, bad, y), offsets)
+
+
+def test_a_problem_has_at_least_one_coordinate():
+    # p = 0 would be a data loss with L = 0.0, and a hetero problem whose
+    # smoothness is the maximum of an empty array
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        FederatedProblem(LossKind("logistic"), 0, np.ones((2, 0)), np.ones(2), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        FederatedProblem(LossKind(HETERO_QUADRATIC), 0, curvatures=np.ones((2, 0)), centers=np.zeros((2, 0)))
 
 
 @pytest.mark.parametrize(
