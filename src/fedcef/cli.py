@@ -9,7 +9,7 @@ import warnings
 
 from .algorithms import StepConditionWarning
 from .core import NonFiniteError
-from .harness import FIELDS, ConfigError, compare_runs, parse_config, run_experiment
+from .harness import ConfigError, compare_runs, parse_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -19,7 +19,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single configured experiment")
     p_run.add_argument("--config", required=True, help="path to an INI config file")
     p_run.add_argument("--out", required=True, help="output CSV path")
-    p_run.add_argument("--seed", type=int, default=None, help="override the configured seed")
 
     p_sweep = sub.add_parser("sweep", help="re-run one config while varying a single key")
     p_sweep.add_argument("--config", required=True)
@@ -36,13 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     # the CSV is opened only after the whole run, so a path it cannot take is refused first
+    if not args.out:
+        raise ValueError("--out is empty")
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise FileNotFoundError(f"--out directory {out_dir!r} does not exist")
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"--out {args.out!r} is a directory")
     with open(args.config) as fh:
-        cfg = parse_config(fh.read(), None if args.seed is None else {"run.seed": str(args.seed)})
+        cfg = parse_config(fh.read())
     run_experiment(cfg, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -57,12 +58,9 @@ def _cmd_sweep(args) -> int:
         if raw in values[:n]:  # its run would overwrite the first one's CSV
             raise ConfigError(f"--values repeats {raw!r}")
         runs.append((raw, parse_config(base_text, {args.key: raw})))
-    # the key as the echo spells it (hyper.k -> hyper.K); parse_config has checked it
-    section, _, key = args.key.partition(".")
-    _, f = FIELDS[section, key.lower()]
     os.makedirs(args.out_dir, exist_ok=True)
     for raw, cfg in runs:
-        out = os.path.join(args.out_dir, f"{f.section}.{f.key}={raw}.csv")
+        out = os.path.join(args.out_dir, f"{args.key}={raw}.csv")
         run_experiment(cfg, out)
         print(f"wrote {out}")
     return 0

@@ -1,6 +1,6 @@
 """Configuration, experiment orchestration, and CSV emission.
 
-Config files are INI-style key/value documents with six sections::
+Config files are INI documents with six sections, each key at its default::
 
     [problem]                      [hyper]
     loss = logistic                alpha = 0.06
@@ -18,18 +18,17 @@ Config files are INI-style key/value documents with six sections::
     retain = 0.1                   lyapunov = false
 
 The fields of `RunConfig` are the one list of keys: each declares its
-section, key, reader and echo, and `FIELDS` maps each (section, case-folded
-key) to its attribute and field. `parse_config(text, overrides)` reads the
-file and the overrides of `fedcef run --seed` and `fedcef sweep --key`
-through it; the echo and `sweep`'s file names spell each key as declared.
-Every key is optional (defaults below); unknown sections or keys, and any
-key under [DEFAULT], are hard errors. Domain rules, inf and NaN floats
-included, live in the HyperParams, CompressorSpec, Regularizer and
-PartitionSpec constructors, which parse_config builds. `retain` is a ratio
-in (0, 1], written with a decimal point or an exponent (`1e-1` is 0.1); an
-integer such as `retain = 4` is an error. `lyapunov = true` fills fedcef's
-Lyapunov column, as the potential is built from its v_i and c_i; the other
-algorithms log that they leave the column empty.
+section, key, reader and echo, and `FIELDS` maps each (section, key) to its
+attribute and field. `parse_config(text, overrides)` reads the file and the
+overrides of `fedcef sweep --key` through it. Every key is optional; unknown
+sections and keys (`hyper.k`), any key under [DEFAULT], and a value other
+than a float not in its echo's form (`K = +3`) are hard errors. Domain
+rules, inf and NaN floats included, live in the HyperParams, CompressorSpec,
+Regularizer and PartitionSpec constructors, which parse_config builds.
+`retain` is a ratio in (0, 1], written with a decimal point or an exponent
+(`1e-1` is 0.1); an integer such as `retain = 4` is an error. `lyapunov =
+true` fills fedcef's Lyapunov column, as the potential is built from its v_i
+and c_i; the other algorithms log that they leave the column empty.
 
 The output CSV carries `#`-prefixed header lines (a config echo sufficient
 to re-run the experiment, the estimated smoothness constant, and the
@@ -54,7 +53,7 @@ from .algorithms import HyperParams, run_centralized_pgd, run_fedcef, run_prox_f
 from .compressors import CompressorSpec
 from .core import count
 from .metrics import MetricsRow, MetricsSeries, StepConditionReport
-from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, LOSS_VARIANTS, PartitionSpec, generate_synthetic
+from .problems import DIRICHLET, FULL, HETERO_QUADRATIC, IID, LOSS_VARIANTS, PartitionSpec, generate_synthetic
 from .regularizers import Regularizer
 
 logger = logging.getLogger(__name__)
@@ -101,28 +100,21 @@ def _read(show: Callable[[object], str], read: Callable[[str], object], text: st
 # the section and key.
 
 
+def _int(raw: str) -> int:
+    return _read(str, int, raw)
+
+
 def _count(raw: str) -> int:
-    return count(int(raw), "must be >= 1")
+    return count(_int(raw), "must be >= 1")
 
 
 def _seed(raw: str) -> int:
     # derive_stream folds a seed mod 2**64: one outside would replay another
     # seed's run under its own echo
-    seed = int(raw)
+    seed = _int(raw)
     if not 0 <= seed < 2**64:
         raise ValueError("must lie in [0, 2**64)")
     return seed
-
-
-def _bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    except KeyError:
-        raise ValueError("expected a boolean") from None
-
-
-def _batch(raw: str) -> int | str:
-    return FULL if raw.strip().lower() == FULL else int(raw)
 
 
 def _retain(raw: str) -> float:
@@ -139,6 +131,14 @@ def _choice(options) -> Callable[[str], str]:
         return raw
 
     return read
+
+
+def _bool(raw: str) -> bool:
+    return _choice(("true", "false"))(raw) == "true"
+
+
+def _batch(raw: str) -> int | str:
+    return FULL if raw == FULL else _int(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,15 +166,15 @@ class RunConfig:
     p: int = _key(20, "problem", "p", _count)
     samples: int = _key(500, "problem", "samples", _count)
     clients: int = _key(10, "problem", "clients", _count)
-    partition: str = _key(DIRICHLET, "problem", "partition", str)
+    partition: str = _key(DIRICHLET, "problem", "partition", _choice((IID, DIRICHLET)))
     alpha_d: float = _key(0.6, "problem", "alpha_d", float, _fmt)
     algorithm: str = _key("fedcef", "algorithm", "name", _choice(ALGORITHMS))
     alpha: float = _key(0.06, "hyper", "alpha", float, _fmt)  # the hyper defaults mirror the larger benchmark setting
     eta_g: float = _key(1.0, "hyper", "eta_g", float, _fmt)
-    K: int = _key(30, "hyper", "K", int)
+    K: int = _key(30, "hyper", "K", _int)
     eta: float = _key(0.1, "hyper", "eta", float, _fmt)
     B: int | str = _key(64, "hyper", "B", _batch)
-    T: int = _key(400, "hyper", "T", int)
+    T: int = _key(400, "hyper", "T", _int)
     reg_lambda: float = _key(1e-5, "regularizer", "lambda", float, _fmt)
     comp_kind: str = _key("topk", "compressor", "kind", _choice(compressors.KINDS))
     seed: int = _key(0, "run", "seed", _seed)
@@ -199,9 +199,9 @@ class RunConfig:
         return {f"{f.section}.{f.key}": f.show(getattr(self, name)) for name, f in FIELDS.values()}
 
 
-# Every key a config may set, in echo order: (section, key as configparser
-# folds it) -> (RunConfig attribute, Field). A lookup is one dict hit.
-FIELDS = {(c.section, c.key.lower()): (f.name, c) for f in fields(RunConfig) for c in [f.metadata["cfg"]]}
+# Every key a config may set, in echo order: (section, key) -> (RunConfig
+# attribute, Field). A lookup is one dict hit.
+FIELDS = {(c.section, c.key): (f.name, c) for f in fields(RunConfig) for c in [f.metadata["cfg"]]}
 _SECTIONS = frozenset(section for section, _ in FIELDS)
 
 
@@ -210,12 +210,13 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     config line would, then read every value through its field over the
     defaults and check domains."""
     # no interpolation: a '%' in a value is the reader's to reject
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser.optionxform = str  # keys as declared: hyper.k is unknown, as [Hyper] is
     try:
         parser.read_string(text)
         for dotted, raw in (overrides or {}).items():
             section, _, key = dotted.partition(".")
-            parser.read_dict({section: {key: raw}})  # keys fold case, so hyper.k replaces a file's K
+            parser.read_dict({section: {key: raw}})
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     # configparser would merge these into every section

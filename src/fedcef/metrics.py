@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import NonFiniteError, client_sum
+from .core import NonFiniteError, client_sum, count
 from .problems import FULL, FederatedProblem, client_values, full_global_gradient, objective_value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,12 +147,14 @@ def lyapunov_diagnostic(
     model; vs and cs are the (N, p) blocks of the v_i and c_i; grads is the
     (N, p) block of grad f_i(z_prev) at the round's starting model, which the
     previous row's measure_row returned. Before the first round only F(z) is
-    defined, and the engine records it as Psi.
+    defined, and the engine records it as Psi. A q outside [0, 1) raises.
 
     The per-client squared norms are taken on (N, p) blocks, one row each,
     and every sum over clients is client_sum, so gbar is the fold
     full_global_gradient makes: the same bits as a loop over the clients.
     """
+    if not 0.0 <= q < 1.0:
+        raise ValueError("compression factor q must lie in [0, 1)")
     N = grads.shape[0]
     beta, eta = hp.beta, hp.eta
     # np.sum along the rows of a C-contiguous block reduces each row as it
@@ -182,7 +184,16 @@ def theorem_residual_bound(
 ) -> float:
     """Right-hand side of the convergence theorem: the ceiling on the running
     mean of ||G_beta||^2 after T rounds. gamma = 0.15. B_h_sq bounds the
-    squared norm of h's subgradients, as Regularizer.subgradient_bound does."""
+    squared norm of h's subgradients, as Regularizer.subgradient_bound does.
+    Inputs outside the theorem's domain raise rather than bound nothing: L
+    and q as check_step_conditions refuses them, an infinite L, N or T below
+    1, and a negative or non-finite B_h_sq, sigma_sq or Psi0."""
+    check_step_conditions(hp, L, q)
+    count(N, "N must be >= 1")
+    count(T, "T must be >= 1")
+    for name, x in (("L", L), ("B_h_sq", B_h_sq), ("sigma_sq", sigma_sq), ("Psi0", Psi0)):
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
     gamma = 0.15
     eta = hp.eta
     beta = hp.beta

@@ -88,6 +88,14 @@ def test_unknown_keys_are_hard_errors():
         parse_config(BASE_CONFIG, {"problem.pp": "3"})
     with pytest.raises(ConfigError, match=r"^unknown section \[bogus\]$"):
         parse_config(BASE_CONFIG, {"bogus.x": "1"})
+    # a key is written as declared, in a file or an override, and set with `=`
+    with pytest.raises(ConfigError, match=r"^unknown key 'k' in section \[hyper\]$"):
+        parse_config("[hyper]\nk = 3\n")
+    with pytest.raises(ConfigError, match=r"^unknown key 't' in section \[hyper\]$"):
+        parse_config(BASE_CONFIG, {"hyper.t": "5"})
+    line = "malformed config: Source contains parsing errors: '<string>'\n\t[line  2]: 'K: 3\\n'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
+        parse_config("[hyper]\nK: 3\n")
     # h = 0 is written lambda = 0: the regularizer has no kind
     for kind in ("l1", "zero"):
         with pytest.raises(ConfigError, match=r"^unknown key 'kind' in section \[regularizer\]$"):
@@ -243,8 +251,8 @@ def test_byte_counters_are_nondecreasing(tmp_path):
 
 
 def test_pgd_ignores_compressor(tmp_path, caplog):
-    # an override written in another case beats the file's line for its key
-    cfg = parse_config(BASE_CONFIG, {"algorithm.name": "pgd", "hyper.t": "5"})
+    # an override beats the file's line for its key
+    cfg = parse_config(BASE_CONFIG, {"algorithm.name": "pgd", "hyper.T": "5"})
     assert cfg.T == 5
     import logging
 
@@ -338,10 +346,18 @@ def test_cli_run_sweep_compare(tmp_path, capsys):
     assert rc == 0
     assert "uplink bytes" in capsys.readouterr().out
 
-    # seed override changes the output
+    # the seed is set in the config or by a sweep, which writes a run's bytes
+    seeded = tmp_path / "seeded.ini"
+    seeded.write_text(BASE_CONFIG.replace("seed = 3", "seed = 9"))
     out2 = tmp_path / "run2.csv"
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out2), "--seed", "9"]) == 0
-    assert out.read_bytes() != out2.read_bytes()
+    assert cli_main(["run", "--config", str(seeded), "--out", str(out2)]) == 0
+    sweep = ["sweep", "--config", str(cfg_path), "--key", "run.seed", "--values", "9", "--out-dir", str(sweep_dir)]
+    assert cli_main(sweep) == 0
+    assert (sweep_dir / "run.seed=9.csv").read_bytes() == out2.read_bytes() != out.read_bytes()
+    # `run` takes --config and --out only
+    with pytest.raises(SystemExit):
+        cli_main(["run", "--config", str(cfg_path), "--out", str(out2), "--seed", "9"])
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
 def test_cli_reports_errors(tmp_path, capsys):
@@ -361,6 +377,7 @@ def test_cli_refuses_a_missing_out_directory_before_the_run(tmp_path, capsys, mo
     cfg_path.write_text(BASE_CONFIG)
     missing = tmp_path / "missing"
     for out, message in (
+        ("", "--out is empty"),
         (missing / "x.csv", f"--out directory {str(missing)!r} does not exist"),
         (tmp_path, f"--out {str(tmp_path)!r} is a directory"),
     ):
@@ -501,6 +518,25 @@ def test_compare_rejects_foreign_csv(tmp_path):
             read_metrics_csv(str(bad))
 
 
+def _not_echoed(section, key, raw):
+    return f"[{section}] {key} = {raw!r}: {raw!r} is not a value the writer writes"
+
+
+# A value other than a float is read only as the echo writes it, each refusal
+# naming its section and key.
+SPELLINGS = {
+    "[hyper]\nK = +3\n": _not_echoed("hyper", "K", "+3"),
+    "[hyper]\nT = 0400\n": _not_echoed("hyper", "T", "0400"),
+    "[run]\nseed = 0_7\n": _not_echoed("run", "seed", "0_7"),
+    **{
+        f"[run]\nlyapunov = {raw}\n": f"[run] lyapunov = {raw!r}: expected one of true, false"
+        for raw in ("yes", "on", "1", "TRUE")
+    },
+    "[hyper]\nB = FULL\n": "[hyper] B = 'FULL': invalid literal for int() with base 10: 'FULL'",
+    "[problem]\npartition = Dirichlet\n": "[problem] partition = 'Dirichlet': expected one of iid, dirichlet",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -537,10 +573,12 @@ def test_compare_rejects_foreign_csv(tmp_path):
         "[algorithm]\nname = sgd\n",
         "[run]\nseed = x\n",
         "[run]\nlyapunov = maybe\n",
+        *SPELLINGS,
     ],
 )
 def test_rejected_configs_stay_rejected(text):
-    with pytest.raises(ConfigError):
+    message = SPELLINGS.get(text)
+    with pytest.raises(ConfigError, match=None if message is None else f"^{re.escape(message)}$"):
         parse_config(text)
 
 
@@ -634,11 +672,11 @@ def test_sweep_key_goes_through_the_table(tmp_path, capsys):
     cfg_path.write_text(BASE_CONFIG)
     out_dir = tmp_path / "sweep"
     args = ["sweep", "--config", str(cfg_path), "--values", "2,3", "--out-dir"]
-    assert cli_main(args + [str(out_dir), "--key", "hyper.k"]) == 0
+    assert cli_main(args + [str(out_dir), "--key", "hyper.K"]) == 0
     two, three = out_dir / "hyper.K=2.csv", out_dir / "hyper.K=3.csv"
     assert "# cfg hyper.K = 2\n" in two.read_text()
     assert two.read_bytes() != three.read_bytes()
-    for key in ("problem.pp", "bogus.x", "hyper"):
+    for key in ("hyper.k", "problem.pp", "bogus.x", "hyper"):
         bad_dir = tmp_path / key
         assert cli_main(args + [str(bad_dir), "--key", key]) == 1
         assert not bad_dir.exists()
@@ -665,12 +703,14 @@ def test_a_seed_outside_the_stream_range_is_rejected_before_running(seed, tmp_pa
     # derive_stream folds a seed mod 2**64, so -1 would replay 2**64 - 1 and
     # 2**64 would replay 0, each under its own echo
     message = f"[run] seed = '{seed}': must lie in [0, 2**64)"
+    bad = BASE_CONFIG.replace("seed = 3", f"seed = {seed}")
     with pytest.raises(ConfigError, match=re.escape(message)):
-        parse_config(BASE_CONFIG.replace("seed = 3", f"seed = {seed}"))
-    cfg_path = tmp_path / "exp.ini"
+        parse_config(bad)
+    cfg_path, bad_path = tmp_path / "exp.ini", tmp_path / "bad.ini"
     cfg_path.write_text(BASE_CONFIG)
+    bad_path.write_text(bad)
     out, out_dir = tmp_path / "x.csv", tmp_path / "sweep"
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), f"--seed={seed}"]) == 1
+    assert cli_main(["run", "--config", str(bad_path), "--out", str(out)]) == 1
     sweep = ["sweep", "--config", str(cfg_path), "--key", "run.seed", "--values", f"1,{seed}", "--out-dir"]
     assert cli_main(sweep + [str(out_dir)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n" * 2
@@ -684,6 +724,11 @@ def test_sweep_rejects_a_repeated_value_before_running(tmp_path, capsys):
     args = ["sweep", "--config", str(cfg_path), "--key", "run.seed", "--values", "1, 2,1", "--out-dir", str(out_dir)]
     assert cli_main(args) == 1
     assert capsys.readouterr().err == "error: --values repeats '1'\n"
+    assert not out_dir.exists()
+    # 01 is no second spelling of 1, whose two runs would write the same bytes
+    args[args.index("1, 2,1")] = "1,01"
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err == "error: [run] seed = '01': '01' is not a value the writer writes\n"
     assert not out_dir.exists()
 
 

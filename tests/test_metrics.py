@@ -298,6 +298,42 @@ def test_residual_bound_carries_the_squared_subgradient_bound_once():
     assert term == pytest.approx(7.48e-8, rel=1e-3)
 
 
+Q_DOMAIN = r"^compression factor q must lie in \[0, 1\)$"
+NOT_FINITE = "must be finite and >= 0$"
+OUTSIDE_THE_THEOREM = [
+    ("q", 1.5, Q_DOMAIN),
+    ("q", math.nan, Q_DOMAIN),
+    ("q", 1.0, Q_DOMAIN),
+    ("T", 0, r"^T must be >= 1$"),
+    ("N", 0, r"^N must be >= 1$"),
+    ("L", -1.0, r"^smoothness constant must be non-negative$"),
+    ("L", math.inf, "^L " + NOT_FINITE),
+    ("sigma_sq", -1.0, "^sigma_sq " + NOT_FINITE),
+    ("sigma_sq", math.inf, "^sigma_sq " + NOT_FINITE),
+    ("B_h_sq", -1.0, "^B_h_sq " + NOT_FINITE),
+    ("B_h_sq", math.nan, "^B_h_sq " + NOT_FINITE),
+    ("Psi0", -1.0, "^Psi0 " + NOT_FINITE),
+    ("Psi0", math.inf, "^Psi0 " + NOT_FINITE),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, message", OUTSIDE_THE_THEOREM, ids=[f"{name}={value}" for name, value, _ in OUTSIDE_THE_THEOREM]
+)
+def test_a_bound_refuses_inputs_outside_the_theorem(name, value, message):
+    # each of these gave a number that bounds nothing (q = 1.5, L = -1, NaN)
+    # or raised ZeroDivisionError (q = 1, T = 0, N = 0)
+    hp = HyperParams(alpha=0.01, eta_g=1.0, K=10, eta=0.5, B=8, T=1)
+    args = dict(L=1.0, q=0.5, B_h_sq=0.0, sigma_sq=1.0, N=4, Psi0=1.0, T=10)
+    assert math.isfinite(theorem_residual_bound(hp, **args))
+    with pytest.raises(ValueError, match=message):
+        theorem_residual_bound(hp, **dict(args, **{name: value}))
+    if name == "q":  # the potential divides by 1 - q too
+        zeros = np.zeros((4, 3))
+        with pytest.raises(ValueError, match=message):
+            lyapunov_diagnostic(hp, value, 1.0, zeros, zeros, zeros)
+
+
 def test_lyapunov_dominates_objective_and_degenerates_cleanly():
     prob = logistic_problem(seed=6)
     reg = Regularizer(0.01)

@@ -25,7 +25,7 @@ def _fenced_block(heading: str, lang: str) -> str:
 
 def test_every_module_name_the_readme_names_resolves():
     """A backticked `module.name` naming a fedcef module (`core.client_sum`,
-    not a config key such as `hyper.k`) is a name that module defines."""
+    not a config key such as `hyper.K`) is a name that module defines."""
     modules = {m.name for m in pkgutil.iter_modules(fedcef.__path__)}
     with open(os.path.join(ROOT, "README.md")) as fh:
         named = set(re.findall(r"`(\w+)\.(\w+)", fh.read()))
@@ -60,18 +60,17 @@ def test_library_surface_example_runs():
 
 def test_command_line_example_runs(tmp_path):
     """Each line of the command-line block, with `python -m fedcef` for the
-    installed script and its optional `[...]` arguments given, exits 0 in a
-    directory holding a copy of configs/."""
+    installed script, exits 0 in a directory holding a copy of configs/."""
     shutil.copytree(os.path.join(ROOT, "configs"), tmp_path / "configs")
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedcef.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     lines = _fenced_block("Command line", "bash").splitlines()
     assert [line.split()[:2] for line in lines] == [["fedcef", "run"], ["fedcef", "sweep"], ["fedcef", "compare"]]
     for line in lines:
-        args = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        args = shlex.split(line)[1:]
         proc = subprocess.run(
             [sys.executable, "-m", "fedcef", *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, (line, proc.stderr)
-    assert "# cfg run.seed = 7\n" in (tmp_path / "run.csv").read_text()
+    assert "# cfg run.seed = 0\n" in (tmp_path / "run.csv").read_text()
     assert proc.stdout.startswith("run A: sweep/compressor.retain=0.01.csv\n")
